@@ -13,6 +13,7 @@ from typing import Callable, Optional
 from . import glue
 from .simplicial import (
     BudgetExceeded,
+    Keyed,
     Simplex,
     SimplicialMap,
     SimplicialSet,
@@ -31,7 +32,7 @@ from .simplicial import (
 )
 
 
-class SmallCategory:
+class SmallCategory(Keyed):
     """A finite category: named objects and arrows plus a composition table."""
 
     def __init__(self, objects, arrows, identities, composition):
@@ -48,8 +49,6 @@ class SmallCategory:
             comp[(m, self.identity[self.src[m]])] = m
             comp[(self.identity[self.tgt[m]], m)] = m
         self.comp = comp
-        self._key_cache = None
-        self._hash = None
 
     def compose(self, g, f):
         """g after f."""
@@ -65,26 +64,11 @@ class SmallCategory:
         return tuple(m for m in self.arrows
                      if self.src[m] == a and self.tgt[m] == b)
 
-    def _key(self):
-        if self._key_cache is None:
-            self._key_cache = (
-                self.objects,
+    def _identity(self):
+        return (self.objects,
                 tuple((m, self.src[m], self.tgt[m]) for m in self.arrows),
                 tuple(sorted(self.identity.items())),
                 tuple(sorted(self.comp.items())))
-        return self._key_cache
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, SmallCategory):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key())
-        return self._hash
 
     def __repr__(self):
         return f"SmallCategory({len(self.objects)} objects, {len(self.arrows)} arrows)"
@@ -146,8 +130,13 @@ def opposite(D: SmallCategory) -> SmallCategory:
 # diagrams and their maps
 
 
-class Diagram:
-    """A functor from a finite category into simplicial sets."""
+class Diagram(Keyed):
+    """A functor from a finite category into simplicial sets.
+
+    Two diagrams are equal when their shapes, objects and actions are equal.
+    The identity key holds references to those children, not copies, and
+    the hash is computed once.
+    """
 
     def __init__(self, shape: SmallCategory, at, act):
         self.shape = shape
@@ -157,28 +146,11 @@ class Diagram:
             e = shape.identity[d]
             if e not in self.act:
                 self.act[e] = identity_map(self.at[d])
-        self._key_cache = None
-        self._hash = None
 
-    def _key(self):
-        if self._key_cache is None:
-            self._key_cache = (
-                self.shape._key(),
-                tuple((d, self.at[d]._key()) for d in self.shape.objects),
-                tuple((m, self.act[m]._key()) for m in self.shape.arrows))
-        return self._key_cache
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Diagram):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key())
-        return self._hash
+    def _identity(self):
+        return (self.shape,
+                tuple((d, self.at[d]) for d in self.shape.objects),
+                tuple((m, self.act[m]) for m in self.shape.arrows))
 
     def __repr__(self):
         sizes = {d: self.at[d].n_nondegenerate() for d in self.shape.objects}
@@ -215,44 +187,34 @@ def validate_diagram(X: Diagram):
     return problems
 
 
-class DiagramMap:
-    """A natural transformation between diagrams of the same shape."""
+class DiagramMap(Keyed):
+    """A natural transformation between diagrams of the same shape.
+
+    Two maps are equal when their sources, targets and components are equal.
+    The identity key holds references to those children, not copies, and
+    the hash is computed once.
+    """
 
     def __init__(self, source: Diagram, target: Diagram, components):
         self.source = source
         self.target = target
         self.components = dict(components)
-        self._key_cache = None
-        self._hash = None
 
     def __getitem__(self, d) -> SimplicialMap:
         return self.components[d]
 
-    def _key(self):
-        if self._key_cache is None:
-            self._key_cache = (
-                self.source._key(), self.target._key(),
-                tuple((d, self.components[d]._key())
+    def _identity(self):
+        return (self.source, self.target,
+                tuple((d, self.components[d])
                       for d in self.source.shape.objects))
-        return self._key_cache
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, DiagramMap):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key())
-        return self._hash
 
     def __repr__(self):
         return f"DiagramMap({self.source!r} -> {self.target!r})"
 
     def then(self, other: "DiagramMap") -> "DiagramMap":
-        assert self.target == other.source
+        if self.target != other.source:
+            raise ValueError(f"cannot compose {self!r} with {other!r}: "
+                             "target and source differ")
         return DiagramMap(self.source, other.target,
                           {d: self.components[d].then(other.components[d])
                            for d in self.components})
@@ -834,7 +796,8 @@ def hom_D(A: Diagram, X: Diagram,
     number of results.
     """
     D = A.shape
-    assert D == X.shape
+    if D != X.shape:
+        raise ValueError("hom_D needs diagrams of the same shape")
     objects = list(D.objects)
     pools = {}
     for d in objects:

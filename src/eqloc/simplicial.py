@@ -111,7 +111,35 @@ def nondeg(cell: str) -> Simplex:
 # simplicial sets
 
 
-class SimplicialSet:
+class Keyed:
+    """Equality and hash through an identity key built once by `_identity()`.
+
+    Objects of one class are equal when their keys are equal; the hash of
+    the key is computed on first use and kept.
+    """
+
+    _key_cache = None
+    _hash = None
+
+    def _key(self):
+        if self._key_cache is None:
+            self._key_cache = self._identity()
+        return self._key_cache
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self._key())
+        return self._hash
+
+
+class SimplicialSet(Keyed):
     """A finite simplicial set presented by nondegenerate cells.
 
     levels: per-dimension lists of cell names (the canonical order).
@@ -134,8 +162,6 @@ class SimplicialSet:
                     raise ValueError(f"duplicate cell name {c!r}")
                 self._dim[c] = n
                 self._pos[c] = (n, idx)
-        self._hash = None
-        self._key_cache = None
         self._simplices_cache = {}
         self._face_index = {}
 
@@ -178,25 +204,10 @@ class SimplicialSet:
         """Canonical sort key among simplices of equal dimension."""
         return (self._pos[s.cell], s.word)
 
-    def _key(self):
-        if self._key_cache is None:
-            self._key_cache = (
-                self._levels,
+    def _identity(self):
+        return (self._levels,
                 tuple((c, self._faces[c]) for c in self.all_cells()
                       if c in self._faces))
-        return self._key_cache
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, SimplicialSet):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key())
-        return self._hash
 
     def __repr__(self):
         counts = ",".join(str(len(l)) for l in self._levels)
@@ -426,43 +437,49 @@ def vertex_image(Y: SimplicialSet, verts) -> Simplex:
 
 
 class SimplicialMap:
-    """A simplicial map, given on nondegenerate cells of the source."""
+    """A simplicial map, given on nondegenerate cells of the source.
+
+    Two maps are equal when their sources, targets and assignments are equal.
+    The hash is computed once, on first use, and only the int is kept.  An
+    incoming image that is already a Simplex with a tuple word is stored as
+    is, so images may be shared between maps: callers must not mutate
+    `assignment` after construction.
+    """
 
     def __init__(self, source: SimplicialSet, target: SimplicialSet, assignment):
         self.source = source
         self.target = target
-        self.assignment = {c: Simplex(tuple(s[0]), s[1])
-                           for c, s in assignment.items()}
+        self.assignment = {
+            c: s if type(s) is Simplex and type(s.word) is tuple
+            else Simplex(tuple(s[0]), s[1])
+            for c, s in assignment.items()}
         self._hash = None
-        self._key_cache = None
 
     def __call__(self, s: Simplex) -> Simplex:
         img = self.assignment[s.cell]
         return Simplex(compose_words(s.word, img.word), img.cell)
-
-    def _key(self):
-        if self._key_cache is None:
-            self._key_cache = (self.source._key(), self.target._key(),
-                               tuple(sorted(self.assignment.items())))
-        return self._key_cache
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, SimplicialMap):
             return NotImplemented
-        return self._key() == other._key()
+        return (self.source == other.source and self.target == other.target
+                and self.assignment == other.assignment)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._key())
+            self._hash = hash((self.source, self.target,
+                               frozenset(self.assignment.items())))
         return self._hash
 
     def __repr__(self):
         return f"SimplicialMap({self.source!r}->{self.target!r})"
 
     def then(self, other: "SimplicialMap") -> "SimplicialMap":
-        assert self.target is other.source or self.target == other.source
+        if self.target != other.source:
+            raise ValueError(f"cannot compose {self!r} with {other!r}: "
+                             "target and source differ")
         return SimplicialMap(self.source, other.target,
                              {c: other(s) for c, s in self.assignment.items()})
 

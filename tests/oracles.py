@@ -49,8 +49,9 @@ def rlp_oracle(i, p):
     A, B = i.source, i.target
     X, Y = p.source, p.target
     all_lifts = naive_hom(B, X)
+    all_bottoms = naive_hom(B, Y)
     for a in naive_hom(A, X):
-        for b in naive_hom(B, Y):
+        for b in all_bottoms:
             composite_ok = all(
                 b(i(nondeg(c))) == p(a(nondeg(c))) for c in A.all_cells())
             if not composite_ok:

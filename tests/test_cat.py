@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+import eqloc
 from eqloc.cat import (
     DiagramMap,
     arrow_category,
@@ -41,6 +48,7 @@ from eqloc.simplicial import (
     boundary,
     boundary_inclusion,
     hom_set,
+    identity_map,
     isomorphic,
     point,
     standard_simplex,
@@ -306,3 +314,44 @@ class TestPointwise:
         assert len(co.diagram.at["*"].cells(0)) == 3
         for inj in co.injections:
             assert validate_dmap(inj) == []
+
+
+MISMATCHED_ENDS = """
+from eqloc.cat import hom_D, identity_dmap
+from eqloc.fixtures import free_z2_orbit, two_points_diagram, z2_collapse
+from eqloc.simplicial import identity_map, point, standard_simplex
+checks = [
+    lambda: identity_map(standard_simplex(1)).then(identity_map(point())),
+    lambda: z2_collapse().then(z2_collapse()),
+    lambda: identity_dmap(free_z2_orbit()).then(
+        identity_dmap(two_points_diagram())),
+    lambda: hom_D(free_z2_orbit(), two_points_diagram()),
+]
+for check in checks:
+    try:
+        check()
+    except ValueError as e:
+        print("ValueError:", e)
+"""
+
+
+class TestEndpointChecks:
+    """Composition and hom_D reject mismatched ends with a ValueError."""
+
+    def test_mismatched_ends_raise(self):
+        with pytest.raises(ValueError, match="target and source differ"):
+            identity_map(standard_simplex(1)).then(identity_map(point()))
+        with pytest.raises(ValueError, match="target and source differ"):
+            z2_collapse().then(z2_collapse())
+        with pytest.raises(ValueError, match="same shape"):
+            hom_D(free_z2_orbit(), wrap_sset(point()))
+
+    def test_checks_survive_optimize(self):
+        """python -O strips asserts; these checks must still run."""
+        src = os.path.dirname(os.path.dirname(eqloc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", MISMATCHED_ENDS],
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.count("ValueError:") == 4, out.stdout

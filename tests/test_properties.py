@@ -6,6 +6,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from eqloc.cat import (
+    Diagram,
+    DiagramMap,
     hom_D,
     point_diagram,
     terminal_category,
@@ -17,6 +19,7 @@ from eqloc.fixtures import (
     free_z2_orbit,
     trivial_z2_orbit,
     two_points_diagram,
+    z2_collapse,
     z2_two_orbits,
 )
 from eqloc.glue import pushout, quotient
@@ -29,9 +32,12 @@ from eqloc.localization import (
     localize,
 )
 from eqloc.simplicial import (
+    Simplex,
     SimplicialMap,
+    SimplicialSet,
     boundary_inclusion,
     compose_words,
+    constant_map,
     hom_set,
     identity_map,
     nondeg,
@@ -174,3 +180,82 @@ class TestOrbitSetupFactorization:
                     assert psi.then(member.into) == phi
                     checked += 1
         assert checked >= 3
+
+
+def _copy_sset(X):
+    """A structurally equal complex that shares no object with X."""
+    return SimplicialSet([list(l) for l in X.levels],
+                         {c: X.cell_faces(c) for l in X.levels[1:] for c in l})
+
+
+class TestIdentityContract:
+    """Equality of maps and diagrams is by parts; hashes agree with it."""
+
+    def _random_maps(self, rng):
+        """Maps between random complexes, with rebuilt equal copies and
+        equal assignments into different targets."""
+        maps = []
+        for _ in range(6):
+            X, Y = random_sset(rng, max_cells=6), random_sset(rng, max_cells=6)
+            homs = hom_set(X, Y)[:8]
+            maps.extend(homs)
+            X2, Y2 = _copy_sset(X), _copy_sset(Y)
+            maps.extend(SimplicialMap(X2, Y2, dict(f.assignment))
+                        for f in homs[:3])
+            v = Y.cells(0)[0]
+            maps.append(constant_map(X, Y, v))
+            maps.append(constant_map(X, SimplicialSet([[v]], {}), v))
+        return maps
+
+    def test_equality_is_by_source_target_and_assignment(self):
+        rng = random.Random(161803)
+        maps = self._random_maps(rng)
+        equal_pairs = 0
+        for f in maps:
+            for g in maps:
+                by_parts = (f.source == g.source and f.target == g.target
+                            and sorted(f.assignment.items())
+                            == sorted(g.assignment.items()))
+                assert (f == g) == by_parts
+                if f == g:
+                    assert hash(f) == hash(g)
+                    equal_pairs += f is not g
+        assert equal_pairs > 0
+
+    def test_list_words_equal_tuple_words(self):
+        rng = random.Random(141421)
+        for f in self._random_maps(rng):
+            g = SimplicialMap(f.source, f.target,
+                              {c: (list(s.word), s.cell)
+                               for c, s in f.assignment.items()})
+            assert g == f and hash(g) == hash(f)
+            assert all(type(s) is Simplex and type(s.word) is tuple
+                       for s in g.assignment.values())
+
+    def test_images_are_shared_not_copied(self):
+        rng = random.Random(173205)
+        for f in self._random_maps(rng):
+            g = SimplicialMap(f.source, f.target, f.assignment)
+            for c in f.assignment:
+                assert g.assignment[c] is f.assignment[c]
+
+    def test_diagrams_and_dmaps_built_twice_are_equal(self):
+        X1, X2 = free_z2_orbit(), free_z2_orbit()
+        assert X1.at["*"] is not X2.at["*"]
+        assert X1 == X2 and hash(X1) == hash(X2)
+        copy = Diagram(X1.shape, {"*": _copy_sset(X1.at["*"])},
+                       {m: SimplicialMap(_copy_sset(f.source),
+                                         _copy_sset(f.target),
+                                         dict(f.assignment))
+                        for m, f in X1.act.items()})
+        assert copy == X1 and hash(copy) == hash(X1)
+        assert X1 != trivial_z2_orbit()
+        h1, h2 = z2_collapse(), z2_collapse()
+        assert h1 is not h2 and h1 == h2 and hash(h1) == hash(h2)
+        rebuilt = DiagramMap(copy, h1.target, dict(h1.components))
+        assert rebuilt == h1 and hash(rebuilt) == hash(h1)
+        homs1 = hom_D(X1, z2_two_orbits())
+        homs2 = hom_D(X2, z2_two_orbits())
+        assert homs1 == homs2
+        assert [hash(h) for h in homs1] == [hash(h) for h in homs2]
+        assert len(set(homs1)) == len(homs1)
