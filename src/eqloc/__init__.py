@@ -28,7 +28,6 @@ from .simplicial import (
     horn,
     horn_inclusion,
     identity_map,
-    normalize,
     point,
     standard_simplex,
     validate,

@@ -13,7 +13,6 @@ from typing import Callable, Optional
 from . import glue
 from .simplicial import (
     BudgetExceeded,
-    Keyed,
     Simplex,
     SimplicialMap,
     SimplicialSet,
@@ -30,6 +29,34 @@ from .simplicial import (
     standard_simplex,
     verify_map,
 )
+
+
+class Keyed:
+    """Equality and hash through an identity key built once by `_identity()`.
+
+    Objects of one class are equal when their keys are equal; the hash of
+    the key is computed on first use and kept.
+    """
+
+    _key_cache = None
+    _hash = None
+
+    def _key(self):
+        if self._key_cache is None:
+            self._key_cache = self._identity()
+        return self._key_cache
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self._key())
+        return self._hash
 
 
 class SmallCategory(Keyed):
@@ -359,14 +386,8 @@ class Colim:
 
     def mediate(self, legs, target) -> SimplicialMap:
         """The unique map out of the colimit agreeing with a commuting cocone."""
-        assignment = {}
-        for cell in self.space.all_cells():
-            rep = self._q.rep_of[cell]
-            i, orig = self._co.summand_of[rep.cell]
-            img = legs[self._shape.objects[i]].assignment[orig]
-            assignment[cell] = Simplex(compose_words(rep.word, img.word),
-                                       img.cell)
-        return SimplicialMap(self.space, target, assignment)
+        return glue.mediate(self._co, self._q,
+                            [legs[d] for d in self._shape.objects], target)
 
 
 _colim_cache = {}
@@ -445,7 +466,8 @@ class PushoutD:
 
 def pushout_D(f: DiagramMap, g: DiagramMap) -> PushoutD:
     """Pointwise pushout of f: A -> X along g: A -> B, with induced actions."""
-    assert f.source == g.source
+    if f.source != g.source:
+        raise ValueError("pushout_D needs maps with a common source")
     D = f.source.shape
     X, B = f.target, g.target
     pos = {d: glue.pushout(f.components[d], g.components[d])
@@ -517,7 +539,8 @@ def limit_D(factors, constraints) -> LimitD:
 
 def pullback_D(f: DiagramMap, g: DiagramMap) -> PullbackD:
     """Pointwise fiber product of f: X -> Z and g: Y -> Z."""
-    assert f.target == g.target
+    if f.target != g.target:
+        raise ValueError("pullback_D needs maps with a common target")
     D = f.source.shape
     X, Y = f.source, g.source
     tcs = {d: glue.pullback(f.components[d], g.components[d])
@@ -609,9 +632,8 @@ class LevelPresentation:
     on elements can be transported to the extracted presentation.
     """
 
-    def __init__(self, space, levels, to_simplex, elem_of_cell, deg_fn, cap):
+    def __init__(self, space, to_simplex, elem_of_cell, deg_fn, cap):
         self.space = space
-        self.levels = levels
         self.to_simplex = to_simplex    # (n, element) -> Simplex
         self.elem_of_cell = elem_of_cell
         self._deg_fn = deg_fn
@@ -624,6 +646,15 @@ class LevelPresentation:
             e = self._deg_fn(n, e, j)
             n += 1
         return e
+
+    def transport(self, other: "LevelPresentation", fn) -> SimplicialMap:
+        """The map of presented spaces sending the cell of an n-element e to
+        the normal form of fn(n, e) in `other`."""
+        space = self.space
+        images = tuple(other.to_simplex[(n, fn(n, self.elem_of_cell[c]))]
+                       for n, cells in enumerate(space.levels)
+                       for c in cells)
+        return SimplicialMap(space, other.space, images=images)
 
 
 def complex_from_levels(levels, face_fn, deg_fn, cap) -> LevelPresentation:
@@ -657,8 +688,7 @@ def complex_from_levels(levels, face_fn, deg_fn, cap) -> LevelPresentation:
                 to_simplex[(n, e)] = nondeg(name)
         new_levels.append(level)
     space = SimplicialSet(new_levels, faces)
-    return LevelPresentation(space, [list(l) for l in levels],
-                             to_simplex, elem_of_cell, deg_fn, cap)
+    return LevelPresentation(space, to_simplex, elem_of_cell, deg_fn, cap)
 
 
 class _ProductTower:
@@ -735,13 +765,8 @@ def cotensor(X: Diagram, K: SimplicialSet, cap) -> Cotensor:
     at = {d: pres[d].space for d in D.objects}
     act = {}
     for m in D.arrows:
-        a, b = D.src[m], D.tgt[m]
-        assignment = {}
-        for c in at[a].all_cells():
-            n = at[a].cell_dim(c)
-            e = pres[a].elem_of_cell[c]
-            assignment[c] = pres[b].to_simplex[(n, e.then(X.act[m]))]
-        act[m] = SimplicialMap(at[a], at[b], assignment)
+        act[m] = pres[D.src[m]].transport(
+            pres[D.tgt[m]], lambda n, e: e.then(X.act[m]))
     result = Cotensor(Diagram(D, at, act), pres, X, K, cap)
     _cotensor_cache[key] = result
     return result
@@ -750,14 +775,9 @@ def cotensor(X: Diagram, K: SimplicialSet, cap) -> Cotensor:
 def cotensor_map(f: DiagramMap, K: SimplicialSet, cap) -> DiagramMap:
     """Postcomposition X^K -> Y^K induced by f: X -> Y."""
     cs, ct = cotensor(f.source, K, cap), cotensor(f.target, K, cap)
-    comps = {}
-    for d in f.source.shape.objects:
-        assignment = {}
-        for c in cs.diagram.at[d].all_cells():
-            n = cs.diagram.at[d].cell_dim(c)
-            e = cs.pres[d].elem_of_cell[c]
-            assignment[c] = ct.pres[d].to_simplex[(n, e.then(f.components[d]))]
-        comps[d] = SimplicialMap(cs.diagram.at[d], ct.diagram.at[d], assignment)
+    comps = {d: cs.pres[d].transport(
+        ct.pres[d], lambda n, e: e.then(f.components[d]))
+        for d in f.source.shape.objects}
     return DiagramMap(cs.diagram, ct.diagram, comps)
 
 
@@ -770,14 +790,9 @@ def cotensor_restriction(X: Diagram, k: SimplicialMap, cap) -> DiagramMap:
     incls = [glue.induced_tuple_map(tK.tc(m), tL.tc(m),
                                     (identity_map(standard_simplex(m)), k))
              for m in range(cap + 1)]
-    comps = {}
-    for d in X.shape.objects:
-        assignment = {}
-        for c in cL.diagram.at[d].all_cells():
-            n = cL.diagram.at[d].cell_dim(c)
-            e = cL.pres[d].elem_of_cell[c]
-            assignment[c] = cK.pres[d].to_simplex[(n, incls[n].then(e))]
-        comps[d] = SimplicialMap(cL.diagram.at[d], cK.diagram.at[d], assignment)
+    comps = {d: cL.pres[d].transport(cK.pres[d],
+                                     lambda n, e: incls[n].then(e))
+             for d in X.shape.objects}
     return DiagramMap(cL.diagram, cK.diagram, comps)
 
 
@@ -920,24 +935,14 @@ def hom_complex(A: Diagram, X: Diagram, cap) -> HomComplex:
 def hom_complex_post(A: Diagram, f: DiagramMap, cap) -> SimplicialMap:
     """hom(A, X) -> hom(A, Y) induced by postcomposition with f: X -> Y."""
     hs, ht = hom_complex(A, f.source, cap), hom_complex(A, f.target, cap)
-    assignment = {}
-    for c in hs.space.all_cells():
-        n = hs.space.cell_dim(c)
-        e = hs.pres.elem_of_cell[c]
-        assignment[c] = ht.pres.to_simplex[(n, e.then(f))]
-    return SimplicialMap(hs.space, ht.space, assignment)
+    return hs.pres.transport(ht.pres, lambda n, e: e.then(f))
 
 
 def hom_complex_pre(h: DiagramMap, X: Diagram, cap) -> SimplicialMap:
     """hom(B, X) -> hom(A, X) induced by precomposition with h: A -> B."""
     hs, ht = hom_complex(h.target, X, cap), hom_complex(h.source, X, cap)
-    assignment = {}
-    for c in hs.space.all_cells():
-        n = hs.space.cell_dim(c)
-        e = hs.pres.elem_of_cell[c]
-        pre = tensor_map(h, identity_map(standard_simplex(n)))
-        assignment[c] = ht.pres.to_simplex[(n, pre.then(e))]
-    return SimplicialMap(hs.space, ht.space, assignment)
+    return hs.pres.transport(ht.pres, lambda n, e: tensor_map(
+        h, identity_map(standard_simplex(n))).then(e))
 
 
 def adjoint_to_cotensor(a: DiagramMap, T: Diagram, cot: Cotensor) -> DiagramMap:

@@ -67,28 +67,8 @@ def sset_from_doc(doc, name="?") -> SimplicialSet:
     return X
 
 
-def smap_doc(f: SimplicialMap, source_name, target_name) -> dict:
-    return {
-        "source": source_name,
-        "target": target_name,
-        "assignment": {c: [list(s.word), s.cell]
-                       for c, s in sorted(f.assignment.items())},
-    }
-
-
 def assignment_from_doc(doc):
     return {c: Simplex(tuple(v[0]), v[1]) for c, v in doc.items()}
-
-
-def category_doc(D: SmallCategory) -> dict:
-    comp = [[g, f, gf] for (g, f), gf in sorted(D.comp.items())
-            if not (D.is_identity(g) or D.is_identity(f))]
-    return {
-        "objects": list(D.objects),
-        "arrows": [[m, D.src[m], D.tgt[m]] for m in D.arrows],
-        "identities": dict(D.identity),
-        "composition": comp,
-    }
 
 
 def category_from_doc(doc, name="?") -> SmallCategory:
@@ -166,7 +146,11 @@ class Workspace:
             self._fresh(self.maps, name)
             src = self._get(self.simplicial_sets, d["source"], "simplicial set")
             tgt = self._get(self.simplicial_sets, d["target"], "simplicial set")
-            f = SimplicialMap(src, tgt, assignment_from_doc(d["assignment"]))
+            try:
+                f = SimplicialMap(src, tgt,
+                                  assignment_from_doc(d["assignment"]))
+            except ValueError as exc:
+                raise DocumentError(f"map {name!r}: {exc}") from exc
             problems = verify_map(f)
             if problems:
                 raise DocumentError(f"map {name!r} invalid: {problems}")

@@ -53,24 +53,28 @@ class Coproduct:
 def coproduct(spaces) -> Coproduct:
     """Disjoint union; cells are renamed "<i>:<name>" per summand."""
     dim = max((X.dim for X in spaces), default=-1)
+    # each summand's cells under their new names, as nondegenerate simplices
+    renamed = [{c: nondeg(f"{i}:{c}") for c in X.all_cells()}
+               for i, X in enumerate(spaces)]
     levels = []
     faces = {}
     summand_of = {}
     for n in range(dim + 1):
         level = []
         for i, X in enumerate(spaces):
+            ren = renamed[i]
             for c in X.cells(n):
-                name = f"{i}:{c}"
+                name = ren[c].cell
                 level.append(name)
                 summand_of[name] = (i, c)
                 if n >= 1:
-                    faces[name] = tuple(Simplex(f.word, f"{i}:{f.cell}")
-                                        for f in X.cell_faces(c))
+                    faces[name] = tuple(
+                        Simplex(f.word, ren[f.cell].cell) if f.word
+                        else ren[f.cell] for f in X.cell_faces(c))
         levels.append(level)
     space = SimplicialSet(levels, faces)
-    injections = [SimplicialMap(X, space,
-                                {c: nondeg(f"{i}:{c}") for c in X.all_cells()})
-                  for i, X in enumerate(spaces)]
+    injections = [SimplicialMap(X, space, images=tuple(ren.values()))
+                  for X, ren in zip(spaces, renamed)]
     return Coproduct(space, injections, summand_of)
 
 
@@ -93,7 +97,8 @@ def quotient(Z: SimplicialSet, pairs) -> Quotient:
     under all degeneracies, which generates the full simplicial congruence.
     """
     for u, v in pairs:
-        assert Z.simplex_dim(u) == Z.simplex_dim(v), "pair dimensions differ"
+        if Z.simplex_dim(u) != Z.simplex_dim(v):
+            raise ValueError(f"pair dimensions differ: {u!r}, {v!r}")
     saturated = set()
     work = [(u, v) for u, v in pairs if u != v]
     while work:
@@ -157,6 +162,17 @@ def quotient(Z: SimplicialSet, pairs) -> Quotient:
     return Quotient(space, projection, rep_of)
 
 
+def mediate(co: Coproduct, q: Quotient, legs, target) -> SimplicialMap:
+    """The map out of a quotient of a coproduct that is legs[i] on summand i;
+    the legs must agree on the identified simplices."""
+    images = []
+    for cell in q.space.all_cells():
+        rep = q.rep_of[cell]
+        i, orig = co.summand_of[rep.cell]
+        images.append(legs[i](Simplex(rep.word, orig)))
+    return SimplicialMap(q.space, target, images=tuple(images))
+
+
 # ---------------------------------------------------------------------------
 # pushouts
 
@@ -173,20 +189,13 @@ class Pushout:
 
     def mediate(self, p: SimplicialMap, q: SimplicialMap) -> SimplicialMap:
         """The unique map out of the pushout agreeing with a commuting cocone."""
-        legs = (p, q)
-        assignment = {}
-        for cell in self.space.all_cells():
-            rep = self._q.rep_of[cell]
-            i, orig = self._co.summand_of[rep.cell]
-            img = legs[i].assignment[orig]
-            assignment[cell] = Simplex(compose_words(rep.word, img.word),
-                                       img.cell)
-        return SimplicialMap(self.space, p.target, assignment)
+        return mediate(self._co, self._q, (p, q), p.target)
 
 
 def pushout(f: SimplicialMap, g: SimplicialMap) -> Pushout:
     """The pushout X sqcup_A B of f: A -> X and g: A -> B."""
-    assert f.source == g.source
+    if f.source != g.source:
+        raise ValueError("pushout needs maps with a common source")
     co = coproduct([f.target, g.target])
     in_x, in_b = co.injections
     pairs = [(in_x(f(nondeg(a))), in_b(g(nondeg(a))))
@@ -214,7 +223,7 @@ class TupleComplex:
         self.constraints = constraints
         self.space = space
         self.coords = coords    # cell -> tuple of Simplex per factor
-        self.cell_of = cell_of  # tuple -> cell
+        self.cell_of = cell_of  # tuple -> its cell, as a nondegenerate Simplex
 
     def locate(self, coords) -> Simplex:
         coords = tuple(coords)
@@ -229,21 +238,21 @@ class TupleComplex:
             coords = tuple(X.face(c, j)
                            for X, c in zip(self.factors, coords))
             word.append(j)
-        assert is_admissible(tuple(word))
-        return Simplex(tuple(word), self.cell_of[coords])
+        if not is_admissible(word):
+            raise ValueError(f"stripped word {word!r} is not admissible")
+        cell = self.cell_of[coords]
+        return Simplex(tuple(word), cell.cell) if word else cell
 
     def projection(self, i) -> SimplicialMap:
-        return SimplicialMap(self.space, self.factors[i],
-                             {c: self.coords[c][i]
-                              for c in self.space.all_cells()})
+        return SimplicialMap(self.space, self.factors[i], images=tuple(
+            self.coords[c][i] for c in self.space.all_cells()))
 
     def mediate(self, maps, source=None) -> SimplicialMap:
         """The unique map into the limit induced by a compatible cone."""
         src = source if source is not None else maps[0].source
-        assignment = {}
-        for c in src.all_cells():
-            assignment[c] = self.locate(tuple(m(nondeg(c)) for m in maps))
-        return SimplicialMap(src, self.space, assignment)
+        return SimplicialMap(src, self.space, images=tuple(
+            self.locate(tuple(m(nondeg(c)) for m in maps))
+            for c in src.all_cells()))
 
 
 _tuple_cache = {}
@@ -304,7 +313,7 @@ def tuple_complex(factors, constraints=()) -> TupleComplex:
             name = f"t{n}_{len(level)}"
             level.append(name)
             coords[name] = t
-            cell_of[t] = name
+            cell_of[t] = nondeg(name)
         levels.append(level)
     # face data needs cell_of for lower levels, hence the second pass
     for n in range(1, len(levels)):
@@ -325,19 +334,13 @@ def product(X: SimplicialSet, Y: SimplicialSet) -> TupleComplex:
 
 def pullback(f: SimplicialMap, g: SimplicialMap) -> TupleComplex:
     """The fiber product source(f) x_{target} source(g)."""
-    assert f.target == g.target
+    if f.target != g.target:
+        raise ValueError("pullback needs maps with a common target")
     return tuple_complex((f.source, g.source), ((0, f, 1, g),))
 
 
 def induced_tuple_map(src: TupleComplex, dst: TupleComplex, maps) -> SimplicialMap:
     """Map of tuple complexes applying one map per coordinate."""
-    assignment = {}
-    for c in src.space.all_cells():
-        assignment[c] = dst.locate(tuple(m(s)
-                                         for m, s in zip(maps, src.coords[c])))
-    return SimplicialMap(src.space, dst.space, assignment)
-
-
-def product_map(src: TupleComplex, dst: TupleComplex,
-                f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
-    return induced_tuple_map(src, dst, (f, g))
+    return SimplicialMap(src.space, dst.space, images=tuple(
+        dst.locate(tuple(m(s) for m, s in zip(maps, src.coords[c])))
+        for c in src.space.all_cells()))

@@ -30,6 +30,7 @@ from .cat import (
 from .simplicial import (
     constant_map,
     is_isomorphism,
+    nondeg,
     point,
     standard_simplex,
 )
@@ -100,7 +101,7 @@ def factor_through_setup(phi: DiagramMap, setup) -> Optional[tuple]:
         return None
     co_t = colim(T)
     m = colim_map(phi)
-    v = m.assignment[co_t.space.cells(0)[0]].cell
+    v = m(nondeg(co_t.space.cells(0)[0])).cell
     for member in setup:
         if member.witness == v and member.level == 0:
             psi = member.pullback.mediate(phi, terminal_dmap(T))
@@ -116,7 +117,7 @@ def orbit_naturality(f: DiagramMap, o: OrbitMap):
     """
     assert o.ambient == f.source
     m = colim_map(f)
-    y = m.assignment[o.witness].cell
+    y = m(nondeg(o.witness)).cell
     target = None
     for member in orbit_setup(f.target):
         if member.witness == y:

@@ -111,40 +111,26 @@ def nondeg(cell: str) -> Simplex:
 # simplicial sets
 
 
-class Keyed:
-    """Equality and hash through an identity key built once by `_identity()`.
-
-    Objects of one class are equal when their keys are equal; the hash of
-    the key is computed on first use and kept.
-    """
-
-    _key_cache = None
-    _hash = None
-
-    def _key(self):
-        if self._key_cache is None:
-            self._key_cache = self._identity()
-        return self._key_cache
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key())
-        return self._hash
+def _as_simplex(s) -> Simplex:
+    """s as a Simplex with a tuple word; one that already is one is kept."""
+    if type(s) is Simplex and type(s.word) is tuple:
+        return s
+    return Simplex(tuple(s[0]), s[1])
 
 
-class SimplicialSet(Keyed):
+class SimplicialSet:
     """A finite simplicial set presented by nondegenerate cells.
 
     levels: per-dimension lists of cell names (the canonical order).
     faces: for each cell of dimension n >= 1, an (n+1)-tuple of Simplex values
-    of dimension n-1, listed d_0 .. d_n.
+    of dimension n-1, listed d_0 .. d_n.  A face that is already a Simplex
+    with a tuple word is kept as is, so faces may be shared with the caller.
+
+    `_index` gives each cell its position in `all_cells()` order; maps out of
+    the complex store their images in that order.  Two complexes are equal
+    when their levels and the faces of their cells are equal (entries of
+    `faces` for names that are not cells are ignored); the hash is computed
+    once.  A complex must not be mutated after construction.
     """
 
     def __init__(self, levels, faces):
@@ -152,16 +138,18 @@ class SimplicialSet(Keyed):
         while lv and not lv[-1]:
             lv.pop()
         self._levels = tuple(lv)
-        self._faces = {c: tuple(Simplex(tuple(s[0]), s[1]) for s in fs)
+        self._faces = {c: tuple(map(_as_simplex, fs))
                        for c, fs in faces.items()}
-        self._dim = {}
-        self._pos = {}
+        self._index = {}
+        dims = []
         for n, cells in enumerate(self._levels):
-            for idx, c in enumerate(cells):
-                if c in self._dim:
+            for c in cells:
+                if c in self._index:
                     raise ValueError(f"duplicate cell name {c!r}")
-                self._dim[c] = n
-                self._pos[c] = (n, idx)
+                self._index[c] = len(dims)
+                dims.append(n)
+        self._dims = tuple(dims)
+        self._hash = None
         self._simplices_cache = {}
         self._face_index = {}
 
@@ -189,25 +177,36 @@ class SimplicialSet(Keyed):
         return sum(len(l) for l in self._levels)
 
     def cell_dim(self, cell) -> int:
-        return self._dim[cell]
+        return self._dims[self._index[cell]]
 
     def cell_faces(self, cell) -> tuple:
         return self._faces[cell]
 
     def has_cell(self, cell) -> bool:
-        return cell in self._dim
+        return cell in self._index
 
     def simplex_dim(self, s: Simplex) -> int:
-        return self._dim[s.cell] + len(s.word)
+        return self._dims[self._index[s.cell]] + len(s.word)
 
     def skey(self, s: Simplex):
         """Canonical sort key among simplices of equal dimension."""
-        return (self._pos[s.cell], s.word)
+        return (self._index[s.cell], s.word)
 
-    def _identity(self):
-        return (self._levels,
-                tuple((c, self._faces[c]) for c in self.all_cells()
-                      if c in self._faces))
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, SimplicialSet):
+            return NotImplemented
+        if hash(self) != hash(other) or self._levels != other._levels:
+            return False
+        mine, theirs = self._faces.get, other._faces.get
+        return all(mine(c) == theirs(c) for c in self._index)
+
+    def __hash__(self):
+        if self._hash is None:
+            faces = self._faces.get
+            self._hash = hash((self._levels, tuple(map(faces, self._index))))
+        return self._hash
 
     def __repr__(self):
         counts = ",".join(str(len(l)) for l in self._levels)
@@ -246,10 +245,6 @@ class SimplicialSet(Keyed):
             self._simplices_cache[n] = tuple(out)
         return self._simplices_cache[n]
 
-    def faces_of(self, s: Simplex) -> tuple:
-        n = self.simplex_dim(s)
-        return tuple(self.face(s, i) for i in range(n + 1))
-
     def _faces_index(self, n):
         """Index (i, face simplex) -> tuple of n-simplices with that i-face."""
         if n not in self._face_index:
@@ -259,11 +254,6 @@ class SimplicialSet(Keyed):
                     idx.setdefault((i, self.face(s, i)), []).append(s)
             self._face_index[n] = {k: tuple(v) for k, v in idx.items()}
         return self._face_index[n]
-
-
-def normalize(X: SimplicialSet, word, face_index, cell) -> Simplex:
-    """d_{face_index} of (word . cell) in X, in admissible normal form."""
-    return X.face(Simplex(tuple(word), cell), face_index)
 
 
 def validate(X: SimplicialSet):
@@ -393,8 +383,10 @@ def apply_operator(X: SimplicialSet, s: Simplex, values) -> Simplex:
     values missed by the image, then the repeat positions give the word.
     """
     m = X.simplex_dim(s)
-    assert all(values[i] <= values[i + 1] for i in range(len(values) - 1))
-    assert 0 <= values[0] and values[-1] <= m
+    if any(values[i] > values[i + 1] for i in range(len(values) - 1)):
+        raise ValueError(f"operator values {values!r} are not monotone")
+    if not (0 <= values[0] and values[-1] <= m):
+        raise ValueError(f"operator values {values!r} leave [0, {m}]")
     image = set(values)
     t = s
     for i in range(m, -1, -1):
@@ -419,7 +411,8 @@ def vertex_image(Y: SimplicialSet, verts) -> Simplex:
     Only meaningful for complexes of the standard family, where a cell is
     determined by its vertex set.
     """
-    assert all(verts[i] <= verts[i + 1] for i in range(len(verts) - 1))
+    if any(verts[i] > verts[i + 1] for i in range(len(verts) - 1)):
+        raise ValueError(f"vertex list {verts!r} is not monotone")
     distinct = []
     repeats = []
     for i, v in enumerate(verts):
@@ -428,7 +421,8 @@ def vertex_image(Y: SimplicialSet, verts) -> Simplex:
         else:
             distinct.append(v)
     name = _subset_name(distinct)
-    assert Y.has_cell(name), f"no cell {name!r} in target"
+    if not Y.has_cell(name):
+        raise ValueError(f"no cell {name!r} in target")
     return Simplex(tuple(sorted(repeats, reverse=True)), name)
 
 
@@ -439,24 +433,47 @@ def vertex_image(Y: SimplicialSet, verts) -> Simplex:
 class SimplicialMap:
     """A simplicial map, given on nondegenerate cells of the source.
 
-    Two maps are equal when their sources, targets and assignments are equal.
-    The hash is computed once, on first use, and only the int is kept.  An
-    incoming image that is already a Simplex with a tuple word is stored as
-    is, so images may be shared between maps: callers must not mutate
-    `assignment` after construction.
+    `images` is a tuple with the image of each source cell, in
+    `source.all_cells()` order; an unassigned cell holds None, which
+    `verify_map` reports.  Build a map from a {cell: image} dict, or pass
+    that tuple as `images=` (stored as given).  A dict that names a cell the
+    source lacks raises ValueError.  A dict image that is already a Simplex
+    with a tuple word is stored as is, so images may be shared between maps.
+
+    `assignment` is a {cell: image} dict built on each access: changing it
+    leaves the map as it was, and building it costs a pass over the cells,
+    so keep it out of hot loops.  Two maps are equal when their sources,
+    targets and images are equal.  The hash is computed once, so a map must
+    not be mutated after construction.
     """
 
-    def __init__(self, source: SimplicialSet, target: SimplicialSet, assignment):
+    __slots__ = ("source", "target", "images", "_hash")
+
+    def __init__(self, source: SimplicialSet, target: SimplicialSet,
+                 assignment=None, *, images=None):
         self.source = source
         self.target = target
-        self.assignment = {
-            c: s if type(s) is Simplex and type(s.word) is tuple
-            else Simplex(tuple(s[0]), s[1])
-            for c, s in assignment.items()}
+        index = source._index
+        if images is None:
+            if not assignment.keys() <= index.keys():
+                cell = next(c for c in assignment if c not in index)
+                raise ValueError(f"{cell!r} is not a cell of the source")
+            images = [None if s is None else _as_simplex(s)
+                      for s in map(assignment.get, index)]
+        elif len(images) != len(index):
+            raise ValueError(f"{len(images)} images for {len(index)} cells")
+        self.images = tuple(images)
         self._hash = None
 
+    @property
+    def assignment(self) -> dict:
+        return {c: s for c, s in zip(self.source._index, self.images)
+                if s is not None}
+
     def __call__(self, s: Simplex) -> Simplex:
-        img = self.assignment[s.cell]
+        img = self.images[self.source._index[s.cell]]
+        if not s.word:
+            return img
         return Simplex(compose_words(s.word, img.word), img.cell)
 
     def __eq__(self, other):
@@ -465,12 +482,11 @@ class SimplicialMap:
         if not isinstance(other, SimplicialMap):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
-                and self.assignment == other.assignment)
+                and self.images == other.images)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.source, self.target,
-                               frozenset(self.assignment.items())))
+            self._hash = hash((self.source, self.target, self.images))
         return self._hash
 
     def __repr__(self):
@@ -481,11 +497,11 @@ class SimplicialMap:
             raise ValueError(f"cannot compose {self!r} with {other!r}: "
                              "target and source differ")
         return SimplicialMap(self.source, other.target,
-                             {c: other(s) for c, s in self.assignment.items()})
+                             images=tuple(map(other, self.images)))
 
 
 def identity_map(X: SimplicialSet) -> SimplicialMap:
-    return SimplicialMap(X, X, {c: nondeg(c) for c in X.all_cells()})
+    return SimplicialMap(X, X, images=tuple(map(nondeg, X.all_cells())))
 
 
 def compose(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
@@ -497,19 +513,19 @@ def verify_map(f: SimplicialMap):
     """Violations of dimension preservation and face commutation."""
     problems = []
     X, Y = f.source, f.target
-    for c in X.all_cells():
-        if c not in f.assignment:
+    for c, img in zip(X.all_cells(), f.images):
+        if img is None:
             problems.append(("unassigned", c))
-            continue
-        img = f.assignment[c]
-        if not Y.has_cell(img.cell) or Y.simplex_dim(img) != X.cell_dim(c):
+        elif not Y.has_cell(img.cell) or Y.simplex_dim(img) != X.cell_dim(c):
             problems.append(("dimension", c))
+        elif not is_admissible(img.word):
+            problems.append(("inadmissible-word", c))
     if problems:
         return problems
-    for c in X.all_cells():
+    for c, img in zip(X.all_cells(), f.images):
         n = X.cell_dim(c)
         for i in range(n + 1) if n >= 1 else ():
-            if f(X.face(nondeg(c), i)) != Y.face(f(nondeg(c)), i):
+            if f(X.face(nondeg(c), i)) != Y.face(img, i):
                 problems.append(("face", c, i))
     return problems
 
@@ -520,10 +536,6 @@ def constant_map(X: SimplicialSet, Y: SimplicialSet, vertex: str) -> SimplicialM
         n = X.cell_dim(c)
         assignment[c] = Simplex(tuple(range(n - 1, -1, -1)), vertex)
     return SimplicialMap(X, Y, assignment)
-
-
-def terminal_map(X: SimplicialSet) -> SimplicialMap:
-    return constant_map(X, point(), "0")
 
 
 def degenerate_at(X: SimplicialSet, vertex: str, n) -> Simplex:
@@ -570,13 +582,28 @@ def horn_inclusion(n, k) -> SimplicialMap:
                          {c: nondeg(c) for c in H.all_cells()})
 
 
-def subcomplex_inclusion(A: SimplicialSet, X: SimplicialSet) -> SimplicialMap:
-    """Inclusion of a complex whose cells are shared with X by name."""
-    return SimplicialMap(A, X, {c: nondeg(c) for c in A.all_cells()})
-
-
 # ---------------------------------------------------------------------------
 # hom enumeration and lift search
+
+
+def _required_faces(X: SimplicialSet, images, cell) -> list:
+    """The faces an image of a cell of dimension >= 1 must have, given the
+    images (in `X.all_cells()` order) of the cells before it."""
+    out = []
+    for i in range(X.cell_dim(cell) + 1):
+        fs = X.face(nondeg(cell), i)
+        img = images[X._index[fs.cell]]
+        out.append(Simplex(compose_words(fs.word, img.word), img.cell))
+    return out
+
+
+def _matching(Y: SimplicialSet, m, required) -> tuple:
+    """The m-simplices of Y with the required faces; all vertices when m = 0."""
+    if m == 0:
+        return Y.simplices(0)
+    pool = Y._faces_index(m).get((0, required[0]), ())
+    return tuple(s for s in pool
+                 if all(Y.face(s, i) == required[i] for i in range(1, m + 1)))
 
 
 def enumerate_maps(X: SimplicialSet, Y: SimplicialSet,
@@ -591,36 +618,23 @@ def enumerate_maps(X: SimplicialSet, Y: SimplicialSet,
     counter of candidate tries, raising BudgetExceeded at zero.
     """
     pins = pins or {}
-    order = [c for level in X.levels for c in level]
+    order = list(X.all_cells())
     results = []
-    assignment = {}
+    images = [None] * len(order)
 
     def candidates(cell):
         m = X.cell_dim(cell)
-        required = None
-        if m >= 1:
-            required = []
-            for i in range(m + 1):
-                fs = X.face(nondeg(cell), i)
-                img = assignment[fs.cell]
-                required.append(Simplex(compose_words(fs.word, img.word),
-                                        img.cell))
+        required = _required_faces(X, images, cell) if m >= 1 else None
         if cell in pins:
-            pinned = pins[cell]
+            pinned = _as_simplex(pins[cell])
             if Y.simplex_dim(pinned) != m:
                 return ()
             if required is not None and any(Y.face(pinned, i) != required[i]
                                             for i in range(m + 1)):
                 return ()
             pool = (pinned,)
-        elif m == 0:
-            pool = Y.simplices(0)
         else:
-            idx = Y._faces_index(m)
-            pool = idx.get((0, required[0]), ())
-            pool = tuple(s for s in pool
-                         if all(Y.face(s, i) == required[i]
-                                for i in range(1, m + 1)))
+            pool = _matching(Y, m, required)
         if cell_filter is not None:
             pool = tuple(s for s in pool if cell_filter(cell, s))
         return pool
@@ -629,17 +643,15 @@ def enumerate_maps(X: SimplicialSet, Y: SimplicialSet,
         if limit is not None and len(results) >= limit:
             return
         if pos == len(order):
-            results.append(SimplicialMap(X, Y, dict(assignment)))
+            results.append(SimplicialMap(X, Y, images=tuple(images)))
             return
-        cell = order[pos]
-        for cand in candidates(cell):
+        for cand in candidates(order[pos]):
             if budget is not None:
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise BudgetExceeded()
-            assignment[cell] = cand
+            images[pos] = cand
             search(pos + 1)
-            del assignment[cell]
             if limit is not None and len(results) >= limit:
                 return
 
@@ -674,8 +686,7 @@ def is_injective(f: SimplicialMap) -> bool:
     distinct nondegenerate simplices in every dimension.
     """
     seen = set()
-    for c in f.source.all_cells():
-        img = f.assignment[c]
+    for img in f.images:
         if img.word or img in seen:
             return False
         seen.add(img)
@@ -686,8 +697,7 @@ def is_isomorphism(f: SimplicialMap) -> Optional[SimplicialMap]:
     """The inverse map when f is an isomorphism, else None."""
     X, Y = f.source, f.target
     inv = {}
-    for c in X.all_cells():
-        img = f.assignment[c]
+    for c, img in zip(X.all_cells(), f.images):
         if img.word or img.cell in inv:
             return None
         inv[img.cell] = nondeg(c)
@@ -703,42 +713,26 @@ def isomorphic(X: SimplicialSet, Y: SimplicialSet) -> Optional[SimplicialMap]:
     """Search for an isomorphism X -> Y; None when the complexes differ."""
     if [len(l) for l in X.levels] != [len(l) for l in Y.levels]:
         return None
-    used = set()
-
-    def only_nondeg_unused(cell, cand):
-        return not cand.word and cand not in used
-
     # backtracking with an injectivity filter needs used-set maintenance,
     # so run a dedicated search rather than enumerate_maps
-    order = [c for level in X.levels for c in level]
-    assignment = {}
+    order = list(X.all_cells())
+    images = [None] * len(order)
+    used = set()
 
     def search(pos):
         if pos == len(order):
-            return SimplicialMap(X, Y, dict(assignment))
+            return SimplicialMap(X, Y, images=tuple(images))
         cell = order[pos]
         m = X.cell_dim(cell)
-        if m == 0:
-            pool = Y.simplices(0)
-        else:
-            required = []
-            for i in range(m + 1):
-                fs = X.face(nondeg(cell), i)
-                img = assignment[fs.cell]
-                required.append(Simplex(compose_words(fs.word, img.word), img.cell))
-            idx = Y._faces_index(m)
-            pool = idx.get((0, required[0]), ())
-            pool = tuple(s for s in pool
-                         if all(Y.face(s, i) == required[i] for i in range(1, m + 1)))
-        for cand in pool:
+        required = _required_faces(X, images, cell) if m >= 1 else None
+        for cand in _matching(Y, m, required):
             if cand.word or cand in used:
                 continue
             used.add(cand)
-            assignment[cell] = cand
+            images[pos] = cand
             found = search(pos + 1)
             if found is not None:
                 return found
-            del assignment[cell]
             used.discard(cand)
         return None
 

@@ -69,6 +69,29 @@ class TestParse:
         assert code == 1
         assert "unknown-face-target" in err
 
+    def _parse_with_swap(self, tmp_path, capsys, swap):
+        """`eqloc parse` on the Z/2 example with the assignment of its map
+        'swap' (which exchanges the vertices p and q) replaced."""
+        doc = json.loads(pathlib.Path(Z2).read_text(encoding="utf-8"))
+        doc["maps"]["swap"]["assignment"] = swap
+        p = tmp_path / "z2_bad_map.json"
+        p.write_text(json.dumps(doc))
+        return run(capsys, "parse", "-w", str(p))
+
+    def test_map_with_extra_cell_names_map_and_cell(self, tmp_path, capsys):
+        code, out, err = self._parse_with_swap(
+            tmp_path, capsys,
+            {"p": [[], "q"], "q": [[], "p"], "stray": [[], "p"]})
+        assert code == 1
+        assert "map 'swap'" in err and "'stray'" in err
+        assert "diagram" not in err
+
+    def test_map_with_missing_cell_is_unassigned(self, tmp_path, capsys):
+        code, out, err = self._parse_with_swap(tmp_path, capsys,
+                                               {"p": [[], "q"]})
+        assert code == 1
+        assert "map 'swap' invalid: [('unassigned', 'q')]" in err
+
     def test_wrong_schema(self, tmp_path, capsys):
         p = tmp_path / "v0.json"
         p.write_text('{"schema": "eqloc/0"}')

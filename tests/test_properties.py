@@ -38,6 +38,7 @@ from eqloc.simplicial import (
     boundary_inclusion,
     compose_words,
     constant_map,
+    enumerate_maps,
     hom_set,
     identity_map,
     nondeg,
@@ -238,6 +239,84 @@ class TestIdentityContract:
             g = SimplicialMap(f.source, f.target, f.assignment)
             for c in f.assignment:
                 assert g.assignment[c] is f.assignment[c]
+
+    def test_sset_equality_matches_the_old_key(self):
+        """Equality by parts is the relation of the old materialized key
+        (levels, ((cell, faces) for cells that have faces))."""
+        rng = random.Random(271828)
+        built = []
+        for _ in range(8):
+            X = random_sset(rng, max_cells=6)
+            faces = {c: X.cell_faces(c) for l in X.levels[1:] for c in l}
+            variants = [dict(faces), dict(faces, ghost=(nondeg("nowhere"),))]
+            if faces:
+                c = rng.choice(sorted(faces))
+                variants.append({k: v for k, v in faces.items() if k != c})
+                variants.append(dict(faces, **{c: faces[c][::-1]}))
+            variants.append(dict(faces, **{X.cells(0)[0]: ()}))
+            built.append((X, faces))
+            built.extend((SimplicialSet([list(l) for l in X.levels], fs), fs)
+                         for fs in variants)
+            built.append((_copy_sset(X), faces))
+
+        def old_key(X, faces):
+            return (X.levels, tuple((c, faces[c]) for c in X.all_cells()
+                                    if c in faces))
+
+        equal_pairs = 0
+        for A, fa in built:
+            for B, fb in built:
+                assert (A == B) == (old_key(A, fa) == old_key(B, fb))
+                if A == B:
+                    assert hash(A) == hash(B)
+                    equal_pairs += A is not B
+        assert equal_pairs > 0
+
+    def test_faces_are_kept_not_copied(self):
+        rng = random.Random(314159)
+        for _ in range(6):
+            X = random_sset(rng, max_cells=6)
+            faces = {c: tuple(Simplex(f.word, f.cell) for f in X.cell_faces(c))
+                     for l in X.levels[1:] for c in l}
+            Y = SimplicialSet(X.levels, faces)
+            assert Y == X
+            for c, fs in faces.items():
+                for i, f in enumerate(fs):
+                    assert Y.cell_faces(c)[i] is f
+
+    def test_assignment_order_does_not_matter(self):
+        rng = random.Random(662607)
+        for f in self._random_maps(rng):
+            items = list(f.assignment.items())
+            rng.shuffle(items)
+            g = SimplicialMap(f.source, f.target, dict(items))
+            assert g == f and hash(g) == hash(f)
+            assert g.images == f.images
+
+    def test_assignment_is_a_fresh_dict(self):
+        rng = random.Random(602214)
+        for f in self._random_maps(rng):
+            images, h = f.images, hash(f)
+            view = f.assignment
+            assert view == dict(zip(f.source.all_cells(), images))
+            view.clear()
+            view["ghost"] = nondeg("nowhere")
+            assert f.images is images and hash(f) == h
+            assert f.assignment == dict(zip(f.source.all_cells(), images))
+
+    def test_then_agrees_with_pointwise_composition(self):
+        rng = random.Random(105457)
+        checked = 0
+        for _ in range(8):
+            X, Y, Z = (random_sset(rng, max_cells=5) for _ in range(3))
+            for f in enumerate_maps(X, Y, limit=4):
+                for g in enumerate_maps(Y, Z, limit=4):
+                    fg = f.then(g)
+                    for n in range(3):
+                        for s in X.simplices(n):
+                            assert fg(s) == g(f(s))
+                            checked += 1
+        assert checked > 100
 
     def test_diagrams_and_dmaps_built_twice_are_equal(self):
         X1, X2 = free_z2_orbit(), free_z2_orbit()

@@ -25,7 +25,6 @@ from eqloc.simplicial import (
     is_isomorphism,
     isomorphic,
     nondeg,
-    normalize,
     normalize_word,
     point,
     standard_simplex,
@@ -139,15 +138,15 @@ class TestNormalizeOp:
     def test_spec_examples(self):
         X = standard_simplex(0)
         # d_0 (s_0 . v) and d_1 (s_0 . v) are the vertex itself
-        assert normalize(X, (0,), 0, "0") == Simplex((), "0")
-        assert normalize(X, (0,), 1, "0") == Simplex((), "0")
+        assert X.face(Simplex((0,), "0"), 0) == Simplex((), "0")
+        assert X.face(Simplex((0,), "0"), 1) == Simplex((), "0")
         # d_0 (s_1 s_0 . v) = (s_0, v), derived by hand from the identities
-        assert normalize(X, (1, 0), 0, "0") == Simplex((0,), "0")
+        assert X.face(Simplex((1, 0), "0"), 0) == Simplex((0,), "0")
 
     def test_out_of_range(self):
         X = standard_simplex(0)
         with pytest.raises(IndexError):
-            normalize(X, (0,), 3, "0")
+            X.face(Simplex((0,), "0"), 3)
 
     def test_idempotent_on_normal_inputs(self):
         X = standard_simplex(2)
@@ -214,6 +213,29 @@ class TestMaps:
     def test_constant_map(self):
         f = constant_map(standard_simplex(2), standard_simplex(0), "0")
         assert verify_map(f) == []
+
+    def test_images_follow_source_cell_order(self):
+        f = coface_map(2, 1)
+        assert f.images == tuple(f(nondeg(c))
+                                 for c in f.source.all_cells())
+        assert f.assignment == dict(zip(f.source.all_cells(), f.images))
+
+    def test_cell_outside_source_rejected(self):
+        with pytest.raises(ValueError, match="'stray' is not a cell"):
+            SimplicialMap(point(), point(),
+                          {"0": nondeg("0"), "stray": nondeg("0")})
+        with pytest.raises(ValueError, match="2 images for 1 cells"):
+            SimplicialMap(point(), point(), images=(nondeg("0"),) * 2)
+
+    def test_unassigned_and_inadmissible_images_reported(self):
+        X = standard_simplex(1)
+        assert verify_map(SimplicialMap(X, X, {"0": nondeg("0")})) == [
+            ("unassigned", "1"), ("unassigned", "0.1")]
+        # (0, 0) is not strictly decreasing; s_0 s_0 would be written (1, 0)
+        images = constant_map(standard_simplex(2), point(), "0").assignment
+        images["0.1.2"] = Simplex((0, 0), "0")
+        bad = SimplicialMap(standard_simplex(2), point(), images)
+        assert verify_map(bad) == [("inadmissible-word", "0.1.2")]
 
 
 class TestHomSet:
