@@ -8,6 +8,7 @@ by level with explicit truncation dimensions.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Optional
 
 from . import glue
@@ -628,24 +629,16 @@ def tensor_projection(X: Diagram, K: SimplicialSet) -> DiagramMap:
 class LevelPresentation:
     """A truncated simplicial set given by levelwise element sets.
 
-    Records the normal form of every element up to the cap, so maps defined
-    on elements can be transported to the extracted presentation.
+    Records the normal form of every element up to the cap (`to_simplex`)
+    and the element behind every presented cell (`elem_of_cell`), so maps
+    defined on elements can be transported to the extracted presentation.
     """
 
-    def __init__(self, space, to_simplex, elem_of_cell, deg_fn, cap):
+    def __init__(self, space, to_simplex, elem_of_cell, cap):
         self.space = space
         self.to_simplex = to_simplex    # (n, element) -> Simplex
         self.elem_of_cell = elem_of_cell
-        self._deg_fn = deg_fn
         self.cap = cap
-
-    def element_of(self, s: Simplex):
-        e = self.elem_of_cell[s.cell]
-        n = self.space.cell_dim(s.cell)
-        for j in reversed(s.word):
-            e = self._deg_fn(n, e, j)
-            n += 1
-        return e
 
     def transport(self, other: "LevelPresentation", fn) -> SimplicialMap:
         """The map of presented spaces sending the cell of an n-element e to
@@ -679,7 +672,7 @@ def complex_from_levels(levels, face_fn, deg_fn, cap) -> LevelPresentation:
                 to_simplex[(n, e)] = Simplex(compose_words((j,), sub.word),
                                              sub.cell)
             else:
-                name = f"e{n}_{len(level)}"
+                name = sys.intern(f"e{n}_{len(level)}")
                 level.append(name)
                 elem_of_cell[name] = e
                 if n >= 1:
@@ -688,7 +681,7 @@ def complex_from_levels(levels, face_fn, deg_fn, cap) -> LevelPresentation:
                 to_simplex[(n, e)] = nondeg(name)
         new_levels.append(level)
     space = SimplicialSet(new_levels, faces)
-    return LevelPresentation(space, to_simplex, elem_of_cell, deg_fn, cap)
+    return LevelPresentation(space, to_simplex, elem_of_cell, cap)
 
 
 class _ProductTower:
@@ -977,8 +970,13 @@ def adjoint_to_cotensor(a: DiagramMap, T: Diagram, cot: Cotensor) -> DiagramMap:
 def adjoint_to_tensor(phi: DiagramMap, cot: Cotensor) -> DiagramMap:
     """Convert phi: T -> X^K into the adjoint map tensor(T, K) -> X.
 
-    The value on a pair (t, k) evaluates the mapping-complex element at the
-    top simplex of Delta^n paired with k.
+    The value on a pair (u, v) evaluates the element of phi(u) = s_w(c) at
+    the top simplex of Delta^n paired with v.  That element is the cell's
+    element e_c precomposed with the codegeneracies of w, and the
+    codegeneracies carry the top simplex of Delta^n to s_w of the top
+    simplex of Delta^m (m the dimension of c).  So the value is
+    e_c(s_w(iota_m), v), read in product(Delta^m, K): no composite map and
+    no product above the cell's own level is built.
     """
     T = phi.source
     X = cot.base
@@ -988,12 +986,13 @@ def adjoint_to_tensor(phi: DiagramMap, cot: Cotensor) -> DiagramMap:
     comps = {}
     for d in T.shape.objects:
         tc = t.tcs[d]
-        assignment = {}
+        pres = cot.pres[d]
+        images = []
         for cell in tc.space.all_cells():
             u, v = tc.coords[cell]
-            n = tc.space.cell_dim(cell)
-            e = cot.pres[d].element_of(phi.components[d](u))
-            iota = Simplex((), ".".join(str(k) for k in range(n + 1)))
-            assignment[cell] = e(tower.tc(n).locate((iota, v)))
-        comps[d] = SimplicialMap(tc.space, X.at[d], assignment)
+            w, c = phi.components[d](u)
+            m = pres.space.cell_dim(c)
+            iota = Simplex(w, standard_simplex(m).cells(m)[0])
+            images.append(pres.elem_of_cell[c](tower.tc(m).locate((iota, v))))
+        comps[d] = SimplicialMap(tc.space, X.at[d], images=tuple(images))
     return DiagramMap(t.diagram, X, comps)

@@ -10,6 +10,8 @@ byte-identical.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+
 from .cat import (
     Diagram,
     DiagramMap,
@@ -26,6 +28,7 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     empty_simplicial_set,
+    identity_map,
     point,
     validate,
     verify_map,
@@ -36,6 +39,19 @@ SCHEMA = "eqloc/1"
 
 class DocumentError(Exception):
     """A parse or validation failure, with enough context to locate it."""
+
+
+@contextmanager
+def _entry(kind, name):
+    """Report a missing key or a wrong type inside one document entry as a
+    DocumentError that names the entry."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DocumentError(f"{kind} {name!r}: missing or unknown "
+                            f"key {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise DocumentError(f"{kind} {name!r}: {exc}") from exc
 
 
 def canonical_json(obj) -> str:
@@ -144,44 +160,45 @@ class Workspace:
             self.provenance[name] = {"file": origin}
         for name, d in doc.get("maps", {}).items():
             self._fresh(self.maps, name)
-            src = self._get(self.simplicial_sets, d["source"], "simplicial set")
-            tgt = self._get(self.simplicial_sets, d["target"], "simplicial set")
-            try:
+            with _entry("map", name):
+                src = self._get(self.simplicial_sets, d["source"],
+                                "simplicial set")
+                tgt = self._get(self.simplicial_sets, d["target"],
+                                "simplicial set")
                 f = SimplicialMap(src, tgt,
                                   assignment_from_doc(d["assignment"]))
-            except ValueError as exc:
-                raise DocumentError(f"map {name!r}: {exc}") from exc
-            problems = verify_map(f)
+                problems = verify_map(f)
             if problems:
                 raise DocumentError(f"map {name!r} invalid: {problems}")
             self.maps[name] = f
             self.provenance[name] = {"file": origin}
         for name, d in doc.get("diagrams", {}).items():
             self._fresh(self.diagrams, name)
-            shape = self._get(self.categories, d["shape"], "category")
-            at = {o: self._get(self.simplicial_sets, s, "simplicial set")
-                  for o, s in d["at"].items()}
-            act = {}
-            for m, mapname in d.get("act", {}).items():
-                if mapname == "id":
-                    from .simplicial import identity_map
-                    act[m] = identity_map(at[shape.src[m]])
-                else:
-                    act[m] = self._get(self.maps, mapname, "map")
-            X = Diagram(shape, at, act)
-            problems = validate_diagram(X)
+            with _entry("diagram", name):
+                shape = self._get(self.categories, d["shape"], "category")
+                at = {o: self._get(self.simplicial_sets, s, "simplicial set")
+                      for o, s in d["at"].items()}
+                act = {}
+                for m, mapname in d.get("act", {}).items():
+                    if mapname == "id":
+                        act[m] = identity_map(at[shape.src[m]])
+                    else:
+                        act[m] = self._get(self.maps, mapname, "map")
+                X = Diagram(shape, at, act)
+                problems = validate_diagram(X)
             if problems:
                 raise DocumentError(f"diagram {name!r} invalid: {problems}")
             self.diagrams[name] = X
             self.provenance[name] = {"file": origin}
         for name, d in doc.get("diagram_maps", {}).items():
             self._fresh(self.diagram_maps, name)
-            src = self._get(self.diagrams, d["source"], "diagram")
-            tgt = self._get(self.diagrams, d["target"], "diagram")
-            comps = {o: self._get(self.maps, m, "map")
-                     for o, m in d["components"].items()}
-            h = DiagramMap(src, tgt, comps)
-            problems = validate_dmap(h)
+            with _entry("diagram map", name):
+                src = self._get(self.diagrams, d["source"], "diagram")
+                tgt = self._get(self.diagrams, d["target"], "diagram")
+                comps = {o: self._get(self.maps, m, "map")
+                         for o, m in d["components"].items()}
+                h = DiagramMap(src, tgt, comps)
+                problems = validate_dmap(h)
             if problems:
                 raise DocumentError(f"diagram map {name!r} invalid: {problems}")
             self.diagram_maps[name] = h

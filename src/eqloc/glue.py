@@ -7,6 +7,8 @@ simplices that are jointly nondegenerate.
 
 from __future__ import annotations
 
+import sys
+
 from .simplicial import (
     Simplex,
     SimplicialMap,
@@ -144,7 +146,7 @@ def quotient(Z: SimplicialSet, pairs) -> Quotient:
                 ez_by_root[(n, root)] = Simplex(
                     compose_words((j,), sub.word), sub.cell)
             else:
-                name = f"q{n}_{len(level)}"
+                name = sys.intern(f"q{n}_{len(level)}")
                 level.append(name)
                 rep_of[name] = rep
                 if n >= 1:
@@ -310,7 +312,7 @@ def tuple_complex(factors, constraints=()) -> TupleComplex:
                 common &= set(c.word)
             if t and common:
                 continue  # jointly degenerate
-            name = f"t{n}_{len(level)}"
+            name = sys.intern(f"t{n}_{len(level)}")
             level.append(name)
             coords[name] = t
             cell_of[t] = nondeg(name)

@@ -389,12 +389,16 @@ def is_null_homotopic(f: DiagramMap, search_budget: Optional[int] = None):
             pins = {}
             for c in A.at[d].all_cells():
                 img = cyl.i0.components[d](nondeg(c))
-                assert not img.word
+                if img.word:
+                    raise ValueError("cylinder end i0 hits a degenerate "
+                                     f"simplex {img!r}")
                 pins[img.cell] = f.components[d](nondeg(c))
             end_cells = set()
             for c in A.at[d].all_cells():
                 img = cyl.i1.components[d](nondeg(c))
-                assert not img.word
+                if img.word:
+                    raise ValueError("cylinder end i1 hits a degenerate "
+                                     f"simplex {img!r}")
                 end_cells.add(img.cell)
 
             def constant_at_end(cell, cand, end_cells=end_cells, d=d):
@@ -436,9 +440,11 @@ def null_factorization(f: DiagramMap, H: DiagramMap):
         if end == terminal_dmap(A).then(cand):
             iota = cand
             break
-    assert iota is not None, "H does not end at a vertex"
+    if iota is None:
+        raise ValueError("H does not end at a vertex")
     m = cn._pushout.mediate(iota, H)
-    assert cn.inclusion.then(m) == f
+    if cn.inclusion.then(m) != f:
+        raise ValueError("cone factorization does not restrict to f")
     return cn, m
 
 
@@ -456,13 +462,17 @@ def properness_probe(kind, weq: DiagramMap, along: DiagramMap,
     is the equivariant weak-equivalence probe of the (co)base change.
     """
     if kind == "left":
-        assert weq.source == along.source
+        if weq.source != along.source:
+            raise ValueError("left properness probe needs maps with a "
+                             "common source")
         if not is_cofibration(along):
             return Verdict(NO, (), "leg is not a levelwise injection")
         po = pushout_D(weq, along)
         probe = po.from_right  # cobase change of the weak equivalence
     elif kind == "right":
-        assert weq.target == along.target
+        if weq.target != along.target:
+            raise ValueError("right properness probe needs maps with a "
+                             "common target")
         pb = pullback_D(weq, along)
         probe = pb.proj2  # base change of the weak equivalence
     else:

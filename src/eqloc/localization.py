@@ -400,7 +400,8 @@ def extend_to_local(g: DiagramMap, result: LocalizationResult) -> DiagramMap:
     Raises ObstructedLift with the failing square when P is not local enough
     at the caps.
     """
-    assert g.source == result.j.source
+    if g.source != result.j.source:
+        raise ValueError("extend_to_local needs g out of the source of j")
     P = g.target
     t = terminal_dmap(P)
     h = g
@@ -416,7 +417,8 @@ def extend_to_local(g: DiagramMap, result: LocalizationResult) -> DiagramMap:
         from .soa import _coproduct_mediate
         coA, coB = stage.tops_coproduct
         h = stage.pushout.mediate(h, _coproduct_mediate(coB, lifts, P))
-    assert result.j.then(h) == g
+    if result.j.then(h) != g:
+        raise ValueError("extension does not restrict to g along j")
     return h
 
 
@@ -441,7 +443,8 @@ def maps_extending(j: DiagramMap, g: DiagramMap, limit=None, budget=None):
 def simplicially_homotopic(l1: DiagramMap, l2: DiagramMap,
                            budget=None) -> Optional[DiagramMap]:
     """A simplicial homotopy on the cylinder from l1 to l2, if one exists."""
-    assert l1.source == l2.source and l1.target == l2.target
+    if l1.source != l2.source or l1.target != l2.target:
+        raise ValueError("simplicially_homotopic needs parallel maps")
     cyl = cylinder(l1.source)
     D = l1.source.shape
     pools = {}

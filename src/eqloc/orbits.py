@@ -115,7 +115,8 @@ def orbit_naturality(f: DiagramMap, o: OrbitMap):
     Returns (F, target) where F: o.orbit -> target.orbit covers f, and target
     belongs to orbit_setup(f.target) over the image vertex.
     """
-    assert o.ambient == f.source
+    if o.ambient != f.source:
+        raise ValueError("orbit_naturality needs an orbit of the source of f")
     m = colim_map(f)
     y = m(nondeg(o.witness)).cell
     target = None
@@ -123,7 +124,9 @@ def orbit_naturality(f: DiagramMap, o: OrbitMap):
         if member.witness == y:
             target = member
             break
-    assert target is not None
+    if target is None:
+        raise ValueError(f"no orbit of the target over the image {y!r} "
+                         "of the witness")
     F = target.pullback.mediate(o.into.then(f), terminal_dmap(o.orbit))
     return F, target
 

@@ -261,7 +261,8 @@ def validate(X: SimplicialSet):
 
     Returns a list of violations; empty means valid.  Face-data violations
     are reported per (cell, slot); identity violations as (cell, i, j) where
-    d_i d_j != d_{j-1} d_i.
+    d_i d_j != d_{j-1} d_i; a `faces` entry for a name that is not a cell
+    as ("faces-for-unknown-cell", name).
     """
     problems = []
     for cell in X.all_cells():
@@ -297,6 +298,9 @@ def validate(X: SimplicialSet):
                 rhs = X.face(X.face(s, i), j - 1)
                 if lhs != rhs:
                     problems.append(("identity", cell, i, j))
+    for name in X._faces:
+        if not X.has_cell(name):
+            problems.append(("faces-for-unknown-cell", name))
     return problems
 
 

@@ -440,7 +440,8 @@ def small_object_argument(f: DiagramMap, instr: Instrumentation,
         arrow=f, gamma=gamma, delta=rho, stages=tuple(records),
         stopped_by=stopped, strict=strict, instrumentation=instr.name,
         budget=instr.budget)
-    assert result.gamma.then(result.delta) == f
+    if result.gamma.then(result.delta) != f:
+        raise ValueError("factorization does not compose to f")
     return result
 
 
@@ -470,15 +471,18 @@ def soa_functorial(g: ArrowSquare, r1: FactorizationResult,
             sq = s1.squares[idx]
             tsq, (cA, cB) = instr.transport(g_beta, sq)
             j = s2.squares.index(tsq)
-            assert j in s2.attached, "transported square was not attached"
+            if j not in s2.attached:
+                raise ValueError("transported square was not attached")
             b_maps.append(cB.then(coB2.injections[s2.attached.index(j)]))
         to_b2 = _coproduct_mediate(coB1, b_maps, coB2.diagram)
         xi = s1.pushout.mediate(xi.then(po2.from_left),
                                 to_b2.then(po2.from_right))
         rho1, rho2 = s1.rho, s2.rho
     # the two functoriality squares commute
-    assert r1.gamma.then(xi) == g.upper.then(r2.gamma)
-    assert xi.then(r2.delta) == r1.delta.then(g.lower)
+    if r1.gamma.then(xi) != g.upper.then(r2.gamma):
+        raise ValueError("functoriality square on gamma does not commute")
+    if xi.then(r2.delta) != r1.delta.then(g.lower):
+        raise ValueError("functoriality square on delta does not commute")
     return xi
 
 
@@ -501,8 +505,10 @@ def retract_witness(f: DiagramMap, instr: Instrumentation,
     q = find_lift(f, r.delta, r.gamma, identity_dmap(f.target))
     if q is None:
         return None
-    assert f.then(q) == r.gamma
-    assert q.then(r.delta) == identity_dmap(f.target)
+    if f.then(q) != r.gamma:
+        raise ValueError("retraction does not restrict to gamma along f")
+    if q.then(r.delta) != identity_dmap(f.target):
+        raise ValueError("retraction is not a section of delta")
     return RetractWitness(factorization=r, section=q)
 
 

@@ -2,22 +2,28 @@
 
 The oracles deliberately avoid the pruned search paths of the package: hom
 sets by filtering the full product of dimension-preserving assignments, pi0
-by union-find, lifting by filtering full hom sets.
+by union-find, lifting by filtering full hom sets, tensor adjoints by
+composing whole codegeneracy maps.
 """
 
 import itertools
 import random
 
-from eqloc.glue import UnionFind, pushout, quotient
+from eqloc.cat import DiagramMap, tensor
+from eqloc.glue import (UnionFind, induced_tuple_map, product, pushout,
+                        quotient)
 from eqloc.simplicial import (
     SimplicialMap,
     SimplicialSet,
     boundary,
     boundary_inclusion,
+    codegeneracy_map,
     constant_map,
     hom_set,
+    identity_map,
     nondeg,
     point,
+    standard_simplex,
     verify_map,
 )
 
@@ -66,6 +72,40 @@ def rlp_oracle(i, p):
             if not found:
                 return False
     return True
+
+
+def adjoint_to_tensor_oracle(phi, cot):
+    """phi: T -> X^K as a map tensor(T, K) -> X, by whole maps.
+
+    For a cell (u, v) with phi(u) = s_w(c), the element of the cell c is
+    precomposed with the codegeneracy map product(Delta^{m+1}, K) ->
+    product(Delta^m, K) of each index of w, innermost first, and the
+    composite is read at the top simplex of Delta^n paired with v.
+    """
+    T, X, K = phi.source, cot.base, cot.K
+    t = tensor(T, K)
+    comps = {}
+    for d in T.shape.objects:
+        tc = t.tcs[d]
+        pres = cot.pres[d]
+        assignment = {}
+        for cell in tc.space.all_cells():
+            u, v = tc.coords[cell]
+            s = phi.components[d](u)
+            e = pres.elem_of_cell[s.cell]
+            m = pres.space.cell_dim(s.cell)
+            for j in reversed(s.word):
+                codeg = induced_tuple_map(
+                    product(standard_simplex(m + 1), K),
+                    product(standard_simplex(m), K),
+                    (codegeneracy_map(m, j), identity_map(K)))
+                e = codeg.then(e)
+                m += 1
+            top = nondeg(standard_simplex(m).cells(m)[0])
+            assignment[cell] = e(product(standard_simplex(m), K).locate(
+                (top, v)))
+        comps[d] = SimplicialMap(tc.space, X.at[d], assignment)
+    return DiagramMap(t.diagram, X, comps)
 
 
 def random_sset(rng: random.Random, max_cells=10) -> SimplicialSet:

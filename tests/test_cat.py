@@ -5,8 +5,11 @@ import sys
 import pytest
 
 import eqloc
+from eqloc import glue
 from eqloc.cat import (
     DiagramMap,
+    adjoint_to_cotensor,
+    adjoint_to_tensor,
     arrow_category,
     colim,
     colim_map,
@@ -48,12 +51,14 @@ from eqloc.simplicial import (
     boundary,
     boundary_inclusion,
     hom_set,
+    horn,
     identity_map,
     isomorphic,
     point,
     standard_simplex,
     verify_map,
 )
+from oracles import adjoint_to_tensor_oracle
 
 
 def cell_counts(X):
@@ -231,18 +236,79 @@ class TestHomD:
         assert len(hom_D(free_z2_orbit(), free_z2_orbit())) == 2
 
     def test_adjunction_bijection(self):
-        # hom(X tensor K, Y) bijects with hom(X, Y^K) in bounded dimensions
+        # hom(X tensor K, Y) bijects with hom(X, Y^K) in bounded dimensions:
+        # the adjoints of hom(X, Y^K) are valid, distinct and fill the left
         K = standard_simplex(1)
-        X = free_z2_orbit()
-        Y = trivial_z2_orbit()
-        lhs = hom_D(tensor(X, K).diagram, Y)
-        rhs = hom_D(X, cotensor(Y, K, 1).diagram)
-        assert len(lhs) == len(rhs)
-        X2 = trivial_z2_orbit()
-        Y2 = free_z2_orbit()
-        lhs2 = hom_D(tensor(X2, K).diagram, Y2)
-        rhs2 = hom_D(X2, cotensor(Y2, K, 1).diagram)
-        assert len(lhs2) == len(rhs2)
+        for X, Y in ((free_z2_orbit(), trivial_z2_orbit()),
+                     (trivial_z2_orbit(), free_z2_orbit())):
+            cot = cotensor(Y, K, 1)
+            lhs = hom_D(tensor(X, K).diagram, Y)
+            adjoints = [adjoint_to_tensor(phi, cot)
+                        for phi in hom_D(X, cot.diagram)]
+            assert all(validate_dmap(a) == [] for a in adjoints)
+            assert len(set(adjoints)) == len(adjoints) == len(lhs)
+            assert set(adjoints) == set(lhs)
+
+
+ADJOINT_PAIRS = {
+    "free-free": (free_z2_orbit, free_z2_orbit),
+    "free-trivial": (free_z2_orbit, trivial_z2_orbit),
+    "trivial-trivial": (trivial_z2_orbit, trivial_z2_orbit),
+    "arrow-arrow": (lambda: arrow_orbit(standard_simplex(1)),
+                    lambda: arrow_orbit(standard_simplex(1))),
+    "arrow-boundary-point": (lambda: arrow_orbit(boundary(2)),
+                             lambda: arrow_orbit(point())),
+    "arrow-boundary-arrow": (lambda: arrow_orbit(boundary(2)),
+                             lambda: arrow_orbit(standard_simplex(1))),
+}
+
+ADJOINT_EXPONENTS = {
+    "Delta0": lambda: standard_simplex(0),
+    "Delta1": lambda: standard_simplex(1),
+    "bdDelta2": lambda: boundary(2),
+    "horn21": lambda: horn(2, 1),
+}
+
+
+class TestAdjointToTensor:
+    """adjoint_to_tensor reads each element at its own level; the oracle
+    composes the whole codegeneracy maps."""
+
+    @pytest.mark.parametrize("cap", range(3))
+    @pytest.mark.parametrize("exponent", sorted(ADJOINT_EXPONENTS))
+    @pytest.mark.parametrize("pair", sorted(ADJOINT_PAIRS))
+    def test_matches_codegeneracy_oracle(self, pair, exponent, cap):
+        T, Y = (make() for make in ADJOINT_PAIRS[pair])
+        K = ADJOINT_EXPONENTS[exponent]()
+        cot = cotensor(Y, K, cap)
+        phis = hom_D(T, cot.diagram, limit=8)
+        assert phis
+        round_trip = all(T.at[d].dim <= cap for d in T.shape.objects)
+        for phi in phis:
+            flat = adjoint_to_tensor(phi, cot)
+            assert flat == adjoint_to_tensor_oracle(phi, cot)
+            assert validate_dmap(flat) == []
+            if round_trip:  # T's cells all have elements in the presentation
+                assert adjoint_to_cotensor(flat, T, cot) == phi
+
+    @pytest.mark.parametrize("exponent", ["Delta1", "bdDelta2"])
+    def test_builds_no_product_above_cap(self, exponent, monkeypatch):
+        T = arrow_orbit(standard_simplex(1))
+        Y = arrow_orbit(standard_simplex(1))
+        K = ADJOINT_EXPONENTS[exponent]()
+        cot = cotensor(Y, K, 0)
+        phis = hom_D(T, cot.diagram)
+        assert phis
+        # T(a) is Delta^1, so tensor(T, K) itself holds product(Delta^1, K):
+        # build it before counting what adjoint_to_tensor adds
+        tensor(T, K)
+        fresh = {}
+        monkeypatch.setattr(glue, "_tuple_cache", fresh)
+        for phi in phis:
+            adjoint_to_tensor(phi, cot)
+        above = sorted(X.dim for (X, L), _ in fresh
+                       if L == K and X.dim > 0 and X == standard_simplex(X.dim))
+        assert above == []
 
 
 class TestHomComplex:

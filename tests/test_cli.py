@@ -69,6 +69,20 @@ class TestParse:
         assert code == 1
         assert "unknown-face-target" in err
 
+    def test_faces_for_unknown_cell_reported(self, tmp_path, capsys):
+        doc = {
+            "schema": "eqloc/1",
+            "simplicial_sets": {"G": {
+                "cells": [["a"]],
+                "faces": {"ghost": [[[], "a"], [[], "a"]]},
+            }},
+        }
+        p = tmp_path / "ghost.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "parse", "-w", str(p))
+        assert code == 1
+        assert "('faces-for-unknown-cell', 'ghost')" in err
+
     def _parse_with_swap(self, tmp_path, capsys, swap):
         """`eqloc parse` on the Z/2 example with the assignment of its map
         'swap' (which exchanges the vertices p and q) replaced."""
@@ -97,6 +111,50 @@ class TestParse:
         p.write_text('{"schema": "eqloc/0"}')
         code, out, err = run(capsys, "parse", "-w", str(p))
         assert code == 1
+
+
+ONE_POINT = {"P": {"shape": "1", "at": {"*": "point"}}}
+
+# workspace sections with one malformed entry, named by the second field
+MALFORMED_ENTRIES = {
+    "image-not-a-pair": ("maps", "map 'f'", {"maps": {"f": {
+        "source": "point", "target": "point", "assignment": {"0": 5}}}}),
+    "image-too-short": ("maps", "map 'f'", {"maps": {"f": {
+        "source": "point", "target": "point", "assignment": {"0": [[]]}}}}),
+    "map-without-assignment": ("maps", "map 'f'", {"maps": {"f": {
+        "source": "point", "target": "point"}}}),
+    "map-not-an-object": ("maps", "map 'f'", {"maps": {"f": 5}}),
+    "map-source-a-list": ("maps", "map 'f'", {"maps": {"f": {
+        "source": ["point"], "target": "point", "assignment": {}}}}),
+    "diagram-without-at": ("diagrams", "diagram 'X'", {"diagrams": {"X": {
+        "shape": "1"}}}),
+    "diagram-at-a-list": ("diagrams", "diagram 'X'", {"diagrams": {"X": {
+        "shape": "1", "at": ["point"]}}}),
+    "diagram-unknown-arrow": ("diagrams", "diagram 'X'", {"diagrams": {"X": {
+        "shape": "1", "at": {"*": "point"}, "act": {"zz": "id"}}}}),
+    "dmap-without-components": ("diagram_maps", "diagram map 'h'", {
+        "diagrams": ONE_POINT,
+        "diagram_maps": {"h": {"source": "P", "target": "P"}}}),
+    "dmap-components-a-list": ("diagram_maps", "diagram map 'h'", {
+        "diagrams": ONE_POINT,
+        "diagram_maps": {"h": {"source": "P", "target": "P",
+                               "components": ["point"]}}}),
+}
+
+
+class TestMalformedEntries:
+    """A missing key or a wrong type in an entry exits 1 naming the entry."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ENTRIES))
+    def test_exit_1_names_entry(self, case, tmp_path, capsys):
+        section, entry, doc = MALFORMED_ENTRIES[case]
+        assert section in doc
+        p = tmp_path / f"{case}.json"
+        p.write_text(json.dumps(dict(doc, schema="eqloc/1")))
+        code, out, err = run(capsys, "parse", "-w", str(p))
+        assert code == 1
+        assert f"error: {entry}" in err
+        assert "Traceback" not in err
 
 
 class TestCommands:

@@ -10,13 +10,25 @@ import pytest
 
 import eqloc
 
-# one call per explicit check in simplicial, glue and cat, each breaking it
+# one call per explicit check, each breaking it: first the checks in
+# simplicial, glue and cat, then the checks on public inputs in orbits,
+# localization and homotopy
 CHECKS = """
-from eqloc.cat import identity_dmap, pullback_D, pushout_D
-from eqloc.fixtures import free_z2_orbit, trivial_z2_orbit
+from eqloc.cat import (colim, identity_dmap, pullback_D, pushout_D,
+                       terminal_category, wrap_smap, wrap_sset)
+from eqloc.fixtures import (empty_to_point_map, free_z2_orbit,
+                            trivial_z2_orbit, two_points_diagram)
 from eqloc.glue import product, pullback, pushout, quotient
+from eqloc.homotopy import properness_probe
+from eqloc.localization import (LocalizationSpec, extend_to_local, localize,
+                                simplicially_homotopic)
+from eqloc.orbits import OrbitMap, orbit_naturality, orbit_setup
 from eqloc.simplicial import (Simplex, apply_operator, boundary, identity_map,
                               nondeg, point, standard_simplex, vertex_image)
+FREE, TRIVIAL = identity_dmap(free_z2_orbit()), identity_dmap(trivial_z2_orbit())
+EDGE = wrap_sset(standard_simplex(1))
+EMPTY_TO_POINT = LocalizationSpec(terminal_category(),
+                                  generators=[wrap_smap(empty_to_point_map())])
 CHECKS = [
     ("not monotone", lambda: apply_operator(
         standard_simplex(2), nondeg("0.1.2"), [1, 0])),
@@ -36,6 +48,20 @@ CHECKS = [
         identity_dmap(free_z2_orbit()), identity_dmap(trivial_z2_orbit()))),
     ("common target", lambda: pullback_D(
         identity_dmap(free_z2_orbit()), identity_dmap(trivial_z2_orbit()))),
+    ("orbit of the source", lambda: orbit_naturality(
+        TRIVIAL, orbit_setup(free_z2_orbit())[0])),
+    ("no orbit of the target", lambda: orbit_naturality(
+        identity_dmap(EDGE),
+        OrbitMap(orbit=EDGE, into=identity_dmap(EDGE), level=0,
+                 witness=colim(EDGE).space.cells(1)[0]))),
+    ("out of the source of j", lambda: extend_to_local(
+        identity_dmap(wrap_sset(point())),
+        localize(two_points_diagram(), EMPTY_TO_POINT))),
+    ("parallel maps", lambda: simplicially_homotopic(FREE, TRIVIAL)),
+    ("common source", lambda: properness_probe(
+        "left", FREE, TRIVIAL, None, 1, 1)),
+    ("common target", lambda: properness_probe(
+        "right", FREE, TRIVIAL, None, 1, 1)),
 ]
 """
 
@@ -54,8 +80,11 @@ def _checks():
     return scope["CHECKS"]
 
 
+N_CHECKS = len(_checks())
+
+
 class TestExplicitChecks:
-    @pytest.mark.parametrize("index", range(10))
+    @pytest.mark.parametrize("index", range(N_CHECKS))
     def test_check_raises_named_value_error(self, index):
         message, check = _checks()[index]
         with pytest.raises(ValueError, match=message):
@@ -69,11 +98,15 @@ class TestExplicitChecks:
                              capture_output=True, text=True, env=env,
                              timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.count("ValueError:") == 10, out.stdout
+        assert out.stdout.count("ValueError:") == N_CHECKS, out.stdout
+
+
+MODULES = sorted(p.stem for p in
+                 pathlib.Path(eqloc.__file__).parent.glob("*.py"))
 
 
 class TestNoAsserts:
-    @pytest.mark.parametrize("module", ["simplicial", "glue", "cat"])
+    @pytest.mark.parametrize("module", MODULES)
     def test_no_assert_statements(self, module):
         """Invariants are checked with explicit raises, which -O keeps."""
         path = pathlib.Path(eqloc.__file__).parent / f"{module}.py"
