@@ -60,6 +60,100 @@ class Keyed:
         return self._hash
 
 
+_REQUIRED = object()
+
+
+class field:
+    """Options of one Record field: its default, and whether equality
+    (`compare`) and `repr` see it."""
+
+    __slots__ = ("default", "compare", "repr")
+
+    def __init__(self, *, default, compare=True, repr=True):
+        self.default = default
+        self.compare = compare
+        self.repr = repr
+
+
+class Record:
+    """A plain record: named fields, declared as annotated class attributes.
+
+    The annotations list the fields in order; a class attribute gives a
+    field's default, or a `field(...)` that also keeps it out of equality or
+    out of `repr`.  A subclass takes its fields positionally or by keyword,
+    compares equal to a record of the same class with equal compared fields,
+    and shows its shown fields in `repr`.  `class C(Record, frozen=True)`
+    makes the instances read-only and hashable over the compared fields;
+    the others are mutable and unhashable.
+    """
+
+    _fields = {}        # name -> field, in declaration order
+    _defaults = {}
+    _compared = ()
+    _shown = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, frozen=False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = dict(cls._fields)
+        for name in cls.__dict__.get("__annotations__", {}):
+            spec = cls.__dict__.get(name, _REQUIRED)
+            if not isinstance(spec, field):
+                spec = field(default=spec)
+            fields[name] = spec
+        cls._fields = fields
+        cls._defaults = {name: f.default for name, f in fields.items()
+                         if f.default is not _REQUIRED}
+        for name, default in cls._defaults.items():
+            setattr(cls, name, default)
+        cls._compared = tuple(n for n, f in fields.items() if f.compare)
+        cls._shown = tuple(n for n, f in fields.items() if f.repr)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._read_only
+            cls.__hash__ = Record._hash_compared
+
+    def __init__(self, *args, **kwargs):
+        names = tuple(self._fields)
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} "
+                            f"arguments but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in self._defaults:
+                values[name] = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument "
+                                f"{name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = ("multiple values for argument" if name in values
+                       else "an unexpected keyword argument")
+            raise TypeError(f"{type(self).__name__}() got {problem} {name!r}")
+        self.__dict__.update(values)
+
+    def _compared_values(self):
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared_values() == other._compared_values()
+
+    def _hash_compared(self):
+        return hash(self._compared_values())
+
+    def _read_only(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of a "
+                             f"{type(self).__name__}")
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+
 class SmallCategory(Keyed):
     """A finite category: named objects and arrows plus a composition table."""
 
@@ -391,13 +485,8 @@ class Colim:
                             [legs[d] for d in self._shape.objects], target)
 
 
-_colim_cache = {}
-
-
 def colim(X: Diagram) -> Colim:
     """Levelwise colimit: coequalizer of the morphism actions on the coproduct."""
-    if X in _colim_cache:
-        return _colim_cache[X]
     D = X.shape
     co = glue.coproduct([X.at[d] for d in D.objects])
     inj = {d: co.injections[i] for i, d in enumerate(D.objects)}
@@ -407,11 +496,8 @@ def colim(X: Diagram) -> Colim:
         for c in X.at[a].all_cells():
             pairs.append((inj[a](nondeg(c)), inj[b](X.act[m](nondeg(c)))))
     q = glue.quotient(co.space, pairs)
-    result = Colim(q.space,
-                   {d: inj[d].then(q.projection) for d in D.objects},
-                   co, q, D)
-    _colim_cache[X] = result
-    return result
+    return Colim(q.space, {d: inj[d].then(q.projection) for d in D.objects},
+                 co, q, D)
 
 
 def colim_map(f: DiagramMap) -> SimplicialMap:
@@ -954,6 +1040,11 @@ def adjoint_to_cotensor(a: DiagramMap, T: Diagram, cot: Cotensor) -> DiagramMap:
         assignment = {}
         for t in T.at[d].all_cells():
             m = T.at[d].cell_dim(t)
+            if m > cot.cap:
+                raise ValueError(
+                    f"adjoint_to_cotensor: cell {t!r} of dimension {m} is "
+                    f"above the cotensor cap {cot.cap}, so its element has "
+                    f"no simplex in the truncated cotensor")
             ptc = tower.tc(m)
             psi = {}
             for cell in ptc.space.all_cells():

@@ -35,6 +35,8 @@ from .simplicial import (
 )
 
 SCHEMA = "eqloc/1"
+SECTIONS = ("categories", "simplicial_sets", "maps", "diagrams",
+            "diagram_maps", "localization_specs")
 
 
 class DocumentError(Exception):
@@ -143,6 +145,8 @@ class Workspace:
             raise DocumentError(
                 f"{path}: syntax error at line {exc.lineno}, "
                 f"column {exc.colno}: {exc.msg}") from exc
+        if not isinstance(doc, dict):
+            raise DocumentError(f"{path}: the document is not a JSON object")
         if doc.get("schema") != SCHEMA:
             raise DocumentError(f"{path}: unsupported schema "
                                 f"{doc.get('schema')!r}, expected {SCHEMA!r}")
@@ -150,6 +154,12 @@ class Workspace:
         return self
 
     def load_doc(self, doc, origin="<doc>"):
+        if not isinstance(doc, dict):
+            raise DocumentError(f"{origin}: the document is not a JSON object")
+        for key in SECTIONS:
+            if not isinstance(doc.get(key, {}), dict):
+                raise DocumentError(f"{origin}: section {key!r} is not an "
+                                    f"object")
         for name, d in doc.get("categories", {}).items():
             self._fresh(self.categories, name)
             self.categories[name] = category_from_doc(d, name)

@@ -7,12 +7,13 @@ every report names the caps it was computed at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .cat import (
     Diagram,
     DiagramMap,
+    Record,
+    field,
     hom_D,
     hom_complex_post,
     point_diagram,
@@ -42,8 +43,7 @@ from .simplicial import (
 from .soa import Budget, setup_J, small_object_argument
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record, frozen=True):
     """A three-valued answer with the caps it was decided at."""
 
     value: str  # "yes" | "no" | "inconclusive"
@@ -159,8 +159,7 @@ def pi_n(X: SimplicialSet, basepoint, n, kan_checked=False):
                  sorted(classes.values(), key=lambda c: X.skey(c[0])))
 
 
-@dataclass
-class HomotopyReport:
+class HomotopyReport(Record):
     pi0: tuple
     pi_n: dict            # (basepoint, n) -> tuple of classes
     cap: int
@@ -332,8 +331,7 @@ def is_cofibration(g: DiagramMap) -> bool:
 # cylinders, cones, null homotopies
 
 
-@dataclass
-class Cylinder:
+class Cylinder(Record):
     space: Diagram
     i0: DiagramMap
     i1: DiagramMap
@@ -348,8 +346,7 @@ def cylinder(A: Diagram) -> Cylinder:
                     projection=tensor_projection(A, standard_simplex(1)))
 
 
-@dataclass
-class Cone:
+class Cone(Record):
     space: Diagram
     inclusion: DiagramMap   # A -> CA through the 0-end of the cylinder
     apex: DiagramMap        # point -> CA

@@ -10,16 +10,17 @@ generalized small object argument for the combined class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .cat import (
     Diagram,
     DiagramMap,
+    Record,
     SmallCategory,
     cotensor,
     cotensor_map,
     cotensor_restriction,
+    field,
     hom_D,
     hom_complex,
     hom_complex_pre,
@@ -69,8 +70,7 @@ from .soa import (
 )
 
 
-@dataclass(frozen=True)
-class LocalizationCaps:
+class LocalizationCaps(Record, frozen=True):
     """Finite truncation parameters for localization runs.
 
     hor_n_cap bounds the pushout-product exponent of the horn class; j_n_cap
@@ -132,8 +132,7 @@ def validate_spec(spec: LocalizationSpec):
 # horns of a set of maps
 
 
-@dataclass
-class Horn:
+class Horn(Record):
     """The pushout-product of a generator with a boundary inclusion."""
 
     arrow: DiagramMap
@@ -328,8 +327,7 @@ def hor_F_instrumentation(f: SimplicialMap, shape,
 # localization runs and locality probes
 
 
-@dataclass
-class LocalizationResult:
+class LocalizationResult(Record):
     local_object: Diagram
     j: DiagramMap                 # the coaugmentation X -> L X
     trace: FactorizationResult
@@ -462,8 +460,7 @@ def simplicially_homotopic(l1: DiagramMap, l2: DiagramMap,
     return found[0] if found else None
 
 
-@dataclass
-class ExtensionReport:
+class ExtensionReport(Record):
     lifts: list
     all_homotopic: Optional[bool]
     truncated: bool
@@ -490,8 +487,7 @@ def extension_uniqueness(g: DiagramMap, result: LocalizationResult,
 # fixed-pointwise locality reports
 
 
-@dataclass
-class OrbitLocalityReport:
+class OrbitLocalityReport(Record):
     orbit_index: int
     fibrant: bool
     components: int

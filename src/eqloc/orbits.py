@@ -7,17 +7,18 @@ cotensor levels) along the canonical map to the colimit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .cat import (
     Diagram,
     DiagramMap,
+    Record,
     SmallCategory,
     colim,
     colim_map,
     constant_diagram,
     cotensor,
+    field,
     hom_D,
     hom_complex,
     hom_complex_pre,
@@ -36,8 +37,7 @@ from .simplicial import (
 )
 
 
-@dataclass(frozen=True)
-class OrbitMap:
+class OrbitMap(Record, frozen=True):
     """An orbit with its structure map into an ambient diagram.
 
     level is the cotensor exponent n of the witnessing vertex; witness is the

@@ -9,7 +9,6 @@ already lifts.  Transfinite stages are replaced by a stage budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .cat import (
@@ -17,6 +16,7 @@ from .cat import (
     CoproductD,
     Diagram,
     DiagramMap,
+    Record,
     adjoint_to_tensor,
     colim,
     colim_map,
@@ -25,6 +25,7 @@ from .cat import (
     cotensor,
     cotensor_map,
     cotensor_restriction,
+    field,
     hom_D,
     identity_dmap,
     pullback_D,
@@ -45,8 +46,7 @@ from .simplicial import (
 )
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(Record, frozen=True):
     """A commutative square from a class member (top) to an ambient arrow."""
 
     top: DiagramMap     # g: A -> B, the class member
@@ -62,8 +62,7 @@ def verify_square(sq: Square) -> bool:
     return sq.left.then(sq.bottom) == sq.top.then(sq.right)
 
 
-@dataclass(frozen=True)
-class ArrowSquare:
+class ArrowSquare(Record, frozen=True):
     """A morphism f1 -> f2 in the category of arrows: a commutative square."""
 
     source: DiagramMap  # f1
@@ -75,8 +74,7 @@ class ArrowSquare:
         return self.source.then(self.lower) == self.upper.then(self.target)
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record, frozen=True):
     """Finite stand-ins for the transfinite parameters of the argument."""
 
     stages: int = 4
@@ -305,8 +303,7 @@ def find_lift(i: DiagramMap, p: DiagramMap, a: DiagramMap, b: DiagramMap,
     return lifts[0] if lifts else None
 
 
-@dataclass
-class RlpReport:
+class RlpReport(Record):
     holds: bool
     n_squares: int
     lifts: list
@@ -364,8 +361,7 @@ def _coproduct_mediate(co: CoproductD, legs, target: Diagram) -> DiagramMap:
     return DiagramMap(co.diagram, target, comps)
 
 
-@dataclass
-class Stage:
+class Stage(Record):
     squares: tuple          # all assigned squares, canonical order
     attached: tuple         # indices of squares glued at this stage
     stage_map: DiagramMap   # i_beta: Z_beta -> Z_{beta+1}
@@ -374,8 +370,7 @@ class Stage:
     tops_coproduct: object = field(repr=False, default=None)
 
 
-@dataclass
-class FactorizationResult:
+class FactorizationResult(Record):
     """The staged record of a run of the generalized small object argument."""
 
     arrow: DiagramMap
@@ -486,8 +481,7 @@ def soa_functorial(g: ArrowSquare, r1: FactorizationResult,
     return xi
 
 
-@dataclass
-class RetractWitness:
+class RetractWitness(Record):
     factorization: FactorizationResult
     section: DiagramMap  # B -> Z with delta . section = id, section . f = gamma
 

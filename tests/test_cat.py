@@ -310,6 +310,20 @@ class TestAdjointToTensor:
                        if L == K and X.dim > 0 and X == standard_simplex(X.dim))
         assert above == []
 
+    def test_cell_above_cap_names_cell_and_cap(self):
+        """T(a) = Delta^1 has a 1-cell, whose element a cap-0 cotensor does
+        not present: the inverse adjoint says so instead of a bare KeyError."""
+        T = arrow_orbit(standard_simplex(1))
+        Y = arrow_orbit(standard_simplex(1))
+        K = standard_simplex(1)
+        cot = cotensor(Y, K, 0)
+        phis = hom_D(tensor(T, K).diagram, Y)
+        assert phis
+        for phi in phis:
+            with pytest.raises(ValueError,
+                               match=r"cell '0\.1' of dimension 1 .* cap 0"):
+                adjoint_to_cotensor(phi, T, cot)
+
 
 class TestHomComplex:
     def test_over_terminal_shape(self):

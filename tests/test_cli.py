@@ -117,6 +117,10 @@ ONE_POINT = {"P": {"shape": "1", "at": {"*": "point"}}}
 
 # workspace sections with one malformed entry, named by the second field
 MALFORMED_ENTRIES = {
+    "category-not-an-object": ("categories", "category 'C'", {
+        "categories": {"C": 5}}),
+    "sset-not-an-object": ("simplicial_sets", "simplicial set 'S'", {
+        "simplicial_sets": {"S": ["a"]}}),
     "image-not-a-pair": ("maps", "map 'f'", {"maps": {"f": {
         "source": "point", "target": "point", "assignment": {"0": 5}}}}),
     "image-too-short": ("maps", "map 'f'", {"maps": {"f": {
@@ -155,6 +159,35 @@ class TestMalformedEntries:
         assert code == 1
         assert f"error: {entry}" in err
         assert "Traceback" not in err
+
+
+class TestMalformedDocuments:
+    """A document or a section that is not an object exits 1 naming it."""
+
+    def _parse(self, tmp_path, capsys, text):
+        p = tmp_path / "ws.json"
+        p.write_text(text)
+        code, out, err = run(capsys, "parse", "-w", str(p))
+        assert code == 1
+        assert "Traceback" not in err
+        return str(p), err
+
+    @pytest.mark.parametrize("text", ["[1]", '"eqloc/1"', "null"])
+    def test_document_not_an_object(self, text, tmp_path, capsys):
+        path, err = self._parse(tmp_path, capsys, text)
+        assert f"error: {path}: the document is not a JSON object" in err
+
+    @pytest.mark.parametrize("section", ["categories", "simplicial_sets",
+                                         "maps", "diagrams", "diagram_maps",
+                                         "localization_specs"])
+    def test_section_not_an_object(self, section, tmp_path, capsys):
+        path, err = self._parse(tmp_path, capsys, json.dumps(
+            {"schema": "eqloc/1", section: []}))
+        assert f"error: {path}: section {section!r} is not an object" in err
+
+    def test_load_doc_rejects_a_list(self):
+        with pytest.raises(DocumentError, match="<doc>: the document"):
+            Workspace().load_doc([1])
 
 
 class TestCommands:

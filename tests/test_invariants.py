@@ -105,11 +105,48 @@ MODULES = sorted(p.stem for p in
                  pathlib.Path(eqloc.__file__).parent.glob("*.py"))
 
 
+# stdlib modules that would pull the inspect/ast/dis/tokenize chain into
+# every process that imports eqloc
+HEAVY_IMPORTS = ("dataclasses", "inspect", "ast")
+
+
+def _tree(module):
+    path = pathlib.Path(eqloc.__file__).parent / f"{module}.py"
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 class TestNoAsserts:
     @pytest.mark.parametrize("module", MODULES)
     def test_no_assert_statements(self, module):
         """Invariants are checked with explicit raises, which -O keeps."""
-        path = pathlib.Path(eqloc.__file__).parent / f"{module}.py"
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        lines = [n.lineno for n in ast.walk(_tree(module))
+                 if isinstance(n, ast.Assert)]
         assert lines == [], f"assert statements in {module}.py at {lines}"
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_no_heavy_imports(self, module):
+        """eqloc keeps dataclasses, inspect and ast out of its imports."""
+        found = []
+        for n in ast.walk(_tree(module)):
+            if isinstance(n, ast.Import):
+                names = [alias.name for alias in n.names]
+            elif isinstance(n, ast.ImportFrom) and n.level == 0:
+                names = [n.module]
+            else:
+                continue
+            found += [(name, n.lineno) for name in names
+                      if name.split(".")[0] in HEAVY_IMPORTS]
+        assert found == [], f"imports in {module}.py: {found}"
+
+
+def test_import_loads_no_heavy_stdlib_modules():
+    """A fresh interpreter importing eqloc and its CLI loads none of the
+    inspect chain (dataclasses, inspect, ast, dis)."""
+    src = os.path.dirname(os.path.dirname(eqloc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, eqloc, eqloc.cli; print(sorted(m for m in "
+            "('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

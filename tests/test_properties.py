@@ -3,6 +3,7 @@ postconditions, and the localization two-out-of-three instance."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqloc.cat import (
@@ -14,6 +15,7 @@ from eqloc.cat import (
     terminal_dmap,
     wrap_smap,
 )
+from eqloc import homotopy, localization, orbits, soa
 from eqloc.fixtures import (
     empty_to_point_map,
     free_z2_orbit,
@@ -338,3 +340,146 @@ class TestIdentityContract:
         assert homs1 == homs2
         assert [hash(h) for h in homs1] == [hash(h) for h in homs2]
         assert len(set(homs1)) == len(homs1)
+
+
+# every record class: (class, required fields, {defaulted field: default}),
+# fields in constructor order
+RECORDS = {
+    "Verdict": (homotopy.Verdict, ["value"], {"caps": (), "reason": ""}),
+    "HomotopyReport": (homotopy.HomotopyReport,
+                       ["pi0", "pi_n", "cap", "is_kan_at_cap"],
+                       {"truncated": True}),
+    "Cylinder": (homotopy.Cylinder, ["space", "i0", "i1", "projection"], {}),
+    "Cone": (homotopy.Cone, ["space", "inclusion", "apex"],
+             {"_pushout": None, "_cylinder": None}),
+    "LocalizationCaps": (localization.LocalizationCaps, [], {
+        "hor_n_cap": 2, "j_n_cap": 1, "probe_n_cap": 2, "dim_cap": 1,
+        "hom_cap": 2, "pi_cap": 0, "stages": 3, "uniqueness_limit": 6}),
+    "Horn": (localization.Horn, ["arrow", "generator_index", "n"],
+             {"pushout": None}),
+    "LocalizationResult": (localization.LocalizationResult,
+                           ["local_object", "j", "trace", "locality", "spec"],
+                           {}),
+    "ExtensionReport": (localization.ExtensionReport,
+                        ["lifts", "all_homotopic", "truncated"], {}),
+    "OrbitLocalityReport": (localization.OrbitLocalityReport,
+                            ["orbit_index", "fibrant", "components",
+                             "trivial_pi", "local"], {}),
+    "OrbitMap": (orbits.OrbitMap, ["orbit", "into", "level", "witness"],
+                 {"pullback": None}),
+    "Square": (soa.Square, ["top", "left", "right", "bottom", "member_id"],
+               {"meta": (), "orbit": None}),
+    "ArrowSquare": (soa.ArrowSquare, ["source", "target", "upper", "lower"],
+                    {}),
+    "Budget": (soa.Budget, [], {"stages": 4, "n_cap": 2, "dim_cap": 1,
+                                "search_nodes": None}),
+    "RlpReport": (soa.RlpReport,
+                  ["holds", "n_squares", "lifts", "counterexample"], {}),
+    "Stage": (soa.Stage, ["squares", "attached", "stage_map", "rho"],
+              {"pushout": None, "tops_coproduct": None}),
+    "FactorizationResult": (soa.FactorizationResult,
+                            ["arrow", "gamma", "delta", "stages",
+                             "stopped_by", "strict", "instrumentation",
+                             "budget"], {}),
+    "RetractWitness": (soa.RetractWitness, ["factorization", "section"], {}),
+}
+FROZEN = ["ArrowSquare", "Budget", "LocalizationCaps", "OrbitMap", "Square",
+          "Verdict"]
+MUTABLE = sorted(set(RECORDS) - set(FROZEN))
+
+
+def _record_values(name, tag=""):
+    """A distinct hashable value for every field of the record."""
+    cls, required, defaults = RECORDS[name]
+    return cls, {field: f"{field}-{tag}" for field in [*required, *defaults]}
+
+
+class TestRecordContract:
+    """Constructor, equality, hashing, mutability and repr of the record
+    classes of homotopy, localization, orbits and soa."""
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_positional_and_keyword_construction_agree(self, name):
+        cls, values = _record_values(name)
+        by_position = cls(*values.values())
+        by_keyword = cls(**values)
+        assert by_position == by_keyword
+        for field, value in values.items():
+            assert getattr(by_position, field) == value
+        assert cls(*values.values()) != cls(**_record_values(name, "x")[1])
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_defaults_and_bad_arguments(self, name):
+        cls, required, defaults = RECORDS[name]
+        named = {field: field for field in required}
+        record = cls(**named)
+        for field, default in defaults.items():
+            assert getattr(record, field) == default
+        n_fields = len(required) + len(defaults)
+        with pytest.raises(TypeError):
+            cls(*range(n_fields + 1))
+        with pytest.raises(TypeError):
+            cls(**named, unknown_field=1)
+        if required:
+            with pytest.raises(TypeError):
+                cls(*required[:-1])
+            with pytest.raises(TypeError):
+                cls(*required, **{required[0]: 1})
+
+    @pytest.mark.parametrize("name", FROZEN)
+    def test_frozen_records_hash_by_value_and_refuse_assignment(self, name):
+        cls, values = _record_values(name)
+        a, b = cls(**values), cls(*values.values())
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        field = next(iter(values))
+        with pytest.raises(AttributeError):
+            setattr(a, field, "changed")
+        with pytest.raises(AttributeError):
+            a.new_attribute = 1
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert getattr(a, field) == values[field]
+
+    @pytest.mark.parametrize("name", MUTABLE)
+    def test_mutable_records_are_unhashable(self, name):
+        cls, values = _record_values(name)
+        record = cls(**values)
+        with pytest.raises(TypeError):
+            hash(record)
+        field = next(iter(values))
+        setattr(record, field, "changed")
+        assert getattr(record, field) == "changed"
+        assert record != cls(**values)
+
+    def test_orbit_and_pullback_stay_out_of_equality(self):
+        square = dict(_record_values("Square")[1])
+        a = soa.Square(**dict(square, orbit="one orbit"))
+        b = soa.Square(**dict(square, orbit="another orbit"))
+        assert a == b and hash(a) == hash(b)
+        assert [a].index(b) == 0
+        assert a != soa.Square(**dict(square, meta=("other",)))
+        orbit = dict(_record_values("OrbitMap")[1])
+        c = orbits.OrbitMap(**dict(orbit, pullback="one pullback"))
+        d = orbits.OrbitMap(**dict(orbit, pullback="another pullback"))
+        assert c == d and hash(c) == hash(d)
+        assert c != orbits.OrbitMap(**dict(orbit, level=7))
+
+    def test_records_of_different_classes_differ(self):
+        assert soa.Budget() != localization.LocalizationCaps()
+        assert homotopy.Verdict("yes") != ("yes", (), "")
+
+    def test_repr_shows_only_shown_fields(self):
+        assert repr(homotopy.Verdict("yes", (1,), "r")) == \
+            "Verdict(value='yes', caps=(1,), reason='r')"
+        assert repr(soa.Budget(stages=2)) == \
+            "Budget(stages=2, n_cap=2, dim_cap=1, search_nodes=None)"
+        hidden = {"Cone": ["_pushout", "_cylinder"], "Horn": ["pushout"],
+                  "OrbitMap": ["pullback"], "Square": ["orbit"],
+                  "Stage": ["pushout", "tops_coproduct"]}
+        for name, fields in hidden.items():
+            cls, values = _record_values(name)
+            text = repr(cls(**values))
+            assert text.startswith(f"{name}(")
+            for field, value in values.items():
+                assert (f"{field}={value!r}" in text) == (field not in fields)
