@@ -13,10 +13,10 @@ from typing import Callable, Optional
 
 from . import glue
 from .simplicial import (
-    BudgetExceeded,
     Simplex,
     SimplicialMap,
     SimplicialSet,
+    backtrack,
     coface_map,
     codegeneracy_map,
     compose_words,
@@ -893,52 +893,30 @@ def hom_D(A: Diagram, X: Diagram,
     if D != X.shape:
         raise ValueError("hom_D needs diagrams of the same shape")
     objects = list(D.objects)
-    pools = {}
-    for d in objects:
-        if component_pool is not None:
-            pools[d] = list(component_pool(d))
-        else:
-            pools[d] = enumerate_maps(A.at[d], X.at[d], budget=budget)
+    pools = {d: list(component_pool(d)) if component_pool is not None
+             else enumerate_maps(A.at[d], X.at[d], budget=budget)
+             for d in objects}
     arrows_by_pair = {}
     for m in D.non_identities():
         a, b = D.src[m], D.tgt[m]
         arrows_by_pair.setdefault((a, b), []).append(m)
+    # the squares to check at objects[k]: arrows between it and earlier ones
+    slot = {d: k for k, d in enumerate(objects)}
+    squares = [[(A.act[m], slot[a], slot[b], X.act[m])
+                for (a, b), ms in arrows_by_pair.items()
+                if max(slot[a], slot[b]) == k for m in ms]
+               for k in range(len(objects))]
 
-    results = []
-    chosen = {}
+    def natural(k, chosen):
+        return all(fa.then(chosen[b]) == chosen[a].then(fx)
+                   for fa, a, b, fx in squares[k])
 
-    def consistent(d):
-        for (a, b), ms in arrows_by_pair.items():
-            if a not in chosen or b not in chosen:
-                continue
-            if a != d and b != d:
-                continue
-            for m in ms:
-                if A.act[m].then(chosen[b]) != chosen[a].then(X.act[m]):
-                    return False
-        return True
+    def emit(chosen):
+        return DiagramMap(A, X, dict(zip(objects, chosen)))
 
-    def search(pos):
-        if limit is not None and len(results) >= limit:
-            return
-        if pos == len(objects):
-            results.append(DiagramMap(A, X, dict(chosen)))
-            return
-        d = objects[pos]
-        for cand in pools[d]:
-            if budget is not None:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise BudgetExceeded()
-            chosen[d] = cand
-            if consistent(d):
-                search(pos + 1)
-            del chosen[d]
-            if limit is not None and len(results) >= limit:
-                return
-
-    search(0)
-    return results
+    return backtrack(len(objects), lambda k, chosen: pools[objects[k]], emit,
+                     accept=natural if any(squares) else None, limit=limit,
+                     budget=budget)
 
 
 class HomComplex:

@@ -14,6 +14,7 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     admissible_words,
+    backtrack,
     compose_words,
     is_admissible,
     nondeg,
@@ -257,6 +258,22 @@ class TupleComplex:
             for c in src.all_cells()))
 
 
+def _constrained(factors, by_slot, n, slot, partial):
+    """The n-simplices of factors[slot] that meet the constraints whose later
+    factor is slot, given the coordinates partial[:slot] before it."""
+    pool = factors[slot].simplices(n)
+    for (i, f, j, g) in by_slot.get(slot, ()):
+        if i < slot:
+            a = f(partial[i])
+            pool = [s for s in pool if g(s) == a]
+        elif j < slot:
+            b = g(partial[j])
+            pool = [s for s in pool if f(s) == b]
+        else:
+            pool = [s for s in pool if f(s) == g(s)]
+    return pool
+
+
 _tuple_cache = {}
 
 
@@ -277,27 +294,11 @@ def tuple_complex(factors, constraints=()) -> TupleComplex:
     for (i, f, j, g) in constraints:
         by_slot.setdefault(max(i, j), []).append((i, f, j, g))
 
-    levels_tuples = []
-    for n in range(dim_bound + 1):
-        found = []
-
-        def extend(partial, slot):
-            if slot == len(factors):
-                found.append(tuple(partial))
-                return
-            for s in factors[slot].simplices(n):
-                ok = True
-                for (i, f, j, g) in by_slot.get(slot, ()):
-                    a = f(partial[i]) if i < slot else f(s)
-                    b = g(partial[j]) if j < slot else g(s)
-                    if a != b:
-                        ok = False
-                        break
-                if ok:
-                    extend(partial + [s], slot + 1)
-
-        extend([], 0)
-        levels_tuples.append(found)
+    levels_tuples = [backtrack(len(factors),
+                               lambda slot, partial: _constrained(
+                                   factors, by_slot, n, slot, partial),
+                               tuple)
+                     for n in range(dim_bound + 1)]
 
     levels = []
     faces = {}

@@ -64,17 +64,18 @@ INCONCLUSIVE = "inconclusive"
 
 
 def horn_has_filler(X: SimplicialSet, n, k, phi: SimplicialMap) -> bool:
-    required = {}
-    for i in range(n + 1):
-        if i == k:
-            continue
-        facet = ".".join(str(v) for v in range(n + 1) if v != i)
-        required[i] = phi(nondeg(facet))
-    idx = X._faces_index(n)
-    i0 = next(iter(required))
-    pool = idx.get((i0, required[i0]), ())
-    for cand in pool:
-        if all(X.face(cand, i) == required[i] for i in required):
+    """Whether phi: Lambda^n_k -> X extends over Delta^n.  By the simplicial
+    identities the images of the horn's facets fix the boundary of the
+    missing face d_k; each candidate d_k gives one full boundary to look up."""
+    faces = [None if i == k else
+             phi(nondeg(".".join(str(v) for v in range(n + 1) if v != i)))
+             for i in range(n + 1)]
+    missing = tuple(X.face(faces[j], k - 1) if j < k else
+                    X.face(faces[j + 1], k) for j in range(n)) if n > 1 else ()
+    fillers = X._boundary_index(n)
+    for cand in X._boundary_index(n - 1).get(missing, ()):
+        faces[k] = cand
+        if tuple(faces) in fillers:
             return True
     return False
 

@@ -75,25 +75,13 @@ def word_face(word, i):
 def admissible_words(length, base_dim):
     """All admissible words of the given length acting on a base_dim-simplex.
 
-    Sorted; there are C(base_dim + length, length) of them.
+    Sorted; there are C(base_dim + length, length) of them.  A word read
+    backwards increases with i_t <= base_dim + t - 1, as does every
+    increasing tuple drawn from range(base_dim + length).
     """
-    if length == 0:
-        return ((),)
-    # stored word (i_k,...,i_1) reversed is strictly increasing with
-    # i_t <= base_dim + t - 1 (t counted from the right, 1-based)
-    words = []
-
-    def grow(prefix, pos):
-        if pos > length:
-            words.append(tuple(reversed(prefix)))
-            return
-        lo = prefix[-1] + 1 if prefix else 0
-        for i in range(lo, base_dim + pos):
-            grow(prefix + [i], pos + 1)
-
-    grow([], 1)
-    words.sort()
-    return tuple(words)
+    return tuple(sorted(tuple(reversed(c)) for c in
+                        itertools.combinations(range(base_dim + length),
+                                               length)))
 
 
 class Simplex(NamedTuple):
@@ -151,7 +139,7 @@ class SimplicialSet:
         self._dims = tuple(dims)
         self._hash = None
         self._simplices_cache = {}
-        self._face_index = {}
+        self._bd_index = {}
 
     # -- basic structure ----------------------------------------------------
 
@@ -245,15 +233,16 @@ class SimplicialSet:
             self._simplices_cache[n] = tuple(out)
         return self._simplices_cache[n]
 
-    def _faces_index(self, n):
-        """Index (i, face simplex) -> tuple of n-simplices with that i-face."""
-        if n not in self._face_index:
+    def _boundary_index(self, m):
+        """Index boundary (d_0 s, ..., d_m s) -> the m-simplices s with that
+        boundary, in canonical order; all vertices under () when m = 0."""
+        if m not in self._bd_index:
             idx = {}
-            for s in self.simplices(n):
-                for i in range(n + 1):
-                    idx.setdefault((i, self.face(s, i)), []).append(s)
-            self._face_index[n] = {k: tuple(v) for k, v in idx.items()}
-        return self._face_index[n]
+            for s in self.simplices(m):
+                bd = tuple(self.face(s, i) for i in range(m + 1)) if m else ()
+                idx.setdefault(bd, []).append(s)
+            self._bd_index[m] = {k: tuple(v) for k, v in idx.items()}
+        return self._bd_index[m]
 
 
 def validate(X: SimplicialSet):
@@ -500,8 +489,10 @@ class SimplicialMap:
         if self.target != other.source:
             raise ValueError(f"cannot compose {self!r} with {other!r}: "
                              "target and source differ")
+        # a tuple made from a list is taken at its size from the tuple free
+        # list that discarded tuples return to; one grown from map() is not
         return SimplicialMap(self.source, other.target,
-                             images=tuple(map(other, self.images)))
+                             images=[other(s) for s in self.images])
 
 
 def identity_map(X: SimplicialSet) -> SimplicialMap:
@@ -590,24 +581,84 @@ def horn_inclusion(n, k) -> SimplicialMap:
 # hom enumeration and lift search
 
 
-def _required_faces(X: SimplicialSet, images, cell) -> list:
-    """The faces an image of a cell of dimension >= 1 must have, given the
-    images (in `X.all_cells()` order) of the cells before it."""
-    out = []
-    for i in range(X.cell_dim(cell) + 1):
-        fs = X.face(nondeg(cell), i)
-        img = images[X._index[fs.cell]]
-        out.append(Simplex(compose_words(fs.word, img.word), img.cell))
-    return out
+def backtrack(n, candidates, emit, accept=None, limit=None, budget=None):
+    """Depth-first search over n slots, with an explicit stack.
+
+    candidates(k, chosen) gives the values to try at slot k, given chosen[:k];
+    accept(k, chosen), when given, keeps or rejects the value just put in
+    chosen[k].  Returns emit(chosen) of each full assignment in search order,
+    at most limit of them.  budget is a one-element mutable counter of
+    candidate tries, raising BudgetExceeded below zero.
+    """
+    if limit is not None and limit <= 0:
+        return []
+    chosen = [None] * n
+    if n == 0:
+        return [emit(chosen)]
+    results = []
+    stack = [iter(candidates(0, chosen))]
+    while stack:
+        k = len(stack) - 1
+        for value in stack[k]:
+            if budget is not None:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise BudgetExceeded()
+            chosen[k] = value
+            if accept is None or accept(k, chosen):
+                break
+        else:
+            stack.pop()
+            continue
+        if k + 1 < n:
+            stack.append(iter(candidates(k + 1, chosen)))
+            continue
+        results.append(emit(chosen))
+        if limit is not None and len(results) >= limit:
+            break
+    return results
 
 
-def _matching(Y: SimplicialSet, m, required) -> tuple:
-    """The m-simplices of Y with the required faces; all vertices when m = 0."""
-    if m == 0:
-        return Y.simplices(0)
-    pool = Y._faces_index(m).get((0, required[0]), ())
-    return tuple(s for s in pool
-                 if all(Y.face(s, i) == required[i] for i in range(1, m + 1)))
+def _map_search(X: SimplicialSet, Y: SimplicialSet, faces_first):
+    """Slot order, boundary and emit functions of a search for maps X -> Y.
+
+    Slots are cell positions in `all_cells()` order or, with faces_first,
+    top cells from the highest level down, each right after its faces not
+    yet placed (d_0 first).  boundary(k, chosen) gives the cell of slot k,
+    its dimension and the boundary its image must have.
+    """
+    index = X._index
+    cells = list(index)
+    order = list(range(len(cells)))
+    if faces_first:
+        order, placed = [], set()
+        for top in itertools.chain.from_iterable(reversed(X.levels)):
+            stack = [(top, False)]
+            while stack:
+                cell, ready = stack.pop()
+                if ready and cell not in placed:
+                    placed.add(cell)
+                    order.append(index[cell])
+                elif cell not in placed:
+                    stack.append((cell, True))
+                    stack.extend((f.cell, False) for f in reversed(
+                        X.cell_faces(cell) if X.cell_dim(cell) else ()))
+    slot = sorted(range(len(order)), key=order.__getitem__)  # by position
+    plan = [(cells[p], X._dims[p], tuple(
+        (slot[index[f.cell]], f.word)
+        for f in (X.cell_faces(cells[p]) if X._dims[p] else ())))
+        for p in order]
+
+    def boundary(k, chosen):  # a tuple from a list: see SimplicialMap.then
+        cell, m, faces = plan[k]
+        return cell, m, tuple([
+            Simplex(compose_words(w, chosen[j].word), chosen[j].cell) if w
+            else chosen[j] for j, w in faces])
+
+    def emit(chosen):
+        return SimplicialMap(X, Y, images=[chosen[k] for k in slot])
+
+    return order, boundary, emit
 
 
 def enumerate_maps(X: SimplicialSet, Y: SimplicialSet,
@@ -620,47 +671,31 @@ def enumerate_maps(X: SimplicialSet, Y: SimplicialSet,
     pins forces cell values; cell_filter(cell, candidate) prunes candidates;
     limit caps the number of maps returned; budget is a one-element mutable
     counter of candidate tries, raising BudgetExceeded at zero.
+
+    Without limit, cells are searched faces-first (each right after the
+    cells of its faces) and the maps are sorted back into canonical order;
+    with limit, in `all_cells()` order, so the first limit maps are the
+    canonical ones.  budget counts tries in search order, so where it runs
+    out depends on that order.  Candidates come from Y's boundary index.
     """
     pins = pins or {}
-    order = list(X.all_cells())
-    results = []
-    images = [None] * len(order)
+    order, boundary, emit = _map_search(X, Y, faces_first=limit is None)
+    by_boundary = Y._boundary_index
 
-    def candidates(cell):
-        m = X.cell_dim(cell)
-        required = _required_faces(X, images, cell) if m >= 1 else None
+    def candidates(k, chosen):
+        cell, m, bd = boundary(k, chosen)
+        pool = by_boundary(m).get(bd, ())
         if cell in pins:
             pinned = _as_simplex(pins[cell])
-            if Y.simplex_dim(pinned) != m:
-                return ()
-            if required is not None and any(Y.face(pinned, i) != required[i]
-                                            for i in range(m + 1)):
-                return ()
-            pool = (pinned,)
-        else:
-            pool = _matching(Y, m, required)
-        if cell_filter is not None:
-            pool = tuple(s for s in pool if cell_filter(cell, s))
-        return pool
+            pool = (pinned,) if pinned in pool else ()
+        if cell_filter is None:
+            return pool
+        return (s for s in pool if cell_filter(cell, s))
 
-    def search(pos):
-        if limit is not None and len(results) >= limit:
-            return
-        if pos == len(order):
-            results.append(SimplicialMap(X, Y, images=tuple(images)))
-            return
-        for cand in candidates(order[pos]):
-            if budget is not None:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise BudgetExceeded()
-            images[pos] = cand
-            search(pos + 1)
-            if limit is not None and len(results) >= limit:
-                return
-
-    search(0)
-    return results
+    maps = backtrack(len(order), candidates, emit, limit=limit, budget=budget)
+    if order != sorted(order):
+        maps.sort(key=lambda f: [Y.skey(s) for s in f.images])
+    return maps
 
 
 def hom_set(X: SimplicialSet, Y: SimplicialSet):
@@ -717,30 +752,15 @@ def isomorphic(X: SimplicialSet, Y: SimplicialSet) -> Optional[SimplicialMap]:
     """Search for an isomorphism X -> Y; None when the complexes differ."""
     if [len(l) for l in X.levels] != [len(l) for l in Y.levels]:
         return None
-    # backtracking with an injectivity filter needs used-set maintenance,
-    # so run a dedicated search rather than enumerate_maps
-    order = list(X.all_cells())
-    images = [None] * len(order)
-    used = set()
+    order, boundary, emit = _map_search(X, Y, faces_first=True)
 
-    def search(pos):
-        if pos == len(order):
-            return SimplicialMap(X, Y, images=tuple(images))
-        cell = order[pos]
-        m = X.cell_dim(cell)
-        required = _required_faces(X, images, cell) if m >= 1 else None
-        for cand in _matching(Y, m, required):
-            if cand.word or cand in used:
-                continue
-            used.add(cand)
-            images[pos] = cand
-            found = search(pos + 1)
-            if found is not None:
-                return found
-            used.discard(cand)
-        return None
+    def candidates(k, chosen):
+        _, m, bd = boundary(k, chosen)
+        used = set(chosen[:k])
+        return (s for s in Y._boundary_index(m).get(bd, ())
+                if not s.word and s not in used)
 
-    f = search(0)
-    if f is not None and is_isomorphism(f) is not None:
-        return f
+    found = backtrack(len(order), candidates, emit, limit=1)
+    if found and is_isomorphism(found[0]) is not None:
+        return found[0]
     return None

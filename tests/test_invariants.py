@@ -124,6 +124,25 @@ class TestNoAsserts:
         assert lines == [], f"assert statements in {module}.py at {lines}"
 
     @pytest.mark.parametrize("module", MODULES)
+    def test_no_self_referencing_nested_functions(self, module):
+        """A nested function that names itself holds its own closure cell,
+        so it and everything it closes over stay alive as cyclic garbage
+        until the cycle collector runs; searches keep an explicit stack."""
+        found = set()
+        for outer in ast.walk(_tree(module)):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(
+                        inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if any(isinstance(n, ast.Name) and n.id == inner.name
+                       for n in ast.walk(inner)):
+                    found.add((inner.name, inner.lineno))
+        assert found == set(), (
+            f"self-referencing nested defs in {module}.py: {sorted(found)}")
+
+    @pytest.mark.parametrize("module", MODULES)
     def test_no_heavy_imports(self, module):
         """eqloc keeps dataclasses, inspect and ast out of its imports."""
         found = []

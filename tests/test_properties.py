@@ -1,6 +1,7 @@
 """Cross-cutting invariants: randomized universal properties, factorization
 postconditions, and the localization two-out-of-three instance."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from eqloc.cat import (
     Diagram,
     DiagramMap,
+    arrow_category,
     hom_D,
     point_diagram,
     terminal_category,
@@ -34,6 +36,7 @@ from eqloc.localization import (
     localize,
 )
 from eqloc.simplicial import (
+    BudgetExceeded,
     Simplex,
     SimplicialMap,
     SimplicialSet,
@@ -42,6 +45,7 @@ from eqloc.simplicial import (
     constant_map,
     enumerate_maps,
     hom_set,
+    horn,
     identity_map,
     nondeg,
     normalize_word,
@@ -51,7 +55,7 @@ from eqloc.simplicial import (
     verify_map,
 )
 from eqloc.soa import Budget, setup_I, setup_J, small_object_argument
-from oracles import random_sset
+from oracles import naive_hom, random_collapse_map, random_sset
 
 
 class TestWordAlgebra:
@@ -183,6 +187,114 @@ class TestOrbitSetupFactorization:
                     assert psi.then(member.into) == phi
                     checked += 1
         assert checked >= 3
+
+
+def _random_arrow(rng):
+    """A random diagram X -> X/~ over the arrow category."""
+    X = random_sset(rng, max_cells=4)
+    q = random_collapse_map(rng, X)
+    return Diagram(arrow_category(), {"a": X, "b": q.target}, {"f": q})
+
+
+def _naive_hom_D(A, X):
+    """Natural transformations A -> X by brute force: the product of the
+    component hom sets, in object order, filtered by naturality."""
+    objects = list(A.shape.objects)
+    out = []
+    for combo in itertools.product(*(naive_hom(A.at[d], X.at[d])
+                                     for d in objects)):
+        comps = dict(zip(objects, combo))
+        if all(A.act[m].then(comps[A.shape.tgt[m]])
+               == comps[A.shape.src[m]].then(X.act[m])
+               for m in A.shape.non_identities()):
+            out.append(DiagramMap(A, X, comps))
+    return out
+
+
+class TestSearchKernel:
+    """Every search runs through one kernel and keeps canonical order."""
+
+    def _pairs(self, seed, n=10):
+        rng = random.Random(seed)
+        return [(random_sset(rng, max_cells=4), random_sset(rng, max_cells=5))
+                for _ in range(n)]
+
+    def test_hom_sets_equal_the_oracle_as_lists(self):
+        for X, Y in self._pairs(271828):
+            assert enumerate_maps(X, Y) == naive_hom(X, Y)
+
+    def test_pins_and_cell_filter_keep_canonical_order(self):
+        rng = random.Random(314159)
+        for X, Y in self._pairs(314159):
+            full = naive_hom(X, Y)
+            cells = [c for level in X.levels for c in level]
+            cell = rng.choice(cells)
+            pin = rng.choice(Y.simplices(X.cell_dim(cell)))
+            assert enumerate_maps(X, Y, pins={cell: pin}) == [
+                f for f in full if f(nondeg(cell)) == pin]
+            banned = rng.choice(Y.cells(0))
+
+            def keep(c, s):
+                return c == cell or s.cell != banned
+            assert enumerate_maps(X, Y, cell_filter=keep) == [
+                f for f in full
+                if all(keep(c, f(nondeg(c))) for c in cells)]
+
+    def test_limit_returns_a_prefix(self):
+        for X, Y in self._pairs(161803):
+            full = enumerate_maps(X, Y)
+            assert enumerate_maps(X, Y, limit=0) == []
+            for k in range(1, len(full) + 2):
+                assert enumerate_maps(X, Y, limit=k) == full[:k]
+
+    def test_budget_runs_out_or_gives_the_full_list(self):
+        ran_out = 0
+        for X, Y in self._pairs(141421):
+            full = enumerate_maps(X, Y)
+            for k in range(12):
+                try:
+                    assert enumerate_maps(X, Y, budget=[k]) == full
+                except BudgetExceeded:
+                    ran_out += 1
+        assert ran_out > 0
+
+    def test_hom_D_equals_the_oracle_as_lists(self):
+        rng = random.Random(173205)
+        z2 = [free_z2_orbit(), trivial_z2_orbit(), z2_two_orbits()]
+        pairs = [(A, B) for A in z2 for B in z2]
+        pairs += [(_random_arrow(rng), _random_arrow(rng)) for _ in range(8)]
+        for A, B in pairs:
+            expected = _naive_hom_D(A, B)
+            assert hom_D(A, B) == expected
+            assert hom_D(A, B, limit=1) == expected[:1]
+        with pytest.raises(BudgetExceeded):
+            hom_D(z2_two_orbits(), z2_two_orbits(), budget=[1])
+
+
+class TestHornFillers:
+    def test_horn_has_filler_matches_a_scan_of_all_simplices(self):
+        """A horn fills when some n-simplex has the horn's faces, found by a
+        scan of every n-simplex rather than by boundary lookup."""
+        rng = random.Random(223606)
+        spaces = [random_sset(rng, max_cells=8) for _ in range(6)]
+        spaces += [standard_simplex(2), boundary_inclusion(2).source]
+        checked = filled = 0
+        for X in spaces:
+            for n in range(1, 4):
+                for k in range(n + 1):
+                    facets = {i: nondeg(".".join(str(v) for v in range(n + 1)
+                                                 if v != i))
+                              for i in range(n + 1) if i != k}
+                    for phi in hom_set(horn(n, k), X):
+                        expected = any(
+                            all(X.face(s, i) == phi(f)
+                                for i, f in facets.items())
+                            for s in X.simplices(n))
+                        got = homotopy.horn_has_filler(X, n, k, phi)
+                        assert got == expected
+                        checked += 1
+                        filled += got
+        assert 0 < filled < checked
 
 
 def _copy_sset(X):

@@ -21,6 +21,7 @@ from eqloc.simplicial import (
     hom_set,
     horn,
     identity_map,
+    is_admissible,
     is_injective,
     is_isomorphism,
     isomorphic,
@@ -65,6 +66,17 @@ class TestWords:
         for q in range(4):
             for k in range(4):
                 assert len(admissible_words(k, q)) == math.comb(q + k, k)
+
+    def test_admissible_words_match_brute_force(self):
+        """The words are exactly the strictly decreasing (i_k, ..., i_1)
+        with i_t <= q + t - 1, sorted."""
+        for q in range(6):
+            for k in range(6):
+                expected = tuple(sorted(
+                    w for w in itertools.product(range(q + k), repeat=k)
+                    if is_admissible(w)
+                    and all(w[k - t] <= q + t - 1 for t in range(1, k + 1))))
+                assert admissible_words(k, q) == expected
 
     @given(st.lists(st.integers(min_value=0, max_value=5),
                     min_size=0, max_size=4),
@@ -282,6 +294,15 @@ class TestHomSet:
         X = standard_simplex(1)
         maps = enumerate_maps(X, X, pins={"0": nondeg("0"), "1": nondeg("1")})
         assert len(maps) == 1 and maps[0] == identity_map(X)
+
+    def test_large_discrete_source(self):
+        """The search keeps its state on an explicit stack, so a source with
+        far more cells than the recursion limit is fine."""
+        X = vertex_complex([f"v{i}" for i in range(1500)])
+        maps = hom_set(X, point())
+        assert maps == [constant_map(X, point(), "0")]
+        f = isomorphic(X, X)
+        assert f is not None and is_isomorphism(f) is not None
 
 
 class TestIso:
