@@ -72,21 +72,30 @@ def sset_doc(X: SimplicialSet) -> dict:
     }
 
 
+def _read_simplex(word, cell, shared):
+    """Simplex(word, cell); one nondegenerate Simplex per name in shared."""
+    word = tuple(word)
+    return Simplex(word, cell) if word else (
+        shared.get(cell) or shared.setdefault(cell, Simplex((), cell)))
+
+
 def sset_from_doc(doc, name="?") -> SimplicialSet:
     try:
-        faces = {c: tuple((tuple(w), cell) for w, cell in fs)
+        shared = {}
+        faces = {c: tuple([_read_simplex(w, d, shared) for w, d in fs])
                  for c, fs in doc.get("faces", {}).items()}
         X = SimplicialSet(doc["cells"], faces)
+        problems = validate(X)
     except Exception as exc:
         raise DocumentError(f"simplicial set {name!r}: {exc}") from exc
-    problems = validate(X)
     if problems:
         raise DocumentError(f"simplicial set {name!r} invalid: {problems}")
     return X
 
 
 def assignment_from_doc(doc):
-    return {c: Simplex(tuple(v[0]), v[1]) for c, v in doc.items()}
+    shared = {}
+    return {c: _read_simplex(v[0], v[1], shared) for c, v in doc.items()}
 
 
 def category_from_doc(doc, name="?") -> SmallCategory:

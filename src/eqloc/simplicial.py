@@ -203,10 +203,13 @@ class SimplicialSet:
     # -- simplex algebra ----------------------------------------------------
 
     def face(self, s: Simplex, i) -> Simplex:
-        """d_i of a simplex in normal form; result is in normal form."""
-        n = self.simplex_dim(s)
+        """d_i of a simplex in normal form (a table read for a cell)."""
+        n = self._dims[self._index[s.cell]] + len(s.word)
         if n < 1 or not 0 <= i <= n:
             raise IndexError(f"face index {i} out of range for dim {n}")
+        if not s.word:
+            f = self._faces[s.cell][i]
+            return Simplex(normalize_word(f.word), f.cell) if f.word else f
         word, residual = word_face(s.word, i)
         if residual is None:
             return Simplex(word, s.cell)
@@ -249,46 +252,55 @@ def validate(X: SimplicialSet):
     """Check well-formedness and the simplicial identities.
 
     Returns a list of violations; empty means valid.  Face-data violations
-    are reported per (cell, slot); identity violations as (cell, i, j) where
-    d_i d_j != d_{j-1} d_i; a `faces` entry for a name that is not a cell
-    as ("faces-for-unknown-cell", name).
+    are reported per (cell, slot), a face word of an n-cell with an index
+    outside 0..n-2 as inadmissible; identity violations as (cell, i, j)
+    where d_i d_j != d_{j-1} d_i, read from a table D[b][a] = d_a d_b and
+    skipped when a face of a face lacks face data; a `faces` entry for a
+    name that is not a cell as ("faces-for-unknown-cell", name).
     """
     problems = []
-    for cell in X.all_cells():
-        n = X.cell_dim(cell)
+    index, dims, faces = X._index, X._dims, X._faces
+    valid = set()  # cells of dimension >= 1 whose face data passed
+    for cell, n in zip(index, dims):
+        fs = faces.get(cell)
         if n == 0:
-            if cell in X._faces:
+            if fs is not None:
                 problems.append(("faces-on-vertex", cell))
             continue
-        fs = X._faces.get(cell)
         if fs is None:
             problems.append(("missing-faces", cell))
             continue
         if len(fs) != n + 1:
             problems.append(("face-count", cell, len(fs)))
             continue
-        ok = True
-        for i, f in enumerate(fs):
-            if not is_admissible(f.word):
+        reported = len(problems)
+        for i, (w, c) in enumerate(fs):
+            if len(w) > 1 and not is_admissible(w):
                 problems.append(("inadmissible-word", cell, i))
-                ok = False
-            elif not X.has_cell(f.cell):
-                problems.append(("unknown-face-target", cell, i, f.cell))
-                ok = False
-            elif X.simplex_dim(f) != n - 1:
+            elif c not in index:
+                problems.append(("unknown-face-target", cell, i, c))
+            elif dims[index[c]] + len(w) != n - 1:
                 problems.append(("face-dimension", cell, i))
-                ok = False
-        if not ok or n < 2:
+            elif w and (w[-1] < 0 or w[0] > n - 2):
+                problems.append(("inadmissible-word", cell, i))
+        if len(problems) > reported:
             continue
-        s = nondeg(cell)
-        for j in range(n + 1):
+        valid.add(cell)
+        if n < 2:
+            continue
+        try:  # a degenerate face on a vertex v has every face s_{n-3..0} v
+            D = [faces[f.cell] if not f.word and f.cell in valid
+                 else [Simplex(f.word[1:], f.cell)] * n
+                 if not dims[index[f.cell]]
+                 else [X.face(f, a) for a in range(n)] for f in fs]
+        except (KeyError, IndexError):
+            continue
+        for j in range(1, n + 1):
             for i in range(j):
-                lhs = X.face(X.face(s, j), i)
-                rhs = X.face(X.face(s, i), j - 1)
-                if lhs != rhs:
+                if D[j][i] != D[i][j - 1]:
                     problems.append(("identity", cell, i, j))
-    for name in X._faces:
-        if not X.has_cell(name):
+    for name in faces:
+        if name not in index:
             problems.append(("faces-for-unknown-cell", name))
     return problems
 
@@ -505,7 +517,8 @@ def compose(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
 
 
 def verify_map(f: SimplicialMap):
-    """Violations of dimension preservation and face commutation."""
+    """Violations of dimension preservation and face commutation; an image
+    word of an n-cell with an index outside 0..n-1 is inadmissible."""
     problems = []
     X, Y = f.source, f.target
     for c, img in zip(X.all_cells(), f.images):
@@ -513,7 +526,8 @@ def verify_map(f: SimplicialMap):
             problems.append(("unassigned", c))
         elif not Y.has_cell(img.cell) or Y.simplex_dim(img) != X.cell_dim(c):
             problems.append(("dimension", c))
-        elif not is_admissible(img.word):
+        elif img.word and (img.word[-1] < 0 or img.word[0] >= X.cell_dim(c)
+                           or not is_admissible(img.word)):
             problems.append(("inadmissible-word", c))
     if problems:
         return problems

@@ -13,19 +13,111 @@ from eqloc.cat import DiagramMap, tensor
 from eqloc.glue import (UnionFind, induced_tuple_map, product, pushout,
                         quotient)
 from eqloc.simplicial import (
+    Simplex,
     SimplicialMap,
     SimplicialSet,
     boundary,
     boundary_inclusion,
     codegeneracy_map,
+    compose_words,
     constant_map,
     hom_set,
     identity_map,
+    is_admissible,
     nondeg,
     point,
     standard_simplex,
     verify_map,
+    word_face,
 )
+
+
+def face_oracle(X, s, i):
+    """d_i of a simplex by the word algebra alone: push d_i through the
+    word, then read the residual face of the cell and compose."""
+    n = X.simplex_dim(s)
+    if n < 1 or not 0 <= i <= n:
+        raise IndexError(f"face index {i} out of range for dim {n}")
+    word, residual = word_face(s.word, i)
+    if residual is None:
+        return Simplex(word, s.cell)
+    f = X.cell_faces(s.cell)[residual]
+    return Simplex(compose_words(word, f.word), f.cell)
+
+
+def validate_oracle(X):
+    """validate, face by face: each identity d_i d_j = d_{j-1} d_i of a cell
+    evaluated as four `face_oracle` calls.
+
+    Where a face of a face has missing or short face data, evaluating an
+    identity raises KeyError or IndexError; the cell's identities are then
+    left unchecked, as that lower cell's face data is reported.  Face words
+    are checked for strict decrease only, so compare on words whose indices
+    fit their dimension.
+    """
+    problems = []
+    for cell in X.all_cells():
+        n = X.cell_dim(cell)
+        if n == 0:
+            if cell in X._faces:
+                problems.append(("faces-on-vertex", cell))
+            continue
+        fs = X._faces.get(cell)
+        if fs is None:
+            problems.append(("missing-faces", cell))
+            continue
+        if len(fs) != n + 1:
+            problems.append(("face-count", cell, len(fs)))
+            continue
+        ok = True
+        for i, f in enumerate(fs):
+            if not is_admissible(f.word):
+                problems.append(("inadmissible-word", cell, i))
+                ok = False
+            elif not X.has_cell(f.cell):
+                problems.append(("unknown-face-target", cell, i, f.cell))
+                ok = False
+            elif X.simplex_dim(f) != n - 1:
+                problems.append(("face-dimension", cell, i))
+                ok = False
+        if not ok or n < 2:
+            continue
+        s = nondeg(cell)
+        try:
+            found = [("identity", cell, i, j)
+                     for j in range(n + 1) for i in range(j)
+                     if face_oracle(X, face_oracle(X, s, j), i)
+                     != face_oracle(X, face_oracle(X, s, i), j - 1)]
+        except (KeyError, IndexError):
+            continue
+        problems.extend(found)
+    for name in X._faces:
+        if not X.has_cell(name):
+            problems.append(("faces-for-unknown-cell", name))
+    return problems
+
+
+def verify_map_oracle(f):
+    """verify_map, face by face: f(d_i c) against d_i f(c) through
+    `face_oracle` and the map's own call.  Image words are checked for
+    strict decrease only."""
+    problems = []
+    X, Y = f.source, f.target
+    for c, img in zip(X.all_cells(), f.images):
+        if img is None:
+            problems.append(("unassigned", c))
+        elif not Y.has_cell(img.cell) or Y.simplex_dim(img) != X.cell_dim(c):
+            problems.append(("dimension", c))
+        elif not is_admissible(img.word):
+            problems.append(("inadmissible-word", c))
+    if problems:
+        return problems
+    for c, img in zip(X.all_cells(), f.images):
+        n = X.cell_dim(c)
+        for i in range(n + 1) if n >= 1 else ():
+            if f(face_oracle(X, nondeg(c), i)) != face_oracle(Y, img, i):
+                problems.append(("face", c, i))
+    return problems
 
 
 def naive_hom(X, Y):

@@ -146,6 +146,70 @@ MALFORMED_ENTRIES = {
 }
 
 
+def _sset_entry(faces):
+    """A simplicial set entry on the cells of a triangle t with edges
+    e = bc, f = ac, g = ab."""
+    return {"cells": [["a", "b", "c"], ["e", "f", "g"], ["t"]],
+            "faces": faces}
+
+
+TRIANGLE = {"e": [[[], "c"], [[], "b"]], "f": [[[], "c"], [[], "a"]],
+            "g": [[[], "b"], [[], "a"]],
+            "t": [[[], "e"], [[], "f"], [[], "g"]]}
+
+# one face-data violation each: the problem kind, the cell it names, faces
+BAD_FACES = {
+    "faces-on-vertex": ("faces-on-vertex", "a",
+                        dict(TRIANGLE, a=[[[], "b"]])),
+    "missing-faces": ("missing-faces", "f", {
+        k: v for k, v in TRIANGLE.items() if k != "f"}),
+    "face-count": ("face-count", "t", dict(TRIANGLE, t=[[[], "e"]])),
+    "inadmissible-word": ("inadmissible-word", "t", dict(
+        TRIANGLE, t=[[[0, 0], "a"], [[], "f"], [[], "g"]])),
+    "word-out-of-range": ("inadmissible-word", "t", dict(
+        TRIANGLE, t=[[[1], "a"], [[], "f"], [[], "g"]])),
+    "unknown-face-target": ("unknown-face-target", "t", dict(
+        TRIANGLE, t=[[[], "zz"], [[], "f"], [[], "g"]])),
+    "face-dimension": ("face-dimension", "t", dict(
+        TRIANGLE, t=[[[], "a"], [[], "f"], [[], "g"]])),
+    "identity": ("identity", "t", dict(
+        TRIANGLE, e=[[[], "b"], [[], "c"]])),
+    "faces-for-unknown-cell": ("faces-for-unknown-cell", "ghost", dict(
+        TRIANGLE, ghost=[[[], "a"], [[], "b"]])),
+}
+
+
+class TestBadFaceData:
+    """Each face-data violation exits 1 naming the problem and the cell."""
+
+    def test_triangle_is_valid(self, tmp_path, capsys):
+        p = tmp_path / "triangle.json"
+        p.write_text(json.dumps({"schema": "eqloc/1",
+                                 "simplicial_sets": {"S": _sset_entry(TRIANGLE)}}))
+        assert run(capsys, "parse", "-w", str(p))[0] == 0
+
+    @pytest.mark.parametrize("case", sorted(BAD_FACES))
+    def test_exit_1_names_problem_and_cell(self, case, tmp_path, capsys):
+        kind, cell, faces = BAD_FACES[case]
+        p = tmp_path / f"{case}.json"
+        p.write_text(json.dumps({"schema": "eqloc/1",
+                                 "simplicial_sets": {"S": _sset_entry(faces)}}))
+        code, out, err = run(capsys, "parse", "-w", str(p))
+        assert code == 1
+        assert f"simplicial set 'S' invalid: [('{kind}', '{cell}'" in err
+        assert "Traceback" not in err
+
+    def test_word_of_strings_names_the_entry(self, tmp_path, capsys):
+        p = tmp_path / "words.json"
+        p.write_text(json.dumps({"schema": "eqloc/1", "simplicial_sets": {
+            "S": _sset_entry(dict(TRIANGLE,
+                                  t=[[["x"], "a"], [[], "f"], [[], "g"]]))}}))
+        code, out, err = run(capsys, "parse", "-w", str(p))
+        assert code == 1
+        assert "error: simplicial set 'S'" in err
+        assert "Traceback" not in err
+
+
 class TestMalformedEntries:
     """A missing key or a wrong type in an entry exits 1 naming the entry."""
 

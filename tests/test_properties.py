@@ -26,7 +26,8 @@ from eqloc.fixtures import (
     z2_collapse,
     z2_two_orbits,
 )
-from eqloc.glue import pushout, quotient
+from eqloc.documents import assignment_from_doc, sset_doc, sset_from_doc
+from eqloc.glue import product, pushout, quotient
 from eqloc.homotopy import default_orbit_category, is_weq_equivariant
 from eqloc.localization import (
     LocalizationCaps,
@@ -55,7 +56,14 @@ from eqloc.simplicial import (
     verify_map,
 )
 from eqloc.soa import Budget, setup_I, setup_J, small_object_argument
-from oracles import naive_hom, random_collapse_map, random_sset
+from oracles import (
+    face_oracle,
+    naive_hom,
+    random_collapse_map,
+    random_sset,
+    validate_oracle,
+    verify_map_oracle,
+)
 
 
 class TestWordAlgebra:
@@ -595,3 +603,231 @@ class TestRecordContract:
             assert text.startswith(f"{name}(")
             for field, value in values.items():
                 assert (f"{field}={value!r}" in text) == (field not in fields)
+
+
+# ---------------------------------------------------------------------------
+# face table, validate and verify_map against their face-by-face oracles
+
+
+def _with_degenerate_faces(X, rng):
+    """X with one edge collapsed onto a degenerate vertex, so cells above
+    it get degenerate faces; X itself when it has no edge."""
+    if not X.cells(1):
+        return X
+    e = rng.choice(X.cells(1))
+    v = X.cell_faces(e)[1].cell
+    return quotient(X, [(nondeg(e), Simplex((0,), v))]).space
+
+
+def _complex_pool(seed, count):
+    """Random complexes, some with degenerate faces, and fixed ones up to
+    dimension 3 (two with a degenerate face on a 3-cell)."""
+    rng = random.Random(seed)
+    pool = [standard_simplex(3), horn(3, 1), product(
+        standard_simplex(1), standard_simplex(2)).space,
+        quotient(standard_simplex(2),
+                 [(nondeg("0.1"), Simplex((0,), "0"))]).space,
+        quotient(standard_simplex(3),
+                 [(nondeg("0.1.2"), Simplex((1,), "0.1"))]).space,
+        quotient(standard_simplex(3),
+                 [(nondeg("0.1.2"), Simplex((1, 0), "0"))]).space]
+    for _ in range(count):
+        X = random_sset(rng, max_cells=8)
+        pool.append(_with_degenerate_faces(X, rng) if rng.random() < 0.5
+                    else X)
+    return pool
+
+
+def _corrupt_sset(X, rng):
+    """X with one to three random corruptions of its face data."""
+    levels = [list(l) for l in X.levels]
+    faces = {c: X.cell_faces(c) for l in X.levels[1:] for c in l}
+    cells = [c for l in levels for c in l]
+    upper = [c for l in levels[1:] for c in l]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["faces-on-vertex", "missing-faces", "face-count",
+                           "inadmissible-word", "unknown-face-target",
+                           "face-dimension", "identity", "identity",
+                           "faces-for-unknown-cell"])
+        if kind == "faces-on-vertex":
+            v = rng.choice(levels[0])
+            faces[v] = (nondeg(v),) * rng.randint(0, 2)
+            continue
+        if kind == "faces-for-unknown-cell":
+            v = rng.choice(levels[0])
+            faces[rng.choice(["ghost", "ghost2"])] = (nondeg(v), nondeg(v))
+            continue
+        live = [c for c in upper if faces.get(c)]
+        if not live:
+            continue
+        c = rng.choice(live)
+        fs = list(faces[c])
+        n = X.cell_dim(c)
+        i = rng.randrange(len(fs))
+        if kind == "missing-faces":
+            del faces[c]
+            continue
+        if kind == "face-count":
+            fs = fs[:-1] if rng.random() < 0.5 else fs + [fs[0]]
+        elif kind == "inadmissible-word":
+            fs[i] = Simplex(rng.choice([(0, 0), (0, 1), (1, 1, 0), (2, 0, 0)]),
+                            fs[i].cell)
+        elif kind == "unknown-face-target":
+            fs[i] = Simplex(fs[i].word, "zz")
+        elif kind == "face-dimension":
+            others = [s for m in range(X.dim + 1) if m != n - 1
+                      for s in X.simplices(m)[:6]]
+            fs[i] = rng.choice(others)
+        elif rng.random() < 0.5 and len(fs) > 1:  # identity: swap two faces
+            j = rng.randrange(len(fs))
+            fs[i], fs[j] = fs[j], fs[i]
+        else:  # identity: another face of the right dimension
+            fs[i] = rng.choice(X.simplices(n - 1))
+        faces[c] = tuple(fs)
+    return SimplicialSet(levels, faces)
+
+
+def _corrupt_map(f, rng):
+    """f with one to three of its images corrupted."""
+    X, Y = f.source, f.target
+    images = list(f.images)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(images))
+        n = X._dims[k]
+        kind = rng.choice(["unassigned", "dimension", "inadmissible-word",
+                           "face", "face"])
+        if kind == "unassigned":
+            images[k] = None
+        elif kind == "dimension":
+            images[k] = rng.choice([Simplex((), "zz")] + list(
+                Y.simplices(n + 1)[:4]) + list(Y.simplices(n - 1)[:4]))
+        elif kind == "inadmissible-word" and n >= 2:
+            images[k] = Simplex((0,) * n, Y.cells(0)[0])
+        else:
+            images[k] = rng.choice(Y.simplices(n))
+    return SimplicialMap(X, Y, images=images)
+
+
+class TestFaceTable:
+    """d_i of a nondegenerate cell is a table read; every face still equals
+    the word-algebra result."""
+
+    def test_face_matches_word_algebra_up_to_dim_3(self):
+        checked = 0
+        for X in _complex_pool(5772, 10):
+            for n in range(4):
+                for s in X.simplices(n):
+                    for i in range(n + 1) if n else ():
+                        assert X.face(s, i) == face_oracle(X, s, i)
+                        checked += 1
+                    for i in ((-1, n + 1) if n else (-1, 0, 1)):
+                        with pytest.raises(IndexError):
+                            X.face(s, i)
+        assert checked > 1000
+
+    def test_unknown_cell_raises_key_error(self):
+        with pytest.raises(KeyError):
+            standard_simplex(2).face(nondeg("zz"), 0)
+
+    def test_missing_and_short_face_data_raise_as_before(self):
+        X = SimplicialSet([["a"], ["e", "f"]], {"f": (nondeg("a"),)})
+        with pytest.raises(KeyError):
+            X.face(nondeg("e"), 0)
+        with pytest.raises(IndexError):
+            X.face(nondeg("f"), 1)
+
+    def test_stored_inadmissible_face_word_is_normalized(self):
+        X = SimplicialSet([["a"], [], ["t"]],
+                          {"t": (Simplex((0, 0), "a"),) * 3})
+        assert X.face(nondeg("t"), 1) == Simplex((1, 0), "a")
+
+
+class TestValidateAgainstOracle:
+    def test_corruption_suite(self):
+        rng = random.Random(1414)
+        kinds = set()
+        for X in _complex_pool(2718, 40):
+            assert validate(X) == validate_oracle(X) == []
+            for _ in range(12):
+                Y = _corrupt_sset(X, rng)
+                got = validate(Y)
+                assert got == validate_oracle(Y)
+                kinds.update(p[0] for p in got)
+        assert kinds == {"faces-on-vertex", "missing-faces", "face-count",
+                         "inadmissible-word", "unknown-face-target",
+                         "face-dimension", "identity",
+                         "faces-for-unknown-cell"}
+
+    def test_missing_faces_under_a_2_cell_are_reported(self):
+        """A face table that an identity reads is missing or short: the
+        lower cell is reported, and the cell above is left unchecked."""
+        levels = [["a"], ["e", "f", "g"], ["t"]]
+        t = (nondeg("e"), nondeg("f"), nondeg("g"))
+        loop = (nondeg("a"), nondeg("a"))
+        X = SimplicialSet(levels, {"f": loop, "g": loop, "t": t})
+        assert validate(X) == validate_oracle(X) == [("missing-faces", "e")]
+        X = SimplicialSet(levels, {"e": loop[:1], "f": loop, "g": loop,
+                                   "t": t})
+        assert validate(X) == validate_oracle(X) == [("face-count", "e", 1)]
+
+    @pytest.mark.parametrize("word", [(1,), (-1,), (2, 0)])
+    def test_face_word_out_of_range(self, word):
+        """A strictly decreasing face word with an index outside 0..n-2 is
+        not a degeneracy of an (n-1)-simplex."""
+        n = len(word) + 1
+        X = SimplicialSet([["a"]] + [[]] * (n - 1) + [["t"]],
+                          {"t": (Simplex(word, "a"),) +
+                           (Simplex(tuple(range(n - 2, -1, -1)), "a"),) * n})
+        assert validate(X) == [("inadmissible-word", "t", 0)]
+
+
+class TestVerifyMapAgainstOracle:
+    def test_corruption_suite(self):
+        rng = random.Random(1732)
+        kinds = set()
+        pool = _complex_pool(3141, 16)
+        maps = [identity_map(X) for X in pool]
+        maps += [random_collapse_map(rng, X) for X in pool]
+        maps += [constant_map(X, point(), "0") for X in pool]
+        for f in maps:
+            assert verify_map(f) == verify_map_oracle(f) == []
+            for _ in range(12):
+                g = _corrupt_map(f, rng)
+                got = verify_map(g)
+                assert got == verify_map_oracle(g)
+                kinds.update(p[0] for p in got)
+        assert kinds == {"unassigned", "dimension", "inadmissible-word",
+                         "face"}
+
+    @pytest.mark.parametrize("word", [(1,), (-1,)])
+    def test_image_word_out_of_range(self, word):
+        f = SimplicialMap(standard_simplex(1), point(),
+                          {"0": nondeg("0"), "1": nondeg("0"),
+                           "0.1": Simplex(word, "0")})
+        assert verify_map(f) == [("inadmissible-word", "0.1")]
+
+
+class TestParsedSimplices:
+    def test_round_trip(self):
+        for X in _complex_pool(1618, 30):
+            assert sset_from_doc(sset_doc(X)) == X
+
+    def test_equal_nondegenerate_faces_are_one_object(self):
+        shared = 0
+        for X in _complex_pool(1619, 10):
+            Y = sset_from_doc(sset_doc(X))
+            seen = {}
+            for c in Y.all_cells():
+                for f in (Y.cell_faces(c) if Y.cell_dim(c) else ()):
+                    if not f.word:
+                        shared += f in seen
+                        assert seen.setdefault(f, f) is f
+            assert Y == X
+        assert shared > 0
+
+    def test_assignment_shares_nondegenerate_images(self):
+        a = assignment_from_doc({"x": [[], "p"], "y": [[], "p"],
+                                 "z": [[0], "p"]})
+        assert a["x"] is a["y"]
+        assert a == {"x": nondeg("p"), "y": nondeg("p"),
+                     "z": Simplex((0,), "p")}

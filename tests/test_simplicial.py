@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqloc import simplicial
 from eqloc.simplicial import (
     BudgetExceeded,
     Simplex,
@@ -144,6 +145,29 @@ class TestStandard:
         assert any(p[0] == "identity" and p[1] == "t" for p in problems)
         bad = [p for p in problems if p[0] == "identity"]
         assert all(p[2] < p[3] for p in bad)
+
+
+class TestFaceTableCounts:
+    """Validating a complex and verifying a map whose faces are all
+    nondegenerate reads face tables only: no call into the word algebra."""
+
+    def test_no_word_algebra_calls(self, monkeypatch):
+        calls = {"word_face": 0, "compose_words": 0}
+
+        def counted(name):
+            fn = getattr(simplicial, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(simplicial, name, counted(name))
+        X = standard_simplex(4)
+        assert validate(X) == []
+        assert verify_map(identity_map(X)) == []
+        assert calls == {"word_face": 0, "compose_words": 0}
 
 
 class TestNormalizeOp:
