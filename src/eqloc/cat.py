@@ -1,13 +1,17 @@
 """Finite index categories and diagrams of simplicial sets.
 
 Diagrams are functors from a finite category into simplicial sets; colimits
-and the pointwise (co)limits are computed with the engines from glue, and the
-simplicial structure (tensor, cotensor, mapping complexes) is realized level
-by level with explicit truncation dimensions.
+and the pointwise (co)limits are computed with the engines from glue.  The
+cotensor X^K and the mapping complex hom(A, X) are level presentations up to
+a dimension cap, whose n-simplices are maps out of P(Delta^n) for
+P = (-) x K or A tensor (-), with the faces and degeneracies P carries over
+from Delta^*.  tensor, cotensor and hom_complex are memoized by
+functools.cache, keyed by value; their results are shared, not to be mutated.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from typing import Callable, Optional
 
@@ -16,17 +20,20 @@ from .simplicial import (
     Simplex,
     SimplicialMap,
     SimplicialSet,
+    apply_operator,
     backtrack,
     coface_map,
     codegeneracy_map,
     compose_words,
     constant_map,
+    degenerate_at,
     empty_simplicial_set,
     enumerate_maps,
     hom_set,
     identity_map,
     nondeg,
     point,
+    simplex_vertices,
     standard_simplex,
     verify_map,
 )
@@ -656,25 +663,16 @@ class Tensor:
         self.K = K
 
 
-_tensor_cache = {}
-
-
+@functools.cache
 def tensor(X: Diagram, K: SimplicialSet) -> Tensor:
     """Objectwise product with a constant diagram at K."""
-    key = (X, K)
-    if key in _tensor_cache:
-        return _tensor_cache[key]
     D = X.shape
     tcs = {d: glue.product(X.at[d], K) for d in D.objects}
     at = {d: tcs[d].space for d in D.objects}
-    act = {}
-    for m in D.arrows:
-        a, b = D.src[m], D.tgt[m]
-        act[m] = glue.induced_tuple_map(tcs[a], tcs[b],
-                                        (X.act[m], identity_map(K)))
-    result = Tensor(Diagram(D, at, act), tcs, X, K)
-    _tensor_cache[key] = result
-    return result
+    act = {m: glue.induced_tuple_map(tcs[D.src[m]], tcs[D.tgt[m]],
+                                     (X.act[m], identity_map(K)))
+           for m in D.arrows}
+    return Tensor(Diagram(D, at, act), tcs, X, K)
 
 
 def tensor_map(f: DiagramMap, k: SimplicialMap) -> DiagramMap:
@@ -693,11 +691,8 @@ def tensor_unit_section(X: Diagram, K: SimplicialSet, vertex) -> DiagramMap:
     comps = {}
     for d in X.shape.objects:
         tc = t.tcs[d]
-        assignment = {}
-        for c in X.at[d].all_cells():
-            n = X.at[d].cell_dim(c)
-            kv = Simplex(tuple(range(n - 1, -1, -1)), vertex)
-            assignment[c] = tc.locate((nondeg(c), kv))
+        assignment = {c: tc.locate((nondeg(c), degenerate_at(
+            K, vertex, X.at[d].cell_dim(c)))) for c in X.at[d].all_cells()}
         comps[d] = SimplicialMap(X.at[d], tc.space, assignment)
     return DiagramMap(X, t.diagram, comps)
 
@@ -713,7 +708,7 @@ def tensor_projection(X: Diagram, K: SimplicialSet) -> DiagramMap:
 
 
 class LevelPresentation:
-    """A truncated simplicial set given by levelwise element sets.
+    """A simplicial set up to a cap, given by levelwise element sets.
 
     Records the normal form of every element up to the cap (`to_simplex`)
     and the element behind every presented cell (`elem_of_cell`), so maps
@@ -736,12 +731,24 @@ class LevelPresentation:
         return SimplicialMap(space, other.space, images=images)
 
 
-def complex_from_levels(levels, face_fn, deg_fn, cap) -> LevelPresentation:
-    """Extract a normal-form presentation from levelwise data.
+def _operators(functor, cap):
+    """functor applied to the cofaces delta_i: Delta^{n-1} -> Delta^n
+    (cofaces[n][i], i <= n) and the codegeneracies sigma_j: Delta^n ->
+    Delta^{n-1} (codegs[n][j], j < n) of the levels n <= cap."""
+    return ([tuple(functor(coface_map(n, i)) for i in range(n + 1)) if n
+             else () for n in range(cap + 1)],
+            [tuple(functor(codegeneracy_map(n - 1, j)) for j in range(n))
+             for n in range(cap + 1)])
 
-    levels[n] lists the n-elements in canonical order; face_fn(n, e, i) and
-    deg_fn(n, e, j) are the operators (deg_fn raises the level from n to n+1).
-    Cells above the cap are unknown; the result presents the cap-skeleton.
+
+def complex_from_levels(levels, cofaces, codegs, cap) -> LevelPresentation:
+    """Extract a normal-form presentation from levelwise elements.
+
+    levels[n] lists the n-elements, maps out of P(Delta^n), in canonical
+    order; the `_operators` of P act by precomposition: d_i e =
+    cofaces[n][i].then(e), s_j f = codegs[n][j].then(f).  An n-element e is
+    s_j d_j e for the largest j that gives e back, else a new cell.  Cells
+    above the cap are unknown; the result presents the cap-skeleton.
     """
     to_simplex = {}
     elem_of_cell = {}
@@ -750,11 +757,11 @@ def complex_from_levels(levels, face_fn, deg_fn, cap) -> LevelPresentation:
     for n, elems in enumerate(levels):
         level = []
         for e in elems:
-            js = [j for j in range(n)
-                  if deg_fn(n - 1, face_fn(n, e, j), j) == e]
-            if js:
-                j = max(js)
-                sub = to_simplex[(n - 1, face_fn(n, e, j))]
+            fs = [op.then(e) for op in cofaces[n]]
+            j = next((j for j in reversed(range(n))
+                      if codegs[n][j].then(fs[j]) == e), None)
+            if j is not None:
+                sub = to_simplex[(n - 1, fs[j])]
                 to_simplex[(n, e)] = Simplex(compose_words((j,), sub.word),
                                              sub.cell)
             else:
@@ -762,53 +769,15 @@ def complex_from_levels(levels, face_fn, deg_fn, cap) -> LevelPresentation:
                 level.append(name)
                 elem_of_cell[name] = e
                 if n >= 1:
-                    faces[name] = tuple(to_simplex[(n - 1, face_fn(n, e, i))]
-                                        for i in range(n + 1))
+                    faces[name] = tuple(to_simplex[(n - 1, f)] for f in fs)
                 to_simplex[(n, e)] = nondeg(name)
         new_levels.append(level)
     space = SimplicialSet(new_levels, faces)
     return LevelPresentation(space, to_simplex, elem_of_cell, cap)
 
 
-class _ProductTower:
-    """product(Delta^m, K) with coface/codegeneracy actions, grown on demand."""
-
-    def __init__(self, K):
-        self.K = K
-        self._coface = {}
-        self._codeg = {}
-
-    def tc(self, m) -> glue.TupleComplex:
-        return glue.product(standard_simplex(m), K := self.K)
-
-    def coface(self, m, i) -> SimplicialMap:
-        """product(Delta^{m-1}, K) -> product(Delta^m, K)."""
-        if (m, i) not in self._coface:
-            self._coface[(m, i)] = glue.induced_tuple_map(
-                self.tc(m - 1), self.tc(m),
-                (coface_map(m, i), identity_map(self.K)))
-        return self._coface[(m, i)]
-
-    def codeg(self, m, j) -> SimplicialMap:
-        """product(Delta^{m+1}, K) -> product(Delta^m, K)."""
-        if (m, j) not in self._codeg:
-            self._codeg[(m, j)] = glue.induced_tuple_map(
-                self.tc(m + 1), self.tc(m),
-                (codegeneracy_map(m, j), identity_map(self.K)))
-        return self._codeg[(m, j)]
-
-
-_tower_cache = {}
-
-
-def _tower(K) -> _ProductTower:
-    if K not in _tower_cache:
-        _tower_cache[K] = _ProductTower(K)
-    return _tower_cache[K]
-
-
 class Cotensor:
-    """Objectwise mapping complex X^K, truncated at a dimension cap."""
+    """Objectwise mapping complex X^K up to a dimension cap."""
 
     def __init__(self, diagram, pres, base, K, cap):
         self.diagram = diagram
@@ -816,39 +785,26 @@ class Cotensor:
         self.base = base
         self.K = K
         self.cap = cap
-        self.truncated = True
 
 
-_cotensor_cache = {}
-
-
+@functools.cache
 def cotensor(X: Diagram, K: SimplicialSet, cap) -> Cotensor:
     """X^K with m-simplices hom(Delta^m x K, X(d)) for m <= cap."""
-    key = (X, K, cap)
-    if key in _cotensor_cache:
-        return _cotensor_cache[key]
     D = X.shape
-    tower = _tower(K)
-
-    def face_fn(n, e, i):
-        return tower.coface(n, i).then(e)
-
-    def deg_fn(n, e, j):
-        return tower.codeg(n, j).then(e)
-
+    cofaces, codegs = _operators(
+        lambda k: glue.induced_tuple_map(glue.product(k.source, K),
+                                         glue.product(k.target, K),
+                                         (k, identity_map(K))), cap)
     pres = {}
     for d in D.objects:
-        levels = [hom_set(tower.tc(m).space, X.at[d])
+        levels = [hom_set(glue.product(standard_simplex(m), K).space, X.at[d])
                   for m in range(cap + 1)]
-        pres[d] = complex_from_levels(levels, face_fn, deg_fn, cap)
+        pres[d] = complex_from_levels(levels, cofaces, codegs, cap)
     at = {d: pres[d].space for d in D.objects}
-    act = {}
-    for m in D.arrows:
-        act[m] = pres[D.src[m]].transport(
-            pres[D.tgt[m]], lambda n, e: e.then(X.act[m]))
-    result = Cotensor(Diagram(D, at, act), pres, X, K, cap)
-    _cotensor_cache[key] = result
-    return result
+    act = {m: pres[D.src[m]].transport(pres[D.tgt[m]],
+                                       lambda n, e: e.then(X.act[m]))
+           for m in D.arrows}
+    return Cotensor(Diagram(D, at, act), pres, X, K, cap)
 
 
 def cotensor_map(f: DiagramMap, K: SimplicialSet, cap) -> DiagramMap:
@@ -864,9 +820,9 @@ def cotensor_restriction(X: Diagram, k: SimplicialMap, cap) -> DiagramMap:
     """Precomposition X^L -> X^K induced by an inclusion k: K -> L."""
     K, L = k.source, k.target
     cL, cK = cotensor(X, L, cap), cotensor(X, K, cap)
-    tK, tL = _tower(K), _tower(L)
     # product(Delta^m, K) -> product(Delta^m, L), one per level
-    incls = [glue.induced_tuple_map(tK.tc(m), tL.tc(m),
+    incls = [glue.induced_tuple_map(glue.product(standard_simplex(m), K),
+                                    glue.product(standard_simplex(m), L),
                                     (identity_map(standard_simplex(m)), k))
              for m in range(cap + 1)]
     comps = {d: cL.pres[d].transport(cK.pres[d],
@@ -919,86 +875,27 @@ def hom_D(A: Diagram, X: Diagram,
                      budget=budget)
 
 
-class HomComplex:
-    """The mapping complex of diagrams, truncated at a dimension cap.
-
-    Level n is the set of natural transformations A tensor Delta^n -> X.
-    """
-
-    def __init__(self, pres: LevelPresentation, A, X, cap):
-        self.pres = pres
-        self.space = pres.space
-        self.A = A
-        self.X = X
-        self.cap = cap
-        self.truncated = True
-
-
-class _TensorTower:
-    """tensor(A, Delta^m) with coface/codegeneracy actions, grown on demand."""
-
-    def __init__(self, A):
-        self.A = A
-        self._coface = {}
-        self._codeg = {}
-
-    def tensor(self, m) -> Tensor:
-        return tensor(self.A, standard_simplex(m))
-
-    def coface(self, m, i) -> DiagramMap:
-        if (m, i) not in self._coface:
-            self._coface[(m, i)] = tensor_map(identity_dmap(self.A),
-                                              coface_map(m, i))
-        return self._coface[(m, i)]
-
-    def codeg(self, m, j) -> DiagramMap:
-        if (m, j) not in self._codeg:
-            self._codeg[(m, j)] = tensor_map(identity_dmap(self.A),
-                                             codegeneracy_map(m, j))
-        return self._codeg[(m, j)]
-
-
-_tensor_tower_cache = {}
-
-
-def _tensor_tower(A) -> _TensorTower:
-    if A not in _tensor_tower_cache:
-        _tensor_tower_cache[A] = _TensorTower(A)
-    return _tensor_tower_cache[A]
-
-
-_hom_complex_cache = {}
-
-
-def hom_complex(A: Diagram, X: Diagram, cap) -> HomComplex:
-    key = (A, X, cap)
-    if key in _hom_complex_cache:
-        return _hom_complex_cache[key]
-    tower = _tensor_tower(A)
-
-    def face_fn(n, e, i):
-        return tower.coface(n, i).then(e)
-
-    def deg_fn(n, e, j):
-        return tower.codeg(n, j).then(e)
-
-    levels = [hom_D(tower.tensor(m).diagram, X) for m in range(cap + 1)]
-    pres = complex_from_levels(levels, face_fn, deg_fn, cap)
-    result = HomComplex(pres, A, X, cap)
-    _hom_complex_cache[key] = result
-    return result
+@functools.cache
+def hom_complex(A: Diagram, X: Diagram, cap) -> LevelPresentation:
+    """The mapping complex of diagrams up to the cap: level n is the set of
+    natural transformations A tensor Delta^n -> X."""
+    cofaces, codegs = _operators(
+        lambda k: tensor_map(identity_dmap(A), k), cap)
+    levels = [hom_D(tensor(A, standard_simplex(m)).diagram, X)
+              for m in range(cap + 1)]
+    return complex_from_levels(levels, cofaces, codegs, cap)
 
 
 def hom_complex_post(A: Diagram, f: DiagramMap, cap) -> SimplicialMap:
     """hom(A, X) -> hom(A, Y) induced by postcomposition with f: X -> Y."""
     hs, ht = hom_complex(A, f.source, cap), hom_complex(A, f.target, cap)
-    return hs.pres.transport(ht.pres, lambda n, e: e.then(f))
+    return hs.transport(ht, lambda n, e: e.then(f))
 
 
 def hom_complex_pre(h: DiagramMap, X: Diagram, cap) -> SimplicialMap:
     """hom(B, X) -> hom(A, X) induced by precomposition with h: A -> B."""
     hs, ht = hom_complex(h.target, X, cap), hom_complex(h.source, X, cap)
-    return hs.pres.transport(ht.pres, lambda n, e: tensor_map(
+    return hs.transport(ht, lambda n, e: tensor_map(
         h, identity_map(standard_simplex(n))).then(e))
 
 
@@ -1008,10 +905,8 @@ def adjoint_to_cotensor(a: DiagramMap, T: Diagram, cot: Cotensor) -> DiagramMap:
     The element assigned to a cell t evaluates a along the operator action
     of the Delta-coordinate on t.
     """
-    from .simplicial import apply_operator, simplex_vertices
     X, K = cot.base, cot.K
     t_tensor = tensor(T, K)
-    tower = _tower(K)
     comps = {}
     for d in T.shape.objects:
         tc = t_tensor.tcs[d]
@@ -1023,7 +918,7 @@ def adjoint_to_cotensor(a: DiagramMap, T: Diagram, cot: Cotensor) -> DiagramMap:
                     f"adjoint_to_cotensor: cell {t!r} of dimension {m} is "
                     f"above the cotensor cap {cot.cap}, so its element has "
                     f"no simplex in the truncated cotensor")
-            ptc = tower.tc(m)
+            ptc = glue.product(standard_simplex(m), K)
             psi = {}
             for cell in ptc.space.all_cells():
                 sigma, kappa = ptc.coords[cell]
@@ -1051,7 +946,6 @@ def adjoint_to_tensor(phi: DiagramMap, cot: Cotensor) -> DiagramMap:
     X = cot.base
     K = cot.K
     t = tensor(T, K)
-    tower = _tower(K)
     comps = {}
     for d in T.shape.objects:
         tc = t.tcs[d]
@@ -1062,6 +956,7 @@ def adjoint_to_tensor(phi: DiagramMap, cot: Cotensor) -> DiagramMap:
             w, c = phi.components[d](u)
             m = pres.space.cell_dim(c)
             iota = Simplex(w, standard_simplex(m).cells(m)[0])
-            images.append(pres.elem_of_cell[c](tower.tc(m).locate((iota, v))))
+            images.append(pres.elem_of_cell[c](
+                glue.product(standard_simplex(m), K).locate((iota, v))))
         comps[d] = SimplicialMap(tc.space, X.at[d], images=tuple(images))
     return DiagramMap(t.diagram, X, comps)

@@ -2,8 +2,9 @@
 
 Every report names the caps and budgets it was computed with and flags
 truncation.  Exit status: 0 on decisive success, 2 on inconclusive verdicts
-or exhausted budgets, 1 on errors.  Default caps can be overridden with the
-environment variable EQLOC_CAPS, e.g. EQLOC_CAPS="stages=4,n_cap=2".
+or exhausted budgets, 1 on errors (bad caps and usage errors too).  Default
+caps can be overridden with the environment variable EQLOC_CAPS, e.g.
+EQLOC_CAPS="stages=4,n_cap=2"; every cap must be an integer >= 0.
 """
 
 from __future__ import annotations
@@ -41,7 +42,14 @@ from .localization import (
     localize,
 )
 from .orbits import orbit_category_of
-from .soa import Budget, rlp_check, setup_I, setup_J, small_object_argument
+from .soa import (
+    Budget,
+    find_lift,
+    rlp_check,
+    setup_I,
+    setup_J,
+    small_object_argument,
+)
 
 ENV_CAPS = "EQLOC_CAPS"
 
@@ -49,24 +57,34 @@ _CAP_KEYS = ("stages", "n_cap", "dim_cap", "hor_n_cap", "j_n_cap",
              "probe_n_cap", "hom_cap", "pi_cap", "level_cap")
 
 
+def checked_cap(source, key, value, known=_CAP_KEYS):
+    """value, when key is a known cap and value an int >= 0 (not a bool);
+    otherwise a DocumentError naming the source, the key and the value."""
+    if key not in known:
+        raise DocumentError(f"{source}: unknown cap {key!r} = {value!r}")
+    if type(value) is not int or value < 0:
+        raise DocumentError(f"{source}: cap {key!r} must be an integer "
+                            f">= 0, not {value!r}")
+    return value
+
+
 def env_caps() -> dict:
-    raw = os.environ.get(ENV_CAPS, "")
     out = {}
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        key, _, value = chunk.partition("=")
-        if key not in _CAP_KEYS:
-            raise DocumentError(f"{ENV_CAPS}: unknown cap {key!r}")
-        out[key] = int(value)
+    for chunk in os.environ.get(ENV_CAPS, "").split(","):
+        if chunk.strip():
+            key, _, value = chunk.strip().partition("=")
+            try:
+                value = int(value)
+            except ValueError:
+                pass  # checked_cap names it
+            out[key] = checked_cap(ENV_CAPS, key, value)
     return out
 
 
 def cap(args, name, default):
     explicit = getattr(args, name, None)
     if explicit is not None:
-        return explicit
+        return checked_cap("--" + name.replace("_", "-"), name, explicit)
     return env_caps().get(name, default)
 
 
@@ -196,7 +214,6 @@ def cmd_factorize(args):
     delta_report = {"stabilized": r.stopped_by == "stabilization"}
     if r.stopped_by == "stabilization":
         # re-verify independently: every assigned square of delta lifts
-        from .soa import find_lift
         unsolved = [sq.member_id for sq in instr.assign(r.delta)
                     if find_lift(sq.top, r.delta, sq.left, sq.right) is None]
         delta_report["delta_rlp_verified"] = not unsolved
@@ -225,11 +242,13 @@ def _loc_spec(args, ws) -> LocalizationSpec:
         if doc is None:
             raise DocumentError(f"unknown localization spec {args.spec!r}")
         doc_caps = doc.get("caps", {})
-        caps = LocalizationCaps(**{
-            **{k: getattr(caps, k) for k in
-               ("hor_n_cap", "j_n_cap", "probe_n_cap", "dim_cap",
-                "hom_cap", "pi_cap", "stages", "uniqueness_limit")},
-            **doc_caps})
+        if not isinstance(doc_caps, dict):
+            raise DocumentError(f"spec {args.spec!r}: caps is not an object")
+        fields = dict(vars(caps))  # every field of LocalizationCaps
+        for key, value in doc_caps.items():
+            fields[key] = checked_cap(f"spec {args.spec!r}", key, value,
+                                      fields)
+        caps = LocalizationCaps(**fields)
         if "fixedpointwise" in doc:
             f = ws.maps.get(doc["fixedpointwise"])
             if f is None:
@@ -250,6 +269,14 @@ def _loc_spec(args, ws) -> LocalizationSpec:
     return LocalizationSpec(shape, generators=gens, caps=caps)
 
 
+def _fixed_points(Z, j, spec) -> list:
+    """The fixed-point reports of Z over the orbits of the map j."""
+    E = default_orbit_category(j, 0, spec.caps.dim_cap)
+    return [{"orbit": rep.orbit_index, "fibrant": rep.fibrant,
+             "pi0": rep.components, "local": verdict_doc(rep.local)}
+            for rep in fixed_point_locality_report(Z, spec.f, E, spec.caps)]
+
+
 def cmd_localize(args):
     ws = load_workspace(args)
     X = ws.diagram(args.diagram)
@@ -263,13 +290,7 @@ def cmd_localize(args):
         "locality": verdict_doc(r.locality),
     }
     if spec.mode == "fixedpointwise":
-        E = default_orbit_category(r.j, 0, spec.caps.dim_cap)
-        reports = fixed_point_locality_report(r.local_object, spec.f, E,
-                                              spec.caps)
-        report["fixed_points"] = [
-            {"orbit": rep.orbit_index, "fibrant": rep.fibrant,
-             "pi0": rep.components, "local": verdict_doc(rep.local)}
-            for rep in reports]
+        report["fixed_points"] = _fixed_points(r.local_object, r.j, spec)
     emit(args, report,
          f"localized in {r.trace.n_stages} stage(s), "
          f"stopped by {r.trace.stopped_by}; locality: {r.locality.value}")
@@ -286,12 +307,7 @@ def cmd_locality(args):
     v = is_S_local(Z, spec)
     report = {"locality": verdict_doc(v)}
     if spec.mode == "fixedpointwise":
-        E = default_orbit_category(terminal_dmap(Z), 0, spec.caps.dim_cap)
-        reports = fixed_point_locality_report(Z, spec.f, E, spec.caps)
-        report["fixed_points"] = [
-            {"orbit": rep.orbit_index, "fibrant": rep.fibrant,
-             "pi0": rep.components, "local": verdict_doc(rep.local)}
-            for rep in reports]
+        report["fixed_points"] = _fixed_points(Z, terminal_dmap(Z), spec)
     emit(args, report, f"locality: {v.value} ({v.reason or 'at caps'})")
     return {"yes": 0, "no": 0, "inconclusive": 2}[v.value]
 
@@ -476,8 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error is bad input: exit 1, not 2
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (DocumentError, ValueError) as exc:

@@ -16,6 +16,7 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     constant_map,
+    empty_simplicial_set,
     nondeg,
     point,
 )
@@ -68,5 +69,4 @@ def interval_plus_point() -> Diagram:
 
 
 def empty_to_point_map() -> SimplicialMap:
-    from .simplicial import empty_simplicial_set
     return SimplicialMap(empty_simplicial_set(), point(), {})

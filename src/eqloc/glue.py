@@ -7,6 +7,7 @@ simplices that are jointly nondegenerate.
 
 from __future__ import annotations
 
+import functools
 import sys
 
 from .simplicial import (
@@ -274,16 +275,11 @@ def _constrained(factors, by_slot, n, slot, partial):
     return pool
 
 
-_tuple_cache = {}
-
-
+@functools.cache
 def tuple_complex(factors, constraints=()) -> TupleComplex:
     """Limit of finitely many factors under constraints (i, f, j, g) meaning
-    f(x_i) = g(x_j) levelwise, with f on factor i and g on factor j."""
-    key = (tuple(factors), tuple(constraints))
-    if key in _tuple_cache:
-        return _tuple_cache[key]
-
+    f(x_i) = g(x_j) levelwise, with f on factor i and g on factor j.  Both
+    are tuples, and the result is memoized by their values and shared."""
     factors = list(factors)
     constraints = list(constraints)
     dim_bound = sum(max(X.dim, 0) for X in factors) if factors else -1
@@ -327,12 +323,11 @@ def tuple_complex(factors, constraints=()) -> TupleComplex:
                 for i in range(n + 1))
     space = SimplicialSet(levels, faces)
     tc.space = space
-    _tuple_cache[key] = tc
     return tc
 
 
 def product(X: SimplicialSet, Y: SimplicialSet) -> TupleComplex:
-    return tuple_complex((X, Y))
+    return tuple_complex((X, Y), ())
 
 
 def pullback(f: SimplicialMap, g: SimplicialMap) -> TupleComplex:

@@ -33,9 +33,11 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     degenerate_at,
+    divide_word,
     enumerate_maps,
     hom_set,
     horn,
+    horn_inclusion,
     is_injective,
     nondeg,
     standard_simplex,
@@ -187,7 +189,6 @@ def homotopy_report(X: SimplicialSet, cap) -> HomotopyReport:
 
 def sset_rlp(i: SimplicialMap, p: SimplicialMap) -> bool:
     """Right lifting property of p against i, at the simplicial-set level."""
-    from .simplicial import divide_word
     X = p.source
     rights = hom_set(i.target, p.target)
     for a in hom_set(i.source, p.source):
@@ -296,7 +297,6 @@ def default_orbit_category(f: DiagramMap, level_cap=0, dim_cap=1):
 def is_fibration_equivariant(f: DiagramMap, orbits: OrbitCategory,
                              n_cap, hom_cap) -> bool:
     """Horn-RLP of hom(T, f) for every orbit T, at the caps."""
-    from .simplicial import horn_inclusion
     for T in orbits.orbits:
         phi = hom_complex_post(T, f, hom_cap)
         for n in range(1, n_cap + 1):

@@ -10,6 +10,7 @@ generalized small object argument for the combined class.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from .cat import (
@@ -17,6 +18,7 @@ from .cat import (
     DiagramMap,
     Record,
     SmallCategory,
+    adjoint_to_tensor,
     cotensor,
     cotensor_map,
     cotensor_restriction,
@@ -43,7 +45,7 @@ from .homotopy import (
     pi_n,
     sset_weq_probe,
 )
-from .orbits import OrbitCategory, orbit_setup
+from .orbits import OrbitCategory, orbit_naturality, orbit_setup
 from .simplicial import (
     SimplicialMap,
     SimplicialSet,
@@ -62,6 +64,7 @@ from .soa import (
     FactorizationResult,
     Instrumentation,
     Square,
+    _coproduct_mediate,
     find_lift,
     setup_J,
     setup_from_set,
@@ -185,6 +188,30 @@ def class_K(spec: LocalizationSpec, probe: bool = False) -> Instrumentation:
 # the fixed-pointwise instrumentation (class F = {f tensor T})
 
 
+@functools.cache
+def _corners(f: SimplicialMap, n):
+    """Product complexes and inclusion maps of f for exponent n."""
+    A, B = f.source, f.target
+    dn, bdn = standard_simplex(n), boundary(n)
+    incl = boundary_inclusion(n)
+    pAB = {
+        "dB": product(dn, B), "bB": product(bdn, B),
+        "dA": product(dn, A), "bA": product(bdn, A),
+    }
+    maps = {
+        # bd x B -> Delta x B, etc.
+        "bB_dB": induced_tuple_map(pAB["bB"], pAB["dB"],
+                                   (incl, identity_map(B))),
+        "bA_bB": induced_tuple_map(pAB["bA"], pAB["bB"],
+                                   (identity_map(bdn), f)),
+        "bA_dA": induced_tuple_map(pAB["bA"], pAB["dA"],
+                                   (incl, identity_map(A))),
+        "dA_dB": induced_tuple_map(pAB["dA"], pAB["dB"],
+                                   (identity_map(dn), f)),
+    }
+    return pAB, maps
+
+
 class _HorFFamily:
     """Instrumentation of Hor(F) for F = {f (x) T over all orbits T}.
 
@@ -198,37 +225,10 @@ class _HorFFamily:
         self.f = f
         self.shape = shape
         self.caps = caps
-        self._corner_cache = {}
-
-    def _corners(self, n):
-        """Product complexes and inclusion maps for exponent n."""
-        if n in self._corner_cache:
-            return self._corner_cache[n]
-        f = self.f
-        A, B = f.source, f.target
-        dn, bdn = standard_simplex(n), boundary(n)
-        incl = boundary_inclusion(n)
-        pAB = {
-            "dB": product(dn, B), "bB": product(bdn, B),
-            "dA": product(dn, A), "bA": product(bdn, A),
-        }
-        maps = {
-            # bd x B -> Delta x B, etc.
-            "bB_dB": induced_tuple_map(pAB["bB"], pAB["dB"],
-                                       (incl, identity_map(B))),
-            "bA_bB": induced_tuple_map(pAB["bA"], pAB["bB"],
-                                       (identity_map(bdn), f)),
-            "bA_dA": induced_tuple_map(pAB["bA"], pAB["dA"],
-                                       (incl, identity_map(A))),
-            "dA_dB": induced_tuple_map(pAB["dA"], pAB["dB"],
-                                       (identity_map(dn), f)),
-        }
-        self._corner_cache[n] = (pAB, maps)
-        return pAB, maps
 
     def _w_limit(self, g: DiagramMap, n):
         caps = self.caps
-        pAB, maps = self._corners(n)
+        pAB, maps = _corners(self.f, n)
         X, Y = g.source, g.target
         cX_bB = cotensor(X, pAB["bB"].space, caps.dim_cap)
         cY_dB = cotensor(Y, pAB["dB"].space, caps.dim_cap)
@@ -250,8 +250,7 @@ class _HorFFamily:
 
     def _member(self, T: Diagram, n):
         """The Hor(F) member at (n, T) with its structure pushout."""
-        from .cat import adjoint_to_tensor  # local to avoid cycles
-        pAB, maps = self._corners(n)
+        pAB, maps = _corners(self.f, n)
         t_bA_dA = tensor_map(identity_dmap(T), maps["bA_dA"])
         t_bA_bB = tensor_map(identity_dmap(T), maps["bA_bB"])
         po = pushout_D(t_bA_dA, t_bA_bB)
@@ -259,34 +258,31 @@ class _HorFFamily:
                            tensor_map(identity_dmap(T), maps["bB_dB"]))
         return po, arrow
 
+    def _square(self, g: DiagramMap, n, o, lim, cotensors):
+        """The attachment square of the orbit o of W = lim at exponent n,
+        from the adjoints of its three corners, and the member's pushout."""
+        adj_bB, adj_dB, adj_dA = (
+            adjoint_to_tensor(o.into.then(proj), cot)
+            for proj, cot in zip(lim.projections, cotensors))
+        po, arrow = self._member(o.orbit, n)
+        return Square(top=arrow, left=po.mediate(adj_dA, adj_bB),
+                      right=adj_dB, bottom=g, member_id=f"HorF@{n}",
+                      meta=("HorF", n, o.witness), orbit=o), po
+
     def assign(self, g: DiagramMap):
-        from .cat import adjoint_to_tensor
         squares = []
         for n in range(self.caps.hor_n_cap + 1):
-            lim, (cX_bB, cY_dB, cX_dA) = self._w_limit(g, n)
-            for o in orbit_setup(lim.diagram):
-                T = o.orbit
-                adj_bB = adjoint_to_tensor(o.into.then(lim.projections[0]),
-                                           cX_bB)
-                adj_dB = adjoint_to_tensor(o.into.then(lim.projections[1]),
-                                           cY_dB)
-                adj_dA = adjoint_to_tensor(o.into.then(lim.projections[2]),
-                                           cX_dA)
-                po, arrow = self._member(T, n)
-                left = po.mediate(adj_dA, adj_bB)
-                squares.append(Square(
-                    top=arrow, left=left, right=adj_dB, bottom=g,
-                    member_id=f"HorF@{n}",
-                    meta=("HorF", n, o.witness), orbit=o))
+            lim, cotensors = self._w_limit(g, n)
+            squares += [self._square(g, n, o, lim, cotensors)[0]
+                        for o in orbit_setup(lim.diagram)]
         return tuple(squares)
 
     def transport(self, gsq, sq: Square):
-        from .orbits import orbit_naturality
         n = sq.meta[1]
         lim1, _ = self._w_limit(gsq.source, n)
-        lim2, (cX2, cY2, cA2) = self._w_limit(gsq.target, n)
+        lim2, cotensors2 = self._w_limit(gsq.target, n)
         caps = self.caps
-        pAB, maps = self._corners(n)
+        pAB, maps = _corners(self.f, n)
         g_tilde = lim2.mediate([
             lim1.projections[0].then(
                 cotensor_map(gsq.upper, pAB["bB"].space, caps.dim_cap)),
@@ -296,16 +292,7 @@ class _HorFFamily:
                 cotensor_map(gsq.upper, pAB["dA"].space, caps.dim_cap)),
         ])
         F, o2 = orbit_naturality(g_tilde, sq.orbit)
-        from .cat import adjoint_to_tensor
-        T2 = o2.orbit
-        adj_bB = adjoint_to_tensor(o2.into.then(lim2.projections[0]), cX2)
-        adj_dB = adjoint_to_tensor(o2.into.then(lim2.projections[1]), cY2)
-        adj_dA = adjoint_to_tensor(o2.into.then(lim2.projections[2]), cA2)
-        po2, arrow2 = self._member(T2, n)
-        left2 = po2.mediate(adj_dA, adj_bB)
-        target = Square(top=arrow2, left=left2, right=adj_dB,
-                        bottom=gsq.target, member_id=f"HorF@{n}",
-                        meta=("HorF", n, o2.witness), orbit=o2)
+        target, po2 = self._square(gsq.target, n, o2, lim2, cotensors2)
         po1, _ = self._member(sq.orbit.orbit, n)
         connect_dom = po1.mediate(
             tensor_map(F, identity_map(pAB["dA"].space)).then(po2.from_left),
@@ -412,7 +399,6 @@ def extend_to_local(g: DiagramMap, result: LocalizationResult) -> DiagramMap:
             if lift is None:
                 raise ObstructedLift(sq)
             lifts.append(lift)
-        from .soa import _coproduct_mediate
         coA, coB = stage.tops_coproduct
         h = stage.pushout.mediate(h, _coproduct_mediate(coB, lifts, P))
     if result.j.then(h) != g:
@@ -542,13 +528,12 @@ def isomorphic_to_point(X: SimplicialSet) -> bool:
 
 def arrow_isomorphic(f: DiagramMap, g: DiagramMap) -> bool:
     """Isomorphism of arrows: isos of sources and targets commuting with them."""
-    from .simplicial import is_isomorphism as sset_iso
     for psi in hom_D(f.target, g.target):
-        if not all(sset_iso(psi.components[d]) is not None
+        if not all(is_isomorphism(psi.components[d]) is not None
                    for d in f.target.shape.objects):
             continue
         for phi in hom_D(f.source, g.source):
-            if not all(sset_iso(phi.components[d]) is not None
+            if not all(is_isomorphism(phi.components[d]) is not None
                        for d in f.source.shape.objects):
                 continue
             if phi.then(g) == f.then(psi):

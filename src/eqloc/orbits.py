@@ -7,6 +7,7 @@ cotensor levels) along the canonical map to the colimit.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from .cat import (
@@ -61,17 +62,13 @@ def is_orbit(T: Diagram) -> bool:
     return c.dim == 0 and len(c.cells(0)) == 1
 
 
-_setup_cache = {}
-
-
+@functools.cache
 def orbit_setup(X: Diagram):
     """One orbit map per vertex of colim X, pulled back along X -> colim X.
 
     This is the level-0 factorization setup for maps of orbits into X: any
     map from an orbit factors through the member over the matching vertex.
     """
-    if X in _setup_cache:
-        return _setup_cache[X]
     co = colim(X)
     D = X.shape
     constC = constant_diagram(D, co.space)
@@ -85,9 +82,7 @@ def orbit_setup(X: Diagram):
         pb = pullback_D(q, vmap)
         out.append(OrbitMap(orbit=pb.diagram, into=pb.proj1,
                             level=0, witness=v, pullback=pb))
-    result = tuple(out)
-    _setup_cache[X] = result
-    return result
+    return tuple(out)
 
 
 def factor_through_setup(phi: DiagramMap, setup) -> Optional[tuple]:
@@ -211,11 +206,8 @@ def orbit_category_of(X: Diagram, level_cap=1, dim_cap=2) -> OrbitCategory:
     for n in range(level_cap + 1):
         C = cotensor(X, standard_simplex(n), dim_cap).diagram
         for o in orbit_setup(C):
-            found = None
-            for i, T in enumerate(kept):
-                if diagram_isomorphic(o.orbit, T) is not None:
-                    found = i
-                    break
+            found = next((i for i, T in enumerate(kept)
+                          if diagram_isomorphic(o.orbit, T) is not None), None)
             if found is None:
                 kept.append(o.orbit)
                 witnesses.append([(n, o.witness)])

@@ -7,6 +7,7 @@ happens on words, so a complex only ever materializes its nondegenerate cells.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, NamedTuple, Optional
 
@@ -309,9 +310,8 @@ def validate(X: SimplicialSet):
 # standard complexes
 #
 # Cells of the standard family are named by dot-joined vertex labels, e.g.
-# "0.2.3" for the face of a simplex spanned by vertices 0, 2, 3.
-
-_standard_cache = {}
+# "0.2.3" for the face of a simplex spanned by vertices 0, 2, 3.  They and
+# their coface and codegeneracy maps are built once, by functools.cache.
 
 
 def _subset_name(vs) -> str:
@@ -336,40 +336,37 @@ def _simplex_on_subsets(n, subsets):
     return SimplicialSet(levels, faces)
 
 
+@functools.cache
 def standard_simplex(n) -> SimplicialSet:
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    if ("std", n) not in _standard_cache:
-        subsets = [c for m in range(n + 1)
-                   for c in itertools.combinations(range(n + 1), m + 1)]
-        _standard_cache[("std", n)] = _simplex_on_subsets(n, subsets)
-    return _standard_cache[("std", n)]
+    subsets = [c for m in range(n + 1)
+               for c in itertools.combinations(range(n + 1), m + 1)]
+    return _simplex_on_subsets(n, subsets)
 
 
+@functools.cache
 def boundary(n) -> SimplicialSet:
     """The boundary of the standard n-simplex; empty when n = 0."""
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    if ("bd", n) not in _standard_cache:
-        subsets = [c for m in range(n)
-                   for c in itertools.combinations(range(n + 1), m + 1)]
-        _standard_cache[("bd", n)] = _simplex_on_subsets(n, subsets)
-    return _standard_cache[("bd", n)]
+    subsets = [c for m in range(n)
+               for c in itertools.combinations(range(n + 1), m + 1)]
+    return _simplex_on_subsets(n, subsets)
 
 
+@functools.cache
 def horn(n, k) -> SimplicialSet:
     """The horn missing the k-th facet; requires n >= 1."""
     if n < 1:
         raise ValueError("horn requires n >= 1")
     if not 0 <= k <= n:
         raise ValueError("horn index out of range")
-    if ("horn", n, k) not in _standard_cache:
-        skipped = tuple(v for v in range(n + 1) if v != k)
-        subsets = [c for m in range(n)
-                   for c in itertools.combinations(range(n + 1), m + 1)
-                   if c != skipped]
-        _standard_cache[("horn", n, k)] = _simplex_on_subsets(n, subsets)
-    return _standard_cache[("horn", n, k)]
+    skipped = tuple(v for v in range(n + 1) if v != k)
+    subsets = [c for m in range(n)
+               for c in itertools.combinations(range(n + 1), m + 1)
+               if c != skipped]
+    return _simplex_on_subsets(n, subsets)
 
 
 def empty_simplicial_set() -> SimplicialSet:
@@ -540,11 +537,8 @@ def verify_map(f: SimplicialMap):
 
 
 def constant_map(X: SimplicialSet, Y: SimplicialSet, vertex: str) -> SimplicialMap:
-    assignment = {}
-    for c in X.all_cells():
-        n = X.cell_dim(c)
-        assignment[c] = Simplex(tuple(range(n - 1, -1, -1)), vertex)
-    return SimplicialMap(X, Y, assignment)
+    return SimplicialMap(X, Y, {c: degenerate_at(Y, vertex, X.cell_dim(c))
+                                for c in X.all_cells()})
 
 
 def degenerate_at(X: SimplicialSet, vertex: str, n) -> Simplex:
@@ -561,22 +555,18 @@ def standard_map(src: SimplicialSet, tgt: SimplicialSet, vmap) -> SimplicialMap:
     return SimplicialMap(src, tgt, assignment)
 
 
+@functools.cache
 def coface_map(n, i) -> SimplicialMap:
     """delta_i: the inclusion of the i-th facet Delta^{n-1} -> Delta^n."""
-    if ("delta", n, i) not in _standard_cache:
-        vmap = [v if v < i else v + 1 for v in range(n)]
-        _standard_cache[("delta", n, i)] = standard_map(
-            standard_simplex(n - 1), standard_simplex(n), vmap)
-    return _standard_cache[("delta", n, i)]
+    vmap = [v if v < i else v + 1 for v in range(n)]
+    return standard_map(standard_simplex(n - 1), standard_simplex(n), vmap)
 
 
+@functools.cache
 def codegeneracy_map(n, j) -> SimplicialMap:
     """sigma_j: the collapse Delta^{n+1} -> Delta^n repeating vertex j."""
-    if ("sigma", n, j) not in _standard_cache:
-        vmap = [v if v <= j else v - 1 for v in range(n + 2)]
-        _standard_cache[("sigma", n, j)] = standard_map(
-            standard_simplex(n + 1), standard_simplex(n), vmap)
-    return _standard_cache[("sigma", n, j)]
+    vmap = [v if v <= j else v - 1 for v in range(n + 2)]
+    return standard_map(standard_simplex(n + 1), standard_simplex(n), vmap)
 
 
 def boundary_inclusion(n) -> SimplicialMap:
@@ -684,7 +674,8 @@ def enumerate_maps(X: SimplicialSet, Y: SimplicialSet,
 
     pins forces cell values; cell_filter(cell, candidate) prunes candidates;
     limit caps the number of maps returned; budget is a one-element mutable
-    counter of candidate tries, raising BudgetExceeded at zero.
+    counter of candidate tries, decremented per try: the first try after it
+    reaches zero raises BudgetExceeded.
 
     Without limit, cells are searched faces-first (each right after the
     cells of its faces) and the maps are sorted back into canonical order;

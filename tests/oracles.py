@@ -3,13 +3,16 @@
 The oracles deliberately avoid the pruned search paths of the package: hom
 sets by filtering the full product of dimension-preserving assignments, pi0
 by union-find, lifting by filtering full hom sets, tensor adjoints by
-composing whole codegeneracy maps.
+composing whole codegeneracy maps, mapping-complex presentations by
+composing every face and degeneracy from the coface and codegeneracy maps
+per lookup.
 """
 
 import itertools
 import random
+import sys
 
-from eqloc.cat import DiagramMap, tensor
+from eqloc.cat import DiagramMap, hom_D, identity_dmap, tensor, tensor_map
 from eqloc.glue import (UnionFind, induced_tuple_map, product, pushout,
                         quotient)
 from eqloc.simplicial import (
@@ -18,6 +21,7 @@ from eqloc.simplicial import (
     SimplicialSet,
     boundary,
     boundary_inclusion,
+    coface_map,
     codegeneracy_map,
     compose_words,
     constant_map,
@@ -198,6 +202,70 @@ def adjoint_to_tensor_oracle(phi, cot):
                 (top, v)))
         comps[d] = SimplicialMap(tc.space, X.at[d], assignment)
     return DiagramMap(t.diagram, X, comps)
+
+
+def presentation_oracle(levels, face_fn, deg_fn):
+    """A normal-form presentation of levelwise elements, composing every
+    face_fn(n, e, i) and deg_fn(n, e, j) (which raises the level from n to
+    n+1) at the point of use.  Returns (space, to_simplex, elem_of_cell)."""
+    to_simplex = {}
+    elem_of_cell = {}
+    new_levels = []
+    faces = {}
+    for n, elems in enumerate(levels):
+        level = []
+        for e in elems:
+            js = [j for j in range(n)
+                  if deg_fn(n - 1, face_fn(n, e, j), j) == e]
+            if js:
+                j = max(js)
+                sub = to_simplex[(n - 1, face_fn(n, e, j))]
+                to_simplex[(n, e)] = Simplex(compose_words((j,), sub.word),
+                                             sub.cell)
+            else:
+                name = sys.intern(f"e{n}_{len(level)}")
+                level.append(name)
+                elem_of_cell[name] = e
+                if n >= 1:
+                    faces[name] = tuple(to_simplex[(n - 1, face_fn(n, e, i))]
+                                        for i in range(n + 1))
+                to_simplex[(n, e)] = nondeg(name)
+        new_levels.append(level)
+    return SimplicialSet(new_levels, faces), to_simplex, elem_of_cell
+
+
+def cotensor_oracle(X, K, cap, d):
+    """The presentation of X(d)^K up to the cap: level m is
+    hom(Delta^m x K, X(d)), faces and degeneracies by precomposition with
+    the coface and codegeneracy maps of Delta^* times K."""
+    def tc(m):
+        return product(standard_simplex(m), K)
+
+    def face_fn(n, e, i):
+        return induced_tuple_map(tc(n - 1), tc(n), (
+            coface_map(n, i), identity_map(K))).then(e)
+
+    def deg_fn(n, e, j):
+        return induced_tuple_map(tc(n + 1), tc(n), (
+            codegeneracy_map(n, j), identity_map(K))).then(e)
+
+    levels = [hom_set(tc(m).space, X.at[d]) for m in range(cap + 1)]
+    return presentation_oracle(levels, face_fn, deg_fn)
+
+
+def hom_complex_oracle(A, X, cap):
+    """The presentation of hom(A, X) up to the cap: level m is
+    Nat(A tensor Delta^m, X), faces and degeneracies by precomposition with
+    A tensored with the coface and codegeneracy maps."""
+    def face_fn(n, e, i):
+        return tensor_map(identity_dmap(A), coface_map(n, i)).then(e)
+
+    def deg_fn(n, e, j):
+        return tensor_map(identity_dmap(A), codegeneracy_map(n, j)).then(e)
+
+    levels = [hom_D(tensor(A, standard_simplex(m)).diagram, X)
+              for m in range(cap + 1)]
+    return presentation_oracle(levels, face_fn, deg_fn)
 
 
 def random_sset(rng: random.Random, max_cells=10) -> SimplicialSet:

@@ -47,7 +47,10 @@ from eqloc.fixtures import (
     z2_collapse,
     z2_two_orbits,
 )
+from eqloc.glue import product, pullback
+from eqloc.orbits import orbit_setup
 from eqloc.simplicial import (
+    SimplicialSet,
     boundary,
     boundary_inclusion,
     hom_set,
@@ -58,7 +61,11 @@ from eqloc.simplicial import (
     standard_simplex,
     verify_map,
 )
-from oracles import adjoint_to_tensor_oracle
+from oracles import (
+    adjoint_to_tensor_oracle,
+    cotensor_oracle,
+    hom_complex_oracle,
+)
 
 
 def cell_counts(X):
@@ -300,15 +307,21 @@ class TestAdjointToTensor:
         phis = hom_D(T, cot.diagram)
         assert phis
         # T(a) is Delta^1, so tensor(T, K) itself holds product(Delta^1, K):
-        # build it before counting what adjoint_to_tensor adds
+        # build it before recording what adjoint_to_tensor asks for
         tensor(T, K)
-        fresh = {}
-        monkeypatch.setattr(glue, "_tuple_cache", fresh)
+        asked = []
+        build = glue.tuple_complex
+
+        def recording(factors, constraints=()):
+            asked.append((factors, constraints))
+            return build(factors, constraints)
+
+        monkeypatch.setattr(glue, "tuple_complex", recording)
         for phi in phis:
             adjoint_to_tensor(phi, cot)
-        above = sorted(X.dim for (X, L), _ in fresh
-                       if L == K and X.dim > 0 and X == standard_simplex(X.dim))
-        assert above == []
+        # every ask, cached or not, is for product(Delta^0, K)
+        assert asked
+        assert set(asked) == {((standard_simplex(0), K), ())}
 
     def test_cell_above_cap_names_cell_and_cap(self):
         """T(a) = Delta^1 has a 1-cell, whose element a cap-0 cotensor does
@@ -358,6 +371,100 @@ class TestHomComplex:
         assert verify_map(post) == []
         pre = hom_complex_pre(f, trivial_z2_orbit(), 1)
         assert verify_map(pre) == []
+
+
+def _levels_1_and_2(space):
+    return len(space.levels) == 3 and all(space.levels[1:])
+
+
+def _z2_interval():
+    return tensor(free_z2_orbit(), standard_simplex(1)).diagram
+
+
+def _z2_two_intervals():
+    return tensor(z2_two_orbits(), standard_simplex(1)).diagram
+
+
+def _edge():
+    return wrap_sset(standard_simplex(1))
+
+
+PRESENTATION_COTENSORS = {
+    "Delta1^Delta1": (_edge, lambda: standard_simplex(1), "*"),
+    "Delta1^bdDelta1": (_edge, lambda: boundary(1), "*"),
+    "Delta2^bdDelta1": (lambda: wrap_sset(standard_simplex(2)),
+                        lambda: boundary(1), "*"),
+    "Z2-interval^Delta1": (_z2_interval, lambda: standard_simplex(1), "*"),
+    "arrow-Delta1^Delta1": (lambda: arrow_orbit(standard_simplex(1)),
+                            lambda: standard_simplex(1), "a"),
+}
+
+PRESENTATION_HOM_COMPLEXES = {
+    "two-points->Delta1": (lambda: wrap_sset(SimplicialSet([["u", "v"]], {})),
+                           _edge),
+    "point->square": (lambda: point_diagram(terminal_category()),
+                      lambda: wrap_sset(product(standard_simplex(1),
+                                                standard_simplex(1)).space)),
+    "arrow-bd1->arrow-Delta1": (lambda: arrow_orbit(boundary(1)),
+                                lambda: arrow_orbit(standard_simplex(1))),
+    "two-orbits->two-intervals": (z2_two_orbits, _z2_two_intervals),
+}
+
+
+class TestPresentationOracle:
+    """cotensor and hom_complex extract the same presentation as faces and
+    degeneracies composed per lookup from the coface/codegeneracy maps."""
+
+    @pytest.mark.parametrize("case", sorted(PRESENTATION_COTENSORS))
+    def test_cotensor_matches_oracle(self, case):
+        make_X, make_K, d = PRESENTATION_COTENSORS[case]
+        X, K = make_X(), make_K()
+        pres = cotensor(X, K, 2).pres[d]
+        space, to_simplex, elem_of_cell = cotensor_oracle(X, K, 2, d)
+        assert _levels_1_and_2(space)
+        assert pres.space == space
+        assert pres.to_simplex == to_simplex
+        assert pres.elem_of_cell == elem_of_cell
+        assert pres.cap == 2
+
+    @pytest.mark.parametrize("case", sorted(PRESENTATION_HOM_COMPLEXES))
+    def test_hom_complex_matches_oracle(self, case):
+        make_A, make_X = PRESENTATION_HOM_COMPLEXES[case]
+        A, X = make_A(), make_X()
+        hc = hom_complex(A, X, 2)
+        space, to_simplex, elem_of_cell = hom_complex_oracle(A, X, 2)
+        assert _levels_1_and_2(space)
+        assert hc.space == space
+        assert hc.to_simplex == to_simplex
+        assert hc.elem_of_cell == elem_of_cell
+        assert hc.cap == 2
+
+
+class TestMemoKeys:
+    """Memoized constructions are keyed by value: equal but distinct
+    arguments get the very same result object."""
+
+    def test_equal_arguments_share_results(self):
+        X1, X2 = z2_two_orbits(), z2_two_orbits()
+        assert X1 == X2 and X1 is not X2
+        K1, K2 = boundary(1), SimplicialSet([["0", "1"]], {})
+        assert K1 == K2 and K1 is not K2
+        assert tensor(X1, K1) is tensor(X2, K2)
+        assert cotensor(X1, standard_simplex(1), 1) is \
+            cotensor(X2, standard_simplex(1), 1)
+        assert hom_complex(free_z2_orbit(), X1, 1) is \
+            hom_complex(free_z2_orbit(), X2, 1)
+        assert orbit_setup(X1) is orbit_setup(X2)
+        A1, A2 = X1.at["*"], X2.at["*"]
+        assert A1 is not A2
+        assert product(A1, K2) is product(A2, K2)
+        f1, f2 = X1.act["g1"], X2.act["g1"]
+        assert f1 is not f2
+        assert pullback(f1, f1) is pullback(f2, f2)
+
+    def test_product_shares_the_two_argument_entry(self):
+        X, K = free_z2_orbit().at["*"], standard_simplex(1)
+        assert product(X, K) is glue.tuple_complex((X, K), ())
 
 
 class TestPointwise:

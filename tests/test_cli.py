@@ -396,6 +396,73 @@ class TestReplay:
         assert code == 1
 
 
+# the bad value of each kind, as a flag or EQLOC_CAPS gives it and as a
+# spec's JSON gives it
+BAD_CAPS = {
+    "negative": ("dim_cap", "-1", -1),
+    "non-integer": ("dim_cap", "1.5", "1"),
+    "unknown-key": ("dimcap", "1", 1),
+}
+
+
+class TestCapChecks:
+    """A cap from a flag, EQLOC_CAPS or a spec's "caps" must be a known key
+    and an integer >= 0; otherwise the CLI exits 1 naming the cap."""
+
+    @pytest.mark.parametrize("kind", sorted(BAD_CAPS))
+    @pytest.mark.parametrize("source", ["flag", "env", "spec"])
+    def test_bad_cap_exits_1(self, source, kind, tmp_path, capsys,
+                             monkeypatch):
+        key, text, value = BAD_CAPS[kind]
+        argv = ["localize", "-w", Z2, "-d", "both"]
+        if source == "spec":
+            doc = {"schema": "eqloc/1", "localization_specs": {
+                "S": {"fixedpointwise": "empty-to-point",
+                      "caps": {key: value}}}}
+            p = tmp_path / "spec.json"
+            p.write_text(json.dumps(doc))
+            argv += ["-w", str(p), "--spec", "S"]
+        else:
+            argv += ["--fixedpointwise-f", "empty-to-point"]
+            if source == "env":
+                monkeypatch.setenv("EQLOC_CAPS", f"{key}={text}")
+            else:
+                argv += ["--" + key.replace("_", "-"), text]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        named = key.replace("_", "-") if source == "flag" else key
+        assert named in err
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("value", [True, -1, 1.0, None, [1]])
+    def test_spec_cap_must_be_a_natural(self, value, tmp_path, capsys):
+        doc = {"schema": "eqloc/1", "localization_specs": {
+            "S": {"fixedpointwise": "empty-to-point",
+                  "caps": {"stages": value}}}}
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "localize", "-w", Z2, "-w", str(p),
+                             "-d", "both", "--spec", "S")
+        assert code == 1
+        assert "spec 'S': cap 'stages'" in err
+
+    def test_spec_caps_not_an_object(self, tmp_path, capsys):
+        doc = {"schema": "eqloc/1", "localization_specs": {
+            "S": {"fixedpointwise": "empty-to-point", "caps": [1]}}}
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "localize", "-w", Z2, "-w", str(p),
+                             "-d", "both", "--spec", "S")
+        assert code == 1
+        assert "caps is not an object" in err
+
+    def test_zero_caps_are_accepted(self, capsys, monkeypatch):
+        monkeypatch.setenv("EQLOC_CAPS", "level_cap=0")
+        code, out, err = run(capsys, "orbits", "-w", Z2, "-d", "free",
+                             "--dim-cap", "0")
+        assert code == 0
+
+
 class TestWorkspace:
     def test_builtins_present(self):
         ws = Workspace()

@@ -157,6 +157,38 @@ class TestNoAsserts:
                       if name.split(".")[0] in HEAVY_IMPORTS]
         assert found == [], f"imports in {module}.py: {found}"
 
+    @pytest.mark.parametrize("module", MODULES)
+    def test_imports_at_module_level(self, module):
+        """Every import sits at the top of its module: no function imports
+        lazily (there are no import cycles to break)."""
+        found = []
+        for fn in ast.walk(_tree(module)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [n.lineno for n in ast.walk(fn)
+                          if isinstance(n, (ast.Import, ast.ImportFrom))]
+        assert found == [], f"imports inside functions of {module}.py " \
+            f"at lines {sorted(set(found))}"
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_no_module_level_empty_containers(self, module):
+        """Memos go through functools.cache, not hand-rolled module dicts:
+        no module-level name is bound to an empty {}, [] or set()."""
+        def empty(v):
+            return (isinstance(v, ast.Dict) and not v.keys
+                    or isinstance(v, ast.List) and not v.elts
+                    or isinstance(v, ast.Call) and not v.args
+                    and not v.keywords and isinstance(v.func, ast.Name)
+                    and v.func.id in ("dict", "list", "set"))
+        found = []
+        for n in _tree(module).body:
+            if isinstance(n, ast.Assign) and empty(n.value):
+                found += [t.id for t in n.targets if isinstance(t, ast.Name)]
+            elif isinstance(n, ast.AnnAssign) and n.value is not None \
+                    and empty(n.value) and isinstance(n.target, ast.Name):
+                found.append(n.target.id)
+        assert found == [], f"module-level empty containers in " \
+            f"{module}.py: {found}"
+
 
 def test_import_loads_no_heavy_stdlib_modules():
     """A fresh interpreter importing eqloc and its CLI loads none of the
