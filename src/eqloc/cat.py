@@ -578,21 +578,6 @@ def pushout_D(f: DiagramMap, g: DiagramMap) -> PushoutD:
     return PushoutD(diagram, from_left, from_right, pos)
 
 
-class PullbackD:
-    def __init__(self, diagram, proj1, proj2, tcs):
-        self.diagram = diagram
-        self.proj1 = proj1
-        self.proj2 = proj2
-        self.tcs = tcs  # object -> glue.TupleComplex
-
-    def mediate(self, a: DiagramMap, b: DiagramMap) -> DiagramMap:
-        src = a.source
-        comps = {d: self.tcs[d].mediate((a.components[d], b.components[d]),
-                                        source=src.at[d])
-                 for d in src.shape.objects}
-        return DiagramMap(src, self.diagram, comps)
-
-
 class LimitD:
     """Finite limit of diagrams cut out of a product by map equalities."""
 
@@ -631,24 +616,12 @@ def limit_D(factors, constraints) -> LimitD:
     return LimitD(diagram, projections, tcs)
 
 
-def pullback_D(f: DiagramMap, g: DiagramMap) -> PullbackD:
-    """Pointwise fiber product of f: X -> Z and g: Y -> Z."""
+def pullback_D(f: DiagramMap, g: DiagramMap) -> LimitD:
+    """Pointwise fiber product of f: X -> Z and g: Y -> Z, as the limit of
+    X and Y under f = g; projections[0] and [1] go to X and Y."""
     if f.target != g.target:
         raise ValueError("pullback_D needs maps with a common target")
-    D = f.source.shape
-    X, Y = f.source, g.source
-    tcs = {d: glue.pullback(f.components[d], g.components[d])
-           for d in D.objects}
-    at = {d: tcs[d].space for d in D.objects}
-    act = {}
-    for m in D.arrows:
-        a, b = D.src[m], D.tgt[m]
-        act[m] = glue.induced_tuple_map(tcs[a], tcs[b],
-                                        (X.act[m], Y.act[m]))
-    diagram = Diagram(D, at, act)
-    proj1 = DiagramMap(diagram, X, {d: tcs[d].projection(0) for d in D.objects})
-    proj2 = DiagramMap(diagram, Y, {d: tcs[d].projection(1) for d in D.objects})
-    return PullbackD(diagram, proj1, proj2, tcs)
+    return limit_D([f.source, g.source], [(0, f, 1, g)])
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,8 @@ def cmd_locality(args):
 
 
 def cmd_pi(args):
+    if args.n < 0:
+        raise DocumentError(f"--n must be an integer >= 0, not {args.n}")
     ws = load_workspace(args)
     X = ws.sset(args.complex)
     if args.n == 0:
@@ -357,6 +359,9 @@ def cmd_cone(args):
 
 
 def cmd_nullcheck(args):
+    if args.budget is not None and args.budget < 0:
+        raise DocumentError("--budget must be an integer >= 0, "
+                            f"not {args.budget}")
     ws = load_workspace(args)
     f = ws.dmap(args.map)
     verdict, H = is_null_homotopic(f, search_budget=args.budget)

@@ -33,8 +33,6 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     degenerate_at,
-    divide_word,
-    enumerate_maps,
     hom_set,
     horn,
     horn_inclusion,
@@ -42,7 +40,13 @@ from .simplicial import (
     nondeg,
     standard_simplex,
 )
-from .soa import Budget, setup_J, small_object_argument
+from .soa import (
+    Budget,
+    extensions,
+    rlp_check,
+    setup_J,
+    small_object_argument,
+)
 
 
 class Verdict(Record, frozen=True):
@@ -189,33 +193,7 @@ def homotopy_report(X: SimplicialSet, cap) -> HomotopyReport:
 
 def sset_rlp(i: SimplicialMap, p: SimplicialMap) -> bool:
     """Right lifting property of p against i, at the simplicial-set level."""
-    X = p.source
-    rights = hom_set(i.target, p.target)
-    for a in hom_set(i.source, p.source):
-        ap = a.then(p)
-        for b in rights:
-            if i.then(b) != ap:
-                continue
-            pins = {}
-            ok = True
-            for e in i.source.all_cells():
-                img = i(nondeg(e))
-                sol = divide_word(X, a(nondeg(e)), img.word)
-                if sol is None or pins.get(img.cell, sol) != sol:
-                    ok = False
-                    break
-                pins[img.cell] = sol
-            if not ok:
-                return False
-
-            def fiber(cell, cand):
-                return p(cand) == b(nondeg(cell))
-
-            lifts = enumerate_maps(i.target, X, pins=pins,
-                                   cell_filter=fiber, limit=1)
-            if not lifts:
-                return False
-    return True
+    return rlp_check(wrap_smap(i), wrap_smap(p)).holds
 
 
 def fibrant_replace(X: SimplicialSet, budget: Budget):
@@ -379,37 +357,26 @@ def is_null_homotopic(f: DiagramMap, search_budget: Optional[int] = None):
     """
     A, X = f.source, f.target
     cyl = cylinder(A)
-    D = A.shape
     budget = [search_budget] if search_budget is not None else None
-    pools = {}
-    try:
-        for d in D.objects:
-            pins = {}
-            for c in A.at[d].all_cells():
-                img = cyl.i0.components[d](nondeg(c))
-                if img.word:
-                    raise ValueError("cylinder end i0 hits a degenerate "
-                                     f"simplex {img!r}")
-                pins[img.cell] = f.components[d](nondeg(c))
-            end_cells = set()
-            for c in A.at[d].all_cells():
-                img = cyl.i1.components[d](nondeg(c))
-                if img.word:
-                    raise ValueError("cylinder end i1 hits a degenerate "
-                                     f"simplex {img!r}")
-                end_cells.add(img.cell)
+    end_cells = {}
+    for d in A.shape.objects:
+        end_cells[d] = set()
+        for c in A.at[d].all_cells():
+            img = cyl.i1.components[d](nondeg(c))
+            if img.word:
+                raise ValueError("cylinder end i1 hits a degenerate "
+                                 f"simplex {img!r}")
+            end_cells[d].add(img.cell)
 
-            def constant_at_end(cell, cand, end_cells=end_cells, d=d):
-                if cell not in end_cells:
-                    return True
-                n = cyl.space.at[d].cell_dim(cell)
-                return cand == degenerate_at(X.at[d], cand.cell, n) \
-                    and len(cand.word) == n
-            pools[d] = enumerate_maps(cyl.space.at[d], X.at[d], pins=pins,
-                                      cell_filter=constant_at_end,
-                                      budget=budget)
-        candidates = hom_D(cyl.space, X, component_pool=lambda d: pools[d],
-                           budget=budget)
+    def constant_at_end(d, cell, cand):
+        if cell not in end_cells[d]:
+            return True
+        n = cyl.space.at[d].cell_dim(cell)
+        return cand == degenerate_at(X.at[d], cand.cell, n) \
+            and len(cand.word) == n
+    try:
+        candidates = extensions([(cyl.i0, f)], X,
+                                cell_filter=constant_at_end, budget=budget)
     except BudgetExceeded:
         return Verdict(INCONCLUSIVE, ("search_budget", search_budget),
                        "homotopy search hit budget"), None
@@ -472,7 +439,7 @@ def properness_probe(kind, weq: DiagramMap, along: DiagramMap,
             raise ValueError("right properness probe needs maps with a "
                              "common target")
         pb = pullback_D(weq, along)
-        probe = pb.proj2  # base change of the weak equivalence
+        probe = pb.projections[1]  # base change of the weak equivalence
     else:
         raise ValueError(f"unknown probe kind {kind!r}")
     return is_weq_equivariant(probe, orbits, pi_cap, hom_cap, budget)

@@ -51,12 +51,9 @@ from .simplicial import (
     SimplicialSet,
     boundary,
     boundary_inclusion,
-    divide_word,
-    enumerate_maps,
     identity_map,
     is_injective,
     is_isomorphism,
-    nondeg,
     standard_simplex,
 )
 from .soa import (
@@ -65,6 +62,7 @@ from .soa import (
     Instrumentation,
     Square,
     _coproduct_mediate,
+    extensions,
     find_lift,
     setup_J,
     setup_from_set,
@@ -406,43 +404,14 @@ def extend_to_local(g: DiagramMap, result: LocalizationResult) -> DiagramMap:
     return h
 
 
-def maps_extending(j: DiagramMap, g: DiagramMap, limit=None, budget=None):
-    """All maps l with l . j = g (up to the limit), by pinned search."""
-    L, P = j.target, g.target
-    D = L.shape
-    pools = {}
-    for d in D.objects:
-        pins = {}
-        for c in j.source.at[d].all_cells():
-            img = j.components[d](nondeg(c))
-            sol = divide_word(P.at[d], g.components[d](nondeg(c)), img.word)
-            if sol is None or pins.get(img.cell, sol) != sol:
-                return []
-            pins[img.cell] = sol
-        pools[d] = enumerate_maps(L.at[d], P.at[d], pins=pins, budget=budget)
-    return hom_D(L, P, component_pool=lambda d: pools[d], limit=limit,
-                 budget=budget)
-
-
 def simplicially_homotopic(l1: DiagramMap, l2: DiagramMap,
                            budget=None) -> Optional[DiagramMap]:
     """A simplicial homotopy on the cylinder from l1 to l2, if one exists."""
     if l1.source != l2.source or l1.target != l2.target:
         raise ValueError("simplicially_homotopic needs parallel maps")
     cyl = cylinder(l1.source)
-    D = l1.source.shape
-    pools = {}
-    for d in D.objects:
-        pins = {}
-        for c in l1.source.at[d].all_cells():
-            i0c = cyl.i0.components[d](nondeg(c))
-            i1c = cyl.i1.components[d](nondeg(c))
-            pins[i0c.cell] = l1.components[d](nondeg(c))
-            pins[i1c.cell] = l2.components[d](nondeg(c))
-        pools[d] = enumerate_maps(cyl.space.at[d], l1.target.at[d],
-                                  pins=pins, budget=budget)
-    found = hom_D(cyl.space, l1.target, component_pool=lambda d: pools[d],
-                  limit=1, budget=budget)
+    found = extensions([(cyl.i0, l1), (cyl.i1, l2)], l1.target, limit=1,
+                       budget=budget)
     return found[0] if found else None
 
 
@@ -457,7 +426,7 @@ def extension_uniqueness(g: DiagramMap, result: LocalizationResult,
     """Enumerate extensions of g over the coaugmentation and probe pairwise
     simplicial homotopy within the budget."""
     limit = limit if limit is not None else result.spec.caps.uniqueness_limit
-    lifts = maps_extending(result.j, g, limit=limit + 1)
+    lifts = extensions([(result.j, g)], g.target, limit=limit + 1)
     truncated = len(lifts) > limit
     lifts = lifts[:limit]
     verdict = True

@@ -80,7 +80,7 @@ def orbit_setup(X: Diagram):
                           {d: constant_map(point(), co.space, v)
                            for d in D.objects})
         pb = pullback_D(q, vmap)
-        out.append(OrbitMap(orbit=pb.diagram, into=pb.proj1,
+        out.append(OrbitMap(orbit=pb.diagram, into=pb.projections[0],
                             level=0, witness=v, pullback=pb))
     return tuple(out)
 
@@ -99,7 +99,7 @@ def factor_through_setup(phi: DiagramMap, setup) -> Optional[tuple]:
     v = m(nondeg(co_t.space.cells(0)[0])).cell
     for member in setup:
         if member.witness == v and member.level == 0:
-            psi = member.pullback.mediate(phi, terminal_dmap(T))
+            psi = member.pullback.mediate([phi, terminal_dmap(T)])
             return member, psi
     return None
 
@@ -122,7 +122,7 @@ def orbit_naturality(f: DiagramMap, o: OrbitMap):
     if target is None:
         raise ValueError(f"no orbit of the target over the image {y!r} "
                          "of the witness")
-    F = target.pullback.mediate(o.into.then(f), terminal_dmap(o.orbit))
+    F = target.pullback.mediate([o.into.then(f), terminal_dmap(o.orbit)])
     return F, target
 
 

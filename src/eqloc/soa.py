@@ -9,7 +9,8 @@ already lifts.  Transfinite stages are replaced by a stage budget.
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
+from typing import Callable, Optional
 
 from .cat import (
     Cotensor,
@@ -118,17 +119,10 @@ def setup_from_set(members, name="set", budget: Budget = Budget()):
     members = tuple(members)
 
     def assign(f: DiagramMap):
-        squares = []
-        for idx, m in enumerate(members):
-            rights = hom_D(m.target, f.target)
-            for a in hom_D(m.source, f.source):
-                af = a.then(f)
-                for b in rights:
-                    if m.then(b) == af:
-                        squares.append(Square(
-                            top=m, left=a, right=b, bottom=f,
-                            member_id=f"{name}#{idx}", meta=(name, idx)))
-        return tuple(squares)
+        return tuple(Square(top=m, left=a, right=b, bottom=f,
+                            member_id=f"{name}#{idx}", meta=(name, idx))
+                     for idx, m in enumerate(members)
+                     for a, b in commutative_squares(m, f))
 
     def transport(g: ArrowSquare, sq: Square):
         target = Square(top=sq.top,
@@ -178,8 +172,8 @@ def empty_instrumentation(name="empty", budget: Budget = Budget()):
 def _build_orbit_square(o: OrbitMap, pb, incl, member_id, meta,
                         f: DiagramMap, cX: Cotensor, cY: Cotensor) -> Square:
     """The attachment square adjoint to an orbit map into W_{f,n}."""
-    phi_x = o.into.then(pb.proj1)
-    phi_y = o.into.then(pb.proj2)
+    phi_x = o.into.then(pb.projections[0])
+    phi_y = o.into.then(pb.projections[1])
     left = adjoint_to_tensor(phi_x, cX)
     right = adjoint_to_tensor(phi_y, cY)
     top = tensor_map(identity_dmap(o.orbit), incl)
@@ -227,9 +221,10 @@ class _OrbitSetupFamily:
         pb2, cX2, cY2 = self._w_pullback(g.target, incl)
         # the induced natural map W_{f1,n} -> W_{f2,n}
         dim_cap = self.budget.dim_cap
-        to_x2 = pb1.proj1.then(cotensor_map(g.upper, incl.source, dim_cap))
-        to_y2 = pb1.proj2.then(cotensor_map(g.lower, incl.target, dim_cap))
-        g_tilde = pb2.mediate(to_x2, to_y2)
+        x1, y1 = pb1.projections
+        to_x2 = x1.then(cotensor_map(g.upper, incl.source, dim_cap))
+        to_y2 = y1.then(cotensor_map(g.lower, incl.target, dim_cap))
+        g_tilde = pb2.mediate([to_x2, to_y2])
         F, o2 = orbit_naturality(g_tilde, sq.orbit)
         member_id = f"{self.name}@" + "_".join(str(x) for x in meta)
         target = _build_orbit_square(
@@ -265,42 +260,56 @@ def setup_J(budget: Budget = Budget()) -> Instrumentation:
 # lifting search
 
 
-def find_lift(i: DiagramMap, p: DiagramMap, a: DiagramMap, b: DiagramMap,
-              budget: Optional[list] = None,
-              all_lifts: bool = False):
-    """A diagonal filler for the square (a, b) of i against p.
-
-    Pins come from i (on image cells, by word division) and the fiber
-    condition from p; returns the first lift in canonical order, or the full
-    list when all_lifts is set, or None/[] when no lift exists.
-    """
-    D = i.source.shape
-    B, X = i.target, p.source
+def extensions(along, target: Diagram, cell_filter: Optional[Callable] = None,
+               limit: Optional[int] = None, budget: Optional[list] = None):
+    """The maps l: B -> target with i.then(l) == a for every (i, a) in along,
+    in canonical order.  Each i pins the cells its image reaches, by word
+    division; [] when a pin has no solution or two pins disagree.
+    cell_filter(d, cell, candidate) prunes the candidates at object d."""
+    B = along[0][0].target
     pools = {}
-    for d in D.objects:
+    for d in B.shape.objects:
         pins = {}
-        consistent = True
-        for e in i.source.at[d].all_cells():
-            img = i.components[d](nondeg(e))
-            val = a.components[d](nondeg(e))
-            sol = divide_word(X.at[d], val, img.word)
-            if sol is None or pins.get(img.cell, sol) != sol:
-                consistent = False
-                break
-            pins[img.cell] = sol
-        if not consistent:
-            return [] if all_lifts else None
+        for i, a in along:
+            for e in i.source.at[d].all_cells():
+                img = i.components[d](nondeg(e))
+                sol = divide_word(target.at[d], a.components[d](nondeg(e)),
+                                  img.word)
+                if sol is None or pins.get(img.cell, sol) != sol:
+                    return []
+                pins[img.cell] = sol
+        pools[d] = enumerate_maps(
+            B.at[d], target.at[d], pins=pins, budget=budget,
+            cell_filter=None if cell_filter is None
+            else functools.partial(cell_filter, d))
+    return hom_D(B, target, component_pool=pools.__getitem__, limit=limit,
+                 budget=budget)
 
-        def fiber(cell, cand, d=d):
-            return p.components[d](cand) == b.components[d](nondeg(cell))
 
-        pools[d] = enumerate_maps(B.at[d], X.at[d], pins=pins,
-                                  cell_filter=fiber, budget=budget)
-    lifts = hom_D(B, X, component_pool=lambda d: pools[d],
-                  limit=None if all_lifts else 1, budget=budget)
-    if all_lifts:
-        return lifts
+def find_lift(i: DiagramMap, p: DiagramMap, a: DiagramMap, b: DiagramMap,
+              budget: Optional[list] = None):
+    """A diagonal filler for the square (a, b) of i against p: the first
+    extension of a along i over b in canonical order, or None."""
+
+    def fiber(d, cell, cand):
+        return p.components[d](cand) == b.components[d](nondeg(cell))
+
+    lifts = extensions([(i, a)], p.source, cell_filter=fiber, limit=1,
+                       budget=budget)
     return lifts[0] if lifts else None
+
+
+def commutative_squares(i: DiagramMap, p: DiagramMap,
+                        budget: Optional[list] = None):
+    """The pairs (a, b) with a.then(p) == i.then(b), in canonical order."""
+    rights = hom_D(i.target, p.target, budget=budget)
+    squares = []
+    for a in hom_D(i.source, p.source, budget=budget):
+        ap = a.then(p)
+        for b in rights:
+            if i.then(b) == ap:
+                squares.append((a, b))
+    return squares
 
 
 class RlpReport(Record):
@@ -317,13 +326,7 @@ def rlp_check(i: DiagramMap, p: DiagramMap,
     Every commutative square of i over p is enumerated; the report carries a
     lift per square or the first counterexample square.
     """
-    rights = hom_D(i.target, p.target, budget=budget)
-    squares = []
-    for a in hom_D(i.source, p.source, budget=budget):
-        ap = a.then(p)
-        for b in rights:
-            if i.then(b) == ap:
-                squares.append((a, b))
+    squares = commutative_squares(i, p, budget=budget)
     lifts = []
     for a, b in squares:
         l = find_lift(i, p, a, b, budget=budget)
@@ -536,6 +539,6 @@ def verify_pullback_over_colim(Z: Diagram, stage_map: DiagramMap) -> bool:
     incl = DiagramMap(constZ, constN, {d: m for d in D.objects})
     pb = pullback_D(q_next, incl)
     q_z = DiagramMap(Z, constZ, {d: cZ.cocone[d] for d in D.objects})
-    comparison = pb.mediate(stage_map, q_z)
+    comparison = pb.mediate([stage_map, q_z])
     return all(is_isomorphism(comparison.components[d]) is not None
                for d in D.objects)

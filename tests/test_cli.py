@@ -366,6 +366,22 @@ class TestCommands:
                              "--budget", "1")
         assert code == 2
 
+    def test_nullcheck_zero_budget_is_inconclusive(self, capsys):
+        code, out, err = run(capsys, "nullcheck", "-w", Z2, "--map", "swap3",
+                             "--budget", "0")
+        assert code == 2
+        assert "inconclusive" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("pi", "--complex", "three", "--n", "-1"),
+        ("nullcheck", "--map", "swap3", "--budget", "-5"),
+    ])
+    def test_negative_argument_exits_1(self, argv, capsys):
+        code, out, err = run(capsys, argv[0], "-w", Z2, *argv[1:])
+        assert code == 1
+        assert err.startswith("error: ") and argv[-2] in err
+        assert "Traceback" not in out + err
+
     def test_proper_probe(self, capsys):
         code, out, err = run(capsys, "proper-probe", "-w", Z2,
                              "--kind", "left", "--weq", "swap",

@@ -190,6 +190,41 @@ class TestNoAsserts:
             f"{module}.py: {found}"
 
 
+
+def _names(tree):
+    """Every identifier a module mentions: names, attributes and imports."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+class TestOnePinnedSearch:
+    """Every lifting and extension problem goes through soa.extensions, the
+    one place that pins cells by word division and hands hom_D its pools."""
+
+    def test_only_soa_names_divide_word(self):
+        found = [m for m in MODULES if m not in ("simplicial", "soa")
+                 and "divide_word" in _names(_tree(m))]
+        assert found == [], f"divide_word named in {found}"
+
+    def test_only_extensions_passes_component_pool(self):
+        found = []
+        for module in MODULES:
+            tree = _tree(module)
+            # ast.walk is breadth-first, so the innermost def wins
+            owner = {id(n): fn.name for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef)
+                     for n in ast.walk(fn)}
+            found += [(module, owner.get(id(n)))
+                      for n in ast.walk(tree) if isinstance(n, ast.Call)
+                      and any(k.arg == "component_pool" for k in n.keywords)]
+        assert found == [("soa", "extensions")], found
+
+
 def test_import_loads_no_heavy_stdlib_modules():
     """A fresh interpreter importing eqloc and its CLI loads none of the
     inspect chain (dataclasses, inspect, ast, dis)."""

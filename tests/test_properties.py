@@ -11,11 +11,16 @@ from eqloc.cat import (
     Diagram,
     DiagramMap,
     arrow_category,
+    constant_diagram,
     hom_D,
+    identity_dmap,
+    limit_D,
     point_diagram,
+    pullback_D,
     terminal_category,
     terminal_dmap,
     wrap_smap,
+    wrap_sset,
 )
 from eqloc import homotopy, localization, orbits, soa
 from eqloc.fixtures import (
@@ -277,6 +282,165 @@ class TestSearchKernel:
             assert hom_D(A, B, limit=1) == expected[:1]
         with pytest.raises(BudgetExceeded):
             hom_D(z2_two_orbits(), z2_two_orbits(), budget=[1])
+
+
+def _extension_cases():
+    """(along, target) pairs on the Z/2 fixtures and on random arrow
+    diagrams: one cylinder end, both cylinder ends, and the cylinder
+    projection, whose images are degenerate and may pin inconsistently."""
+    rng = random.Random(662607)
+    z2 = [free_z2_orbit(), trivial_z2_orbit(), z2_two_orbits()]
+    pairs = [(A, X) for A in z2 for X in z2]
+    pairs += [(_random_arrow(rng), _random_arrow(rng)) for _ in range(6)]
+    cases = []
+    for A, X in pairs:
+        cyl = homotopy.cylinder(A)
+        ends = hom_D(A, X, limit=3)
+        for l1 in ends:
+            cases.append(([(cyl.i0, l1)], X))
+            cases += [([(cyl.i0, l1), (cyl.i1, l2)], X) for l2 in ends]
+        cases += [([(cyl.projection, h)], X)
+                  for h in hom_D(cyl.space, X, limit=3)]
+    return cases
+
+
+def _brute_extensions(along, X, keep=None):
+    """hom_D(B, X) filtered by every pair and by keep on every cell."""
+    B = along[0][0].target
+    cells = [(d, c) for d in B.shape.objects for c in B.at[d].all_cells()]
+    return [l for l in hom_D(B, X)
+            if all(i.then(l) == a for i, a in along)
+            and (keep is None or all(keep(d, c, l.components[d](nondeg(c)))
+                                     for d, c in cells))]
+
+
+class TestExtensions:
+    """soa.extensions is the one pinned search behind every lifting and
+    extension problem; it must agree with a filter of the full hom set."""
+
+    def test_equals_the_filtered_hom_set(self):
+        sizes = set()
+        for along, X in _extension_cases():
+            expected = _brute_extensions(along, X)
+            assert soa.extensions(along, X) == expected
+            sizes.add(min(len(expected), 2))
+            for k in range(len(expected) + 2):
+                assert soa.extensions(along, X, limit=k) == expected[:k]
+        assert sizes == {0, 1, 2}
+
+    def test_cell_filter_sees_the_object(self):
+        rng = random.Random(299792)
+        pruned = 0
+        for along, X in _extension_cases():
+            B = along[0][0].target
+            d = rng.choice(list(B.shape.objects))
+            kept = rng.choice(B.at[d].cells(0))
+            banned = rng.choice(X.at[d].cells(0))
+
+            def keep(e, cell, s):
+                return e != d or cell == kept or s.cell != banned
+            expected = _brute_extensions(along, X, keep)
+            assert soa.extensions(along, X, cell_filter=keep) == expected
+            pruned += len(_brute_extensions(along, X)) > len(expected)
+        assert pruned > 0
+
+    def test_inconsistent_or_unsolvable_pins_give_nothing(self):
+        # two vertices onto one: the pins disagree
+        T = two_points_diagram()
+        assert soa.extensions([(terminal_dmap(T), identity_dmap(T))],
+                              T) == []
+        # the loop's edge goes to a degenerate edge of the point, but is
+        # asked to extend a nondegenerate one: no pin solves it
+        loop = quotient(standard_simplex(1),
+                        [(nondeg("0"), nondeg("1"))]).space
+        S = wrap_sset(loop)
+        assert soa.extensions([(terminal_dmap(S), identity_dmap(S))],
+                              S) == []
+
+    def test_budget_runs_out(self):
+        ran_out = 0
+        for along, X in _extension_cases():
+            full = soa.extensions(along, X)
+            if full:
+                with pytest.raises(BudgetExceeded):
+                    soa.extensions(along, X, budget=[0])
+                ran_out += 1
+            assert soa.extensions(along, X, budget=[10 ** 6]) == full
+        assert ran_out > 0
+
+    def test_budget_counts_the_pools_then_naturality(self):
+        """The budget is spent as by one pinned enumerate_maps per object,
+        in object order, followed by hom_D over those pools."""
+        checked = 0
+        for along, X in _extension_cases():
+            B = along[0][0].target
+            pins = {d: {} for d in B.shape.objects}
+            for i, a in along:
+                for d in B.shape.objects:
+                    for c in i.source.at[d].all_cells():
+                        pins[d][i.components[d](nondeg(c))] = \
+                            a.components[d](nondeg(c))
+            if any(s.word for p in pins.values() for s in p):
+                continue  # degenerate images: pins need word division
+            spent, count = [10 ** 6], [10 ** 6]
+            got = soa.extensions(along, X, budget=spent)
+            pools = {d: enumerate_maps(B.at[d], X.at[d], budget=count,
+                                       pins={s.cell: v
+                                             for s, v in pins[d].items()})
+                     for d in B.shape.objects}
+            assert hom_D(B, X, component_pool=pools.__getitem__,
+                         budget=count) == got
+            assert spent == count
+            checked += 1
+        assert checked > 0
+
+    def test_commutative_squares_equal_a_filtered_product(self):
+        rng = random.Random(602214)
+        arrows = [z2_collapse(), terminal_dmap(z2_two_orbits()),
+                  identity_dmap(free_z2_orbit())]
+        arrows += [_random_quotient(rng) for _ in range(5)]
+        sizes = set()
+        for i in arrows:
+            for p in arrows:
+                if i.source.shape != p.source.shape:
+                    continue
+                expected = [(a, b) for a in hom_D(i.source, p.source)
+                            for b in hom_D(i.target, p.target)
+                            if a.then(p) == i.then(b)]
+                assert soa.commutative_squares(i, p) == expected
+                sizes.add(min(len(expected), 2))
+        assert sizes == {0, 1, 2}
+
+    def test_pullback_D_is_the_two_factor_limit(self):
+        rng = random.Random(141592)
+        cospans = [(z2_collapse(), terminal_dmap(z2_two_orbits())),
+                   (z2_collapse(), z2_collapse())]
+        for _ in range(4):
+            f = _random_quotient(rng)
+            cospans += [(f, f), (f, identity_dmap(f.target))]
+        for f, g in cospans:
+            pb = pullback_D(f, g)
+            lim = limit_D([f.source, g.source], [(0, f, 1, g)])
+            assert pb.diagram == lim.diagram
+            assert pb.projections == lim.projections
+            assert [p.target for p in pb.projections] == [f.source, g.source]
+            P = point_diagram(f.source.shape)
+            cones = [(a, b) for a in hom_D(P, f.source)
+                     for b in hom_D(P, g.source) if a.then(f) == b.then(g)]
+            assert len(cones) == len(hom_D(P, pb.diagram))
+            for a, b in cones:
+                m = pb.mediate([a, b])
+                assert m == lim.mediate([a, b])
+                assert [m.then(p) for p in pb.projections] == [a, b]
+
+
+def _random_quotient(rng):
+    """A random quotient map X -> X/~ between constant arrow diagrams."""
+    X = random_sset(rng, max_cells=4)
+    q = random_collapse_map(rng, X)
+    return DiagramMap(constant_diagram(arrow_category(), X),
+                      constant_diagram(arrow_category(), q.target),
+                      {"a": q, "b": q})
 
 
 class TestHornFillers:
