@@ -18,16 +18,12 @@ from .cat import (
     DiagramMap,
     Record,
     SmallCategory,
-    adjoint_to_tensor,
-    cotensor,
-    cotensor_map,
     cotensor_restriction,
     field,
     hom_D,
     hom_complex,
     hom_complex_pre,
     identity_dmap,
-    limit_D,
     pushout_D,
     tensor_map,
     terminal_dmap,
@@ -45,7 +41,7 @@ from .homotopy import (
     pi_n,
     sset_weq_probe,
 )
-from .orbits import OrbitCategory, orbit_naturality, orbit_setup
+from .orbits import OrbitCategory
 from .simplicial import (
     SimplicialMap,
     SimplicialSet,
@@ -58,9 +54,10 @@ from .simplicial import (
 )
 from .soa import (
     Budget,
+    CornerMember,
     FactorizationResult,
     Instrumentation,
-    Square,
+    PullbackHomFamily,
     _coproduct_mediate,
     extensions,
     find_lift,
@@ -178,7 +175,7 @@ def class_K(spec: LocalizationSpec, probe: bool = False) -> Instrumentation:
                                            n_cap=caps.hor_n_cap,
                                            dim_cap=caps.dim_cap))
     else:
-        hor = hor_F_instrumentation(spec.f, spec.shape, caps)
+        hor = hor_F_instrumentation(spec.f, caps)
     return setup_union(j, hor, name="K")
 
 
@@ -187,125 +184,34 @@ def class_K(spec: LocalizationSpec, probe: bool = False) -> Instrumentation:
 
 
 @functools.cache
-def _corners(f: SimplicialMap, n):
-    """Product complexes and inclusion maps of f for exponent n."""
+def _corners(f: SimplicialMap, n) -> CornerMember:
+    """The Hor(F) member at exponent n: the pushout-product corner
+    Delta^n x A u bd x B -> Delta^n x B of f: A -> B, its two X-corners
+    glued along bd x A.  Cached: the run and probe families share it."""
     A, B = f.source, f.target
     dn, bdn = standard_simplex(n), boundary(n)
     incl = boundary_inclusion(n)
-    pAB = {
-        "dB": product(dn, B), "bB": product(bdn, B),
-        "dA": product(dn, A), "bA": product(bdn, A),
-    }
-    maps = {
-        # bd x B -> Delta x B, etc.
-        "bB_dB": induced_tuple_map(pAB["bB"], pAB["dB"],
-                                   (incl, identity_map(B))),
-        "bA_bB": induced_tuple_map(pAB["bA"], pAB["bB"],
-                                   (identity_map(bdn), f)),
-        "bA_dA": induced_tuple_map(pAB["bA"], pAB["dA"],
-                                   (incl, identity_map(A))),
-        "dA_dB": induced_tuple_map(pAB["dA"], pAB["dB"],
-                                   (identity_map(dn), f)),
-    }
-    return pAB, maps
+    dB, bB = product(dn, B), product(bdn, B)
+    dA, bA = product(dn, A), product(bdn, A)
+    bB_dB = induced_tuple_map(bB, dB, (incl, identity_map(B)))
+    bA_bB = induced_tuple_map(bA, bB, (identity_map(bdn), f))
+    bA_dA = induced_tuple_map(bA, dA, (incl, identity_map(A)))
+    dA_dB = induced_tuple_map(dA, dB, (identity_map(dn), f))
+    return CornerMember(
+        (n,), ((0, bB.space), (1, dB.space), (0, dA.space)),
+        # the arrow's images of both X-corners are restrictions of the
+        # Y-corner, and the X-corners agree on bd x A
+        ((0, None, 1, bB_dB), (0, bA_bB, 2, bA_dA), (2, None, 1, dA_dB)),
+        ((2, dA_dB), (0, bB_dB)), span=(bA_dA, bA_bB))
 
 
-class _HorFFamily:
-    """Instrumentation of Hor(F) for F = {f (x) T over all orbits T}.
-
-    For an arrow g the three-dimensional pullback W of mapping complexes is
-    formed for each exponent n; each of its level-0 orbits converts by
-    adjunction into an attachment square whose top is the pushout-product of
-    f (x) T with the boundary inclusion.
-    """
-
-    def __init__(self, f: SimplicialMap, shape, caps: LocalizationCaps):
-        self.f = f
-        self.shape = shape
-        self.caps = caps
-
-    def _w_limit(self, g: DiagramMap, n):
-        caps = self.caps
-        pAB, maps = _corners(self.f, n)
-        X, Y = g.source, g.target
-        cX_bB = cotensor(X, pAB["bB"].space, caps.dim_cap)
-        cY_dB = cotensor(Y, pAB["dB"].space, caps.dim_cap)
-        cX_dA = cotensor(X, pAB["dA"].space, caps.dim_cap)
-        constraints = (
-            # g-image of the (bd x B)-corner matches the restriction of dB
-            (0, cotensor_map(g, pAB["bB"].space, caps.dim_cap),
-             1, cotensor_restriction(Y, maps["bB_dB"], caps.dim_cap)),
-            # both X-corners agree on bd x A
-            (0, cotensor_restriction(X, maps["bA_bB"], caps.dim_cap),
-             2, cotensor_restriction(X, maps["bA_dA"], caps.dim_cap)),
-            # g-image of the (Delta x A)-corner matches the dB restriction
-            (2, cotensor_map(g, pAB["dA"].space, caps.dim_cap),
-             1, cotensor_restriction(Y, maps["dA_dB"], caps.dim_cap)),
-        )
-        lim = limit_D([cX_bB.diagram, cY_dB.diagram, cX_dA.diagram],
-                      constraints)
-        return lim, (cX_bB, cY_dB, cX_dA)
-
-    def _member(self, T: Diagram, n):
-        """The Hor(F) member at (n, T) with its structure pushout."""
-        pAB, maps = _corners(self.f, n)
-        t_bA_dA = tensor_map(identity_dmap(T), maps["bA_dA"])
-        t_bA_bB = tensor_map(identity_dmap(T), maps["bA_bB"])
-        po = pushout_D(t_bA_dA, t_bA_bB)
-        arrow = po.mediate(tensor_map(identity_dmap(T), maps["dA_dB"]),
-                           tensor_map(identity_dmap(T), maps["bB_dB"]))
-        return po, arrow
-
-    def _square(self, g: DiagramMap, n, o, lim, cotensors):
-        """The attachment square of the orbit o of W = lim at exponent n,
-        from the adjoints of its three corners, and the member's pushout."""
-        adj_bB, adj_dB, adj_dA = (
-            adjoint_to_tensor(o.into.then(proj), cot)
-            for proj, cot in zip(lim.projections, cotensors))
-        po, arrow = self._member(o.orbit, n)
-        return Square(top=arrow, left=po.mediate(adj_dA, adj_bB),
-                      right=adj_dB, bottom=g, member_id=f"HorF@{n}",
-                      meta=("HorF", n, o.witness), orbit=o), po
-
-    def assign(self, g: DiagramMap):
-        squares = []
-        for n in range(self.caps.hor_n_cap + 1):
-            lim, cotensors = self._w_limit(g, n)
-            squares += [self._square(g, n, o, lim, cotensors)[0]
-                        for o in orbit_setup(lim.diagram)]
-        return tuple(squares)
-
-    def transport(self, gsq, sq: Square):
-        n = sq.meta[1]
-        lim1, _ = self._w_limit(gsq.source, n)
-        lim2, cotensors2 = self._w_limit(gsq.target, n)
-        caps = self.caps
-        pAB, maps = _corners(self.f, n)
-        g_tilde = lim2.mediate([
-            lim1.projections[0].then(
-                cotensor_map(gsq.upper, pAB["bB"].space, caps.dim_cap)),
-            lim1.projections[1].then(
-                cotensor_map(gsq.lower, pAB["dB"].space, caps.dim_cap)),
-            lim1.projections[2].then(
-                cotensor_map(gsq.upper, pAB["dA"].space, caps.dim_cap)),
-        ])
-        F, o2 = orbit_naturality(g_tilde, sq.orbit)
-        target, po2 = self._square(gsq.target, n, o2, lim2, cotensors2)
-        po1, _ = self._member(sq.orbit.orbit, n)
-        connect_dom = po1.mediate(
-            tensor_map(F, identity_map(pAB["dA"].space)).then(po2.from_left),
-            tensor_map(F, identity_map(pAB["bB"].space)).then(po2.from_right))
-        connect_cod = tensor_map(F, identity_map(pAB["dB"].space))
-        return target, (connect_dom, connect_cod)
-
-
-def hor_F_instrumentation(f: SimplicialMap, shape,
+def hor_F_instrumentation(f: SimplicialMap,
                           caps: LocalizationCaps) -> Instrumentation:
-    fam = _HorFFamily(f, shape, caps)
+    """Instrumentation of Hor(F) for F = {f (x) T over all orbits T}."""
     budget = Budget(stages=caps.stages, n_cap=caps.hor_n_cap,
                     dim_cap=caps.dim_cap)
-    return Instrumentation("HorF", fam.assign, fam.transport,
-                           ("HorF@",), budget)
+    members = [_corners(f, n) for n in range(caps.hor_n_cap + 1)]
+    return PullbackHomFamily("HorF", members, budget).instrumentation()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import functools
 from typing import Callable, Optional
 
 from .cat import (
-    Cotensor,
     CoproductD,
     Diagram,
     DiagramMap,
@@ -29,6 +28,7 @@ from .cat import (
     field,
     hom_D,
     identity_dmap,
+    limit_D,
     pullback_D,
     pushout_D,
     tensor_map,
@@ -166,94 +166,147 @@ def empty_instrumentation(name="empty", budget: Budget = Budget()):
 
 
 # ---------------------------------------------------------------------------
-# the orbit setups for generating (trivial) cofibrations
+# the pullback-hom orbit setups for I, J and Hor(F)
 
 
-def _build_orbit_square(o: OrbitMap, pb, incl, member_id, meta,
-                        f: DiagramMap, cX: Cotensor, cY: Cotensor) -> Square:
-    """The attachment square adjoint to an orbit map into W_{f,n}."""
-    phi_x = o.into.then(pb.projections[0])
-    phi_y = o.into.then(pb.projections[1])
-    left = adjoint_to_tensor(phi_x, cX)
-    right = adjoint_to_tensor(phi_y, cY)
-    top = tensor_map(identity_dmap(o.orbit), incl)
-    return Square(top=top, left=left, right=right, bottom=f,
-                  member_id=member_id, meta=meta, orbit=o)
+class CornerMember(Record, frozen=True):
+    """One member T (x) (j: K -> L) of a pullback-hom family.
 
-
-class _OrbitSetupFamily:
-    """Setup for a family of tensored inclusions T (x) (K_i -> L_i).
-
-    For each family member the pullback W of mapping complexes is formed, its
-    level-0 orbits are extracted, and each orbit map converts by adjunction
-    into an attachment square.  The same construction transports squares
-    along morphisms of arrows through the induced map of pullbacks.
+    factors are the cotensors whose limit is W, in order: (0, C) for X^C,
+    (1, C) for Y^C.  constraints are limit_D's (i, a, k, b); a map of
+    exponents restricts, None postcomposes with the arrow.  corners are the
+    X-corners (i, leg: C_i -> L) whose union is K; two are glued along span,
+    the maps from their overlap into the first and into the second.
     """
 
-    def __init__(self, name, family, budget: Budget):
-        # family: tuple of (meta, inclusion) with inclusion: K -> L in sSet
+    meta: tuple
+    factors: tuple
+    constraints: tuple
+    corners: tuple
+    span: tuple = ()
+
+
+def _glue(po, maps):
+    """The map out of T (x) K that is maps[i] on the i-th X-corner."""
+    return maps[0] if po is None else po.mediate(*maps)
+
+
+class PullbackHomFamily:
+    """The orbit setup of a family of tensored inclusions T (x) (j: K -> L).
+
+    For an arrow g: X -> Y and a member j, W is the pullback-hom
+    X^K x_{Y^K} Y^L of g against j, the Leibniz cotensor of the adjunction
+    of two variables (Hovey, Model Categories, ch. 4): a map T -> W is a
+    commutative square from T (x) j to g.  Each level-0 orbit of W converts
+    by adjunction into an attachment square, and a morphism of arrows
+    transports squares through the induced map of the Ws.
+
+    I and J are the one-corner case, K itself: W = X^K x_{Y^K} Y^L.  Hor(F)
+    is the pushout-product corner Delta^n x A u bd x B of f: A -> B, two
+    X-corners glued along bd x A, so W is the limit of X^{bd x B},
+    Y^{Delta^n x B} and X^{Delta^n x A}.
+
+    The order of a member's factors is part of the output: it fixes the
+    tuple_complex cell names of W, and those name the orbit witnesses that
+    each square records in its meta.  The constraint order is fixed too, as
+    part of tuple_complex's memo key, so equal Ws share one complex.
+    """
+
+    def __init__(self, name, members, budget: Budget):
         self.name = name
-        self.family = tuple(family)
+        self.members = {m.meta: m for m in members}
         self.budget = budget
 
-    def _w_pullback(self, f: DiagramMap, incl):
-        cX = cotensor(f.source, incl.source, self.budget.dim_cap)
-        cY_L = cotensor(f.target, incl.target, self.budget.dim_cap)
-        s = cotensor_map(f, incl.source, self.budget.dim_cap)
-        r = cotensor_restriction(f.target, incl, self.budget.dim_cap)
-        return pullback_D(s, r), cX, cY_L
+    def instrumentation(self) -> Instrumentation:
+        return Instrumentation(self.name, self.assign, self.transport,
+                               (f"{self.name}@",), self.budget)
 
-    def assign(self, f: DiagramMap):
+    def _w(self, g: DiagramMap, m: CornerMember):
+        """W of the arrow g, with the cotensor of every factor."""
+        cap = self.budget.dim_cap
+        ends = (g.source, g.target)
+        cots = [cotensor(ends[e], C, cap) for e, C in m.factors]
+
+        def leg(i, a):
+            e, C = m.factors[i]
+            return (cotensor_map(g, C, cap) if a is None
+                    else cotensor_restriction(ends[e], a, cap))
+
+        lim = limit_D([c.diagram for c in cots],
+                      [(i, leg(i, a), k, leg(k, b))
+                       for i, a, k, b in m.constraints])
+        return lim, cots
+
+    def _pushout(self, m: CornerMember, T: Diagram):
+        """T (x) K as the pushout of the corners, None for one corner."""
+        if m.span:
+            return pushout_D(*(tensor_map(identity_dmap(T), s)
+                               for s in m.span))
+        return None
+
+    def _square(self, g: DiagramMap, m: CornerMember, o: OrbitMap, lim,
+                cots):
+        """The attachment square adjoint to the orbit o of W, and the
+        pushout presenting the source of its top."""
+        adj = [adjoint_to_tensor(o.into.then(p), c)
+               for p, c in zip(lim.projections, cots)]
+        po = self._pushout(m, o.orbit)
+        L = m.corners[0][1].target
+        sq = Square(top=_glue(po, [tensor_map(identity_dmap(o.orbit), leg)
+                                   for _, leg in m.corners]),
+                    left=_glue(po, [adj[i] for i, _ in m.corners]),
+                    right=adj[m.factors.index((1, L))], bottom=g,
+                    member_id=f"{self.name}@" + "_".join(map(str, m.meta)),
+                    meta=(self.name,) + m.meta + (o.witness,), orbit=o)
+        return sq, po
+
+    def assign(self, g: DiagramMap):
         squares = []
-        for meta, incl in self.family:
-            pb, cX, cY_L = self._w_pullback(f, incl)
-            member_id = f"{self.name}@" + "_".join(str(x) for x in meta)
-            for o in orbit_setup(pb.diagram):
-                squares.append(_build_orbit_square(
-                    o, pb, incl, member_id, (self.name,) + meta + (o.witness,),
-                    f, cX, cY_L))
+        for m in self.members.values():
+            lim, cots = self._w(g, m)
+            squares += [self._square(g, m, o, lim, cots)[0]
+                        for o in orbit_setup(lim.diagram)]
         return tuple(squares)
 
-    def transport(self, g: ArrowSquare, sq: Square):
-        meta = sq.meta[1:-1]
-        incl = dict(self.family)[meta]
-        pb1, _, _ = self._w_pullback(g.source, incl)
-        pb2, cX2, cY2 = self._w_pullback(g.target, incl)
-        # the induced natural map W_{f1,n} -> W_{f2,n}
-        dim_cap = self.budget.dim_cap
-        x1, y1 = pb1.projections
-        to_x2 = x1.then(cotensor_map(g.upper, incl.source, dim_cap))
-        to_y2 = y1.then(cotensor_map(g.lower, incl.target, dim_cap))
-        g_tilde = pb2.mediate([to_x2, to_y2])
+    def transport(self, gsq: ArrowSquare, sq: Square):
+        m = self.members[sq.meta[1:-1]]
+        lim1, _ = self._w(gsq.source, m)
+        lim2, cots2 = self._w(gsq.target, m)
+        # the induced natural map W_1 -> W_2, factor by factor
+        ends = (gsq.upper, gsq.lower)
+        g_tilde = lim2.mediate([
+            p.then(cotensor_map(ends[e], C, self.budget.dim_cap))
+            for p, (e, C) in zip(lim1.projections, m.factors)])
         F, o2 = orbit_naturality(g_tilde, sq.orbit)
-        member_id = f"{self.name}@" + "_".join(str(x) for x in meta)
-        target = _build_orbit_square(
-            o2, pb2, incl, member_id, (self.name,) + meta + (o2.witness,),
-            g.target, cX2, cY2)
-        connect = (tensor_map(F, identity_map(incl.source)),
-                   tensor_map(F, identity_map(incl.target)))
+        target, po2 = self._square(gsq.target, m, o2, lim2, cots2)
+        moved = [tensor_map(F, identity_map(leg.source))
+                 for _, leg in m.corners]
+        if po2 is not None:
+            moved = [moved[0].then(po2.from_left),
+                     moved[1].then(po2.from_right)]
+        connect = (_glue(self._pushout(m, sq.orbit.orbit), moved),
+                   tensor_map(F, identity_map(m.corners[0][1].target)))
         return target, connect
 
 
-def _family_instrumentation(name, family, budget) -> Instrumentation:
-    fam = _OrbitSetupFamily(name, family, budget)
-    return Instrumentation(name, fam.assign, fam.transport,
-                           (f"{name}@",), budget)
+def _one_corner(meta, j: SimplicialMap) -> CornerMember:
+    """The member T (x) j whose one X-corner is K: W = X^K x_{Y^K} Y^L."""
+    return CornerMember(meta, ((0, j.source), (1, j.target)),
+                        ((0, None, 1, j),), ((0, j),))
 
 
 def setup_I(budget: Budget = Budget()) -> Instrumentation:
     """Instrumentation of the generating cofibrations T (x) (bd n -> Delta^n)."""
-    family = [((n,), boundary_inclusion(n))
-              for n in range(budget.n_cap + 1)]
-    return _family_instrumentation("I", family, budget)
+    members = [_one_corner((n,), boundary_inclusion(n))
+               for n in range(budget.n_cap + 1)]
+    return PullbackHomFamily("I", members, budget).instrumentation()
 
 
 def setup_J(budget: Budget = Budget()) -> Instrumentation:
     """Instrumentation of the generating trivial cofibrations (horn fillers)."""
-    family = [((n, k), horn_inclusion(n, k))
-              for n in range(1, budget.n_cap + 1)
-              for k in range(n + 1)]
-    return _family_instrumentation("J", family, budget)
+    members = [_one_corner((n, k), horn_inclusion(n, k))
+               for n in range(1, budget.n_cap + 1) for k in range(n + 1)]
+    return PullbackHomFamily("J", members, budget).instrumentation()
 
 
 # ---------------------------------------------------------------------------

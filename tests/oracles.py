@@ -5,16 +5,32 @@ sets by filtering the full product of dimension-preserving assignments, pi0
 by union-find, lifting by filtering full hom sets, tensor adjoints by
 composing whole codegeneracy maps, mapping-complex presentations by
 composing every face and degeneracy from the coface and codegeneracy maps
-per lookup.
+per lookup, and the orbit setups of I, J and Hor(F) by one class per
+family, each building its own W.
 """
 
 import itertools
 import random
 import sys
 
-from eqloc.cat import DiagramMap, hom_D, identity_dmap, tensor, tensor_map
+from eqloc.cat import (
+    DiagramMap,
+    adjoint_to_tensor,
+    cotensor,
+    cotensor_map,
+    cotensor_restriction,
+    hom_D,
+    identity_dmap,
+    limit_D,
+    pullback_D,
+    pushout_D,
+    tensor,
+    tensor_map,
+)
 from eqloc.glue import (UnionFind, induced_tuple_map, product, pushout,
                         quotient)
+from eqloc.soa import Square
+from eqloc.orbits import orbit_naturality, orbit_setup
 from eqloc.simplicial import (
     Simplex,
     SimplicialMap,
@@ -26,6 +42,7 @@ from eqloc.simplicial import (
     compose_words,
     constant_map,
     hom_set,
+    horn_inclusion,
     identity_map,
     is_admissible,
     nondeg,
@@ -306,3 +323,178 @@ def random_collapse_map(rng: random.Random, X) -> SimplicialMap:
         q = quotient(X, [(nondeg(a), nondeg(b))])
         return q.projection
     return constant_map(X, point(), "0")
+
+
+# ---------------------------------------------------------------------------
+# orbit setups, one class per family
+
+
+def _orbit_square_oracle(o, pb, incl, member_id, meta, f, cX, cY):
+    """The attachment square adjoint to an orbit map into W_{f,n}."""
+    phi_x = o.into.then(pb.projections[0])
+    phi_y = o.into.then(pb.projections[1])
+    left = adjoint_to_tensor(phi_x, cX)
+    right = adjoint_to_tensor(phi_y, cY)
+    top = tensor_map(identity_dmap(o.orbit), incl)
+    return Square(top=top, left=left, right=right, bottom=f,
+                  member_id=member_id, meta=meta, orbit=o)
+
+
+class OrbitSetupFamilyOracle:
+    """The I or J setup for tensored inclusions T (x) (K_i -> L_i), with W
+    the pullback of X^K -> Y^K <- Y^L.  family is a tuple of
+    (meta, inclusion)."""
+
+    def __init__(self, name, family, budget):
+        self.name = name
+        self.family = tuple(family)
+        self.budget = budget
+
+    def _w_pullback(self, f, incl):
+        cX = cotensor(f.source, incl.source, self.budget.dim_cap)
+        cY_L = cotensor(f.target, incl.target, self.budget.dim_cap)
+        s = cotensor_map(f, incl.source, self.budget.dim_cap)
+        r = cotensor_restriction(f.target, incl, self.budget.dim_cap)
+        return pullback_D(s, r), cX, cY_L
+
+    def assign(self, f):
+        squares = []
+        for meta, incl in self.family:
+            pb, cX, cY_L = self._w_pullback(f, incl)
+            member_id = f"{self.name}@" + "_".join(str(x) for x in meta)
+            for o in orbit_setup(pb.diagram):
+                squares.append(_orbit_square_oracle(
+                    o, pb, incl, member_id, (self.name,) + meta + (o.witness,),
+                    f, cX, cY_L))
+        return tuple(squares)
+
+    def transport(self, g, sq):
+        meta = sq.meta[1:-1]
+        incl = dict(self.family)[meta]
+        pb1, _, _ = self._w_pullback(g.source, incl)
+        pb2, cX2, cY2 = self._w_pullback(g.target, incl)
+        dim_cap = self.budget.dim_cap
+        x1, y1 = pb1.projections
+        to_x2 = x1.then(cotensor_map(g.upper, incl.source, dim_cap))
+        to_y2 = y1.then(cotensor_map(g.lower, incl.target, dim_cap))
+        g_tilde = pb2.mediate([to_x2, to_y2])
+        F, o2 = orbit_naturality(g_tilde, sq.orbit)
+        member_id = f"{self.name}@" + "_".join(str(x) for x in meta)
+        target = _orbit_square_oracle(
+            o2, pb2, incl, member_id, (self.name,) + meta + (o2.witness,),
+            g.target, cX2, cY2)
+        connect = (tensor_map(F, identity_map(incl.source)),
+                   tensor_map(F, identity_map(incl.target)))
+        return target, connect
+
+
+def setup_I_oracle(budget):
+    return OrbitSetupFamilyOracle(
+        "I", [((n,), boundary_inclusion(n))
+              for n in range(budget.n_cap + 1)], budget)
+
+
+def setup_J_oracle(budget):
+    return OrbitSetupFamilyOracle(
+        "J", [((n, k), horn_inclusion(n, k))
+              for n in range(1, budget.n_cap + 1) for k in range(n + 1)],
+        budget)
+
+
+def _corners_oracle(f, n):
+    """Product complexes and inclusion maps of f for exponent n."""
+    A, B = f.source, f.target
+    dn, bdn = standard_simplex(n), boundary(n)
+    incl = boundary_inclusion(n)
+    pAB = {
+        "dB": product(dn, B), "bB": product(bdn, B),
+        "dA": product(dn, A), "bA": product(bdn, A),
+    }
+    maps = {
+        "bB_dB": induced_tuple_map(pAB["bB"], pAB["dB"],
+                                   (incl, identity_map(B))),
+        "bA_bB": induced_tuple_map(pAB["bA"], pAB["bB"],
+                                   (identity_map(bdn), f)),
+        "bA_dA": induced_tuple_map(pAB["bA"], pAB["dA"],
+                                   (incl, identity_map(A))),
+        "dA_dB": induced_tuple_map(pAB["dA"], pAB["dB"],
+                                   (identity_map(dn), f)),
+    }
+    return pAB, maps
+
+
+class HorFFamilyOracle:
+    """The Hor(F) setup for F = {f (x) T over all orbits T}, with W the
+    three-factor limit of X^{bd x B}, Y^{Delta x B} and X^{Delta x A}."""
+
+    def __init__(self, f, caps):
+        self.f = f
+        self.caps = caps
+
+    def _w_limit(self, g, n):
+        caps = self.caps
+        pAB, maps = _corners_oracle(self.f, n)
+        X, Y = g.source, g.target
+        cX_bB = cotensor(X, pAB["bB"].space, caps.dim_cap)
+        cY_dB = cotensor(Y, pAB["dB"].space, caps.dim_cap)
+        cX_dA = cotensor(X, pAB["dA"].space, caps.dim_cap)
+        constraints = (
+            (0, cotensor_map(g, pAB["bB"].space, caps.dim_cap),
+             1, cotensor_restriction(Y, maps["bB_dB"], caps.dim_cap)),
+            (0, cotensor_restriction(X, maps["bA_bB"], caps.dim_cap),
+             2, cotensor_restriction(X, maps["bA_dA"], caps.dim_cap)),
+            (2, cotensor_map(g, pAB["dA"].space, caps.dim_cap),
+             1, cotensor_restriction(Y, maps["dA_dB"], caps.dim_cap)),
+        )
+        lim = limit_D([cX_bB.diagram, cY_dB.diagram, cX_dA.diagram],
+                      constraints)
+        return lim, (cX_bB, cY_dB, cX_dA)
+
+    def _member(self, T, n):
+        pAB, maps = _corners_oracle(self.f, n)
+        t_bA_dA = tensor_map(identity_dmap(T), maps["bA_dA"])
+        t_bA_bB = tensor_map(identity_dmap(T), maps["bA_bB"])
+        po = pushout_D(t_bA_dA, t_bA_bB)
+        arrow = po.mediate(tensor_map(identity_dmap(T), maps["dA_dB"]),
+                           tensor_map(identity_dmap(T), maps["bB_dB"]))
+        return po, arrow
+
+    def _square(self, g, n, o, lim, cotensors):
+        adj_bB, adj_dB, adj_dA = (
+            adjoint_to_tensor(o.into.then(proj), cot)
+            for proj, cot in zip(lim.projections, cotensors))
+        po, arrow = self._member(o.orbit, n)
+        return Square(top=arrow, left=po.mediate(adj_dA, adj_bB),
+                      right=adj_dB, bottom=g, member_id=f"HorF@{n}",
+                      meta=("HorF", n, o.witness), orbit=o), po
+
+    def assign(self, g):
+        squares = []
+        for n in range(self.caps.hor_n_cap + 1):
+            lim, cotensors = self._w_limit(g, n)
+            squares += [self._square(g, n, o, lim, cotensors)[0]
+                        for o in orbit_setup(lim.diagram)]
+        return tuple(squares)
+
+    def transport(self, gsq, sq):
+        n = sq.meta[1]
+        lim1, _ = self._w_limit(gsq.source, n)
+        lim2, cotensors2 = self._w_limit(gsq.target, n)
+        caps = self.caps
+        pAB, maps = _corners_oracle(self.f, n)
+        g_tilde = lim2.mediate([
+            lim1.projections[0].then(
+                cotensor_map(gsq.upper, pAB["bB"].space, caps.dim_cap)),
+            lim1.projections[1].then(
+                cotensor_map(gsq.lower, pAB["dB"].space, caps.dim_cap)),
+            lim1.projections[2].then(
+                cotensor_map(gsq.upper, pAB["dA"].space, caps.dim_cap)),
+        ])
+        F, o2 = orbit_naturality(g_tilde, sq.orbit)
+        target, po2 = self._square(gsq.target, n, o2, lim2, cotensors2)
+        po1, _ = self._member(sq.orbit.orbit, n)
+        connect_dom = po1.mediate(
+            tensor_map(F, identity_map(pAB["dA"].space)).then(po2.from_left),
+            tensor_map(F, identity_map(pAB["bB"].space)).then(po2.from_right))
+        connect_cod = tensor_map(F, identity_map(pAB["dB"].space))
+        return target, (connect_dom, connect_cod)

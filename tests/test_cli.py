@@ -382,6 +382,18 @@ class TestCommands:
         assert err.startswith("error: ") and argv[-2] in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("argv", [
+        ("parse", "-w", "{tmp}/missing.json"),
+        ("parse", "-w", "{tmp}"),
+        ("colim", "-w", Z2, "-d", "both", "--out", "{tmp}/no/such/x.json"),
+    ])
+    def test_file_error_exits_1_naming_the_path(self, argv, tmp_path, capsys):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and argv[-1] in err
+        assert "Traceback" not in out + err
+
     def test_proper_probe(self, capsys):
         code, out, err = run(capsys, "proper-probe", "-w", Z2,
                              "--kind", "left", "--weq", "swap",

@@ -225,6 +225,35 @@ class TestOnePinnedSearch:
         assert found == [("soa", "extensions")], found
 
 
+class TestOnePullbackHomFamily:
+    """The orbit setups of I, J and Hor(F) are members of one family class,
+    soa.PullbackHomFamily, the one place that turns orbits of W into
+    squares and transports them."""
+
+    def test_only_the_family_calls_orbit_setup_and_naturality(self):
+        found = set()
+        for module in MODULES:
+            if module == "orbits":
+                continue
+            tree = _tree(module)
+            # ast.walk is breadth-first, so the innermost class wins
+            owner = {id(n): c.name for c in ast.walk(tree)
+                     if isinstance(c, ast.ClassDef) for n in ast.walk(c)}
+            found |= {(module, owner.get(id(n))) for n in ast.walk(tree)
+                      if isinstance(n, ast.Call)
+                      and {"orbit_setup", "orbit_naturality"}
+                      & set(_names(n.func))}
+        assert found == {("soa", "PullbackHomFamily")}, found
+
+    def test_localization_defines_no_setup_family(self):
+        found = [c.name for c in ast.walk(_tree("localization"))
+                 if isinstance(c, ast.ClassDef)
+                 and any(isinstance(f, ast.FunctionDef)
+                         and f.name in ("assign", "transport")
+                         for f in c.body)]
+        assert found == [], found
+
+
 def test_import_loads_no_heavy_stdlib_modules():
     """A fresh interpreter importing eqloc and its CLI loads none of the
     inspect chain (dataclasses, inspect, ast, dis)."""

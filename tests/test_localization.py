@@ -199,7 +199,7 @@ class TestFixedPointwise:
         spec = LocalizationSpec(
             d1_shape(), fixedpointwise=empty_to_point_map(),
             caps=LocalizationCaps(hor_n_cap=1, j_n_cap=1, dim_cap=1))
-        instr = hor_F_instrumentation(spec.f, spec.shape, spec.caps)
+        instr = hor_F_instrumentation(spec.f, spec.caps)
         t = terminal_dmap(two_points_diagram())
         squares = instr.assign(t)
         # n=0: one square over the point target; n=1: one per vertex pair
@@ -212,7 +212,7 @@ class TestFixedPointwise:
 
     def test_z2_squares_indexed_by_orbits(self):
         spec = self.fp_spec()
-        instr = hor_F_instrumentation(spec.f, spec.shape, spec.caps)
+        instr = hor_F_instrumentation(spec.f, spec.caps)
         t = terminal_dmap(z2_two_orbits())
         squares = instr.assign(t)
         sizes = {len(sq.orbit.orbit.at["*"].cells(0))

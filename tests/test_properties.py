@@ -60,12 +60,21 @@ from eqloc.simplicial import (
     validate,
     verify_map,
 )
-from eqloc.soa import Budget, setup_I, setup_J, small_object_argument
+from eqloc.soa import (
+    ArrowSquare,
+    Budget,
+    setup_I,
+    setup_J,
+    small_object_argument,
+)
 from oracles import (
+    HorFFamilyOracle,
     face_oracle,
     naive_hom,
     random_collapse_map,
     random_sset,
+    setup_I_oracle,
+    setup_J_oracle,
     validate_oracle,
     verify_map_oracle,
 )
@@ -200,6 +209,68 @@ class TestOrbitSetupFactorization:
                     assert psi.then(member.into) == phi
                     checked += 1
         assert checked >= 3
+
+
+def _pullback_hom_cases():
+    """(id, instrumentation, reference family): I and J at n_cap 0-2, and
+    Hor(F) of empty -> point and bd 1 -> Delta^1 at hor_n_cap 0-2, each at
+    dim_cap 0 and 1."""
+    cases = []
+    for dim_cap in (0, 1):
+        for n in range(3):
+            budget = Budget(stages=1, n_cap=n, dim_cap=dim_cap)
+            cases.append((f"I-n{n}-d{dim_cap}", setup_I(budget),
+                          setup_I_oracle(budget)))
+            cases.append((f"J-n{n}-d{dim_cap}", setup_J(budget),
+                          setup_J_oracle(budget)))
+            caps = LocalizationCaps(hor_n_cap=n, dim_cap=dim_cap)
+            for name, f in (("empty", empty_to_point_map()),
+                            ("bd1", boundary_inclusion(1))):
+                cases.append((f"HorF-{name}-n{n}-d{dim_cap}",
+                              localization.hor_F_instrumentation(f, caps),
+                              HorFFamilyOracle(f, caps)))
+    return cases
+
+
+PULLBACK_HOM_CASES = _pullback_hom_cases()
+
+
+def _arrow_squares():
+    """Morphisms of arrows between Z/2 fixtures: the two orbits onto the
+    trivial orbit over the point, and the free orbit collapsing under
+    identity -> collapse, so that both upper and lower move."""
+    two, free, point_ = z2_two_orbits(), free_z2_orbit(), trivial_z2_orbit()
+    return [
+        ArrowSquare(terminal_dmap(two), terminal_dmap(point_),
+                    terminal_dmap(two), identity_dmap(point_)),
+        ArrowSquare(identity_dmap(free), z2_collapse(),
+                    identity_dmap(free), z2_collapse()),
+    ]
+
+
+class TestPullbackHomFamily:
+    """The one pullback-hom family gives the squares and transports of the
+    per-family reference classes in tests/oracles.py."""
+
+    @pytest.mark.parametrize("case", PULLBACK_HOM_CASES,
+                             ids=[c[0] for c in PULLBACK_HOM_CASES])
+    def test_assign_and_transport_match_reference(self, case):
+        _, instr, ref = case
+        for g in _arrow_squares():
+            ident = ArrowSquare(g.source, g.source,
+                                identity_dmap(g.source.source),
+                                identity_dmap(g.source.target))
+            for f in (g.source, g.target):
+                got, want = instr.assign(f), ref.assign(f)
+                assert [(s, s.member_id, s.meta, s.orbit) for s in got] == \
+                    [(s, s.member_id, s.meta, s.orbit) for s in want]
+            for sq in instr.assign(g.source):
+                for h in (ident, g):
+                    target, connect = instr.transport(h, sq)
+                    ref_target, ref_connect = ref.transport(h, sq)
+                    assert (target, target.orbit) == \
+                        (ref_target, ref_target.orbit)
+                    assert connect == ref_connect
 
 
 def _random_arrow(rng):
@@ -666,9 +737,12 @@ RECORDS = {
                              "stopped_by", "strict", "instrumentation",
                              "budget"], {}),
     "RetractWitness": (soa.RetractWitness, ["factorization", "section"], {}),
+    "CornerMember": (soa.CornerMember,
+                     ["meta", "factors", "constraints", "corners"],
+                     {"span": ()}),
 }
-FROZEN = ["ArrowSquare", "Budget", "LocalizationCaps", "OrbitMap", "Square",
-          "Verdict"]
+FROZEN = ["ArrowSquare", "Budget", "CornerMember", "LocalizationCaps",
+          "OrbitMap", "Square", "Verdict"]
 MUTABLE = sorted(set(RECORDS) - set(FROZEN))
 
 

@@ -97,7 +97,7 @@ class TestDegenerateSetups:
         spec = LocalizationSpec(
             z2_category(), fixedpointwise=empty_to_point_map(),
             caps=LocalizationCaps(hor_n_cap=1, dim_cap=1))
-        instr = hor_F_instrumentation(spec.f, spec.shape, spec.caps)
+        instr = hor_F_instrumentation(spec.f, spec.caps)
         g = identity_dmap(z2_two_orbits())
         for sq in instr.assign(g):
             assert find_lift(sq.top, g, sq.left, sq.right) is not None
@@ -231,7 +231,7 @@ class TestGeneralFixedPointwise:
         from eqloc.fixtures import trivial_z2_orbit
         from eqloc.soa import verify_square
         spec = self._spec()
-        instr = hor_F_instrumentation(spec.f, spec.shape, spec.caps)
+        instr = hor_F_instrumentation(spec.f, spec.caps)
         g = terminal_dmap(z2_two_orbits())
         squares = instr.assign(g)
         assert squares
@@ -239,7 +239,7 @@ class TestGeneralFixedPointwise:
 
     def test_isomorphism_squares_lift(self):
         spec = self._spec()
-        instr = hor_F_instrumentation(spec.f, spec.shape, spec.caps)
+        instr = hor_F_instrumentation(spec.f, spec.caps)
         g = identity_dmap(free_z2_orbit())
         for sq in instr.assign(g):
             assert find_lift(sq.top, g, sq.left, sq.right) is not None
