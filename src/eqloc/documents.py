@@ -65,10 +65,14 @@ def canonical_json(obj) -> str:
 
 
 def sset_doc(X: SimplicialSet) -> dict:
+    """The document of X, built from X's own immutable tuples: `cells` is
+    `X.levels` and each `faces` entry is `X.cell_faces(c)`, whose Simplex
+    values are (word, cell) tuples.  JSON writes them as the same arrays as
+    lists, so compare documents through `canonical_json`, not by `==`
+    against parsed JSON."""
     return {
-        "cells": [list(level) for level in X.levels],
-        "faces": {c: [[list(f.word), f.cell] for f in X.cell_faces(c)]
-                  for level in X.levels[1:] for c in level},
+        "cells": X.levels,
+        "faces": {c: X.cell_faces(c) for level in X.levels[1:] for c in level},
     }
 
 
@@ -80,11 +84,19 @@ def _read_simplex(word, cell, shared):
 
 
 def sset_from_doc(doc, name="?") -> SimplicialSet:
+    """The validated complex of a document; `cells` must be a list or tuple
+    of levels, each a list or tuple of cell-name strings."""
     try:
         shared = {}
         faces = {c: tuple([_read_simplex(w, d, shared) for w, d in fs])
                  for c, fs in doc.get("faces", {}).items()}
-        X = SimplicialSet(doc["cells"], faces)
+        cells, seq = doc["cells"], (list, tuple)
+        if not (isinstance(cells, seq) and all(
+                isinstance(level, seq) and all(isinstance(c, str) for c in level)
+                for level in cells)):
+            raise ValueError("cells must be a list of levels, each a list "
+                             "of cell-name strings")
+        X = SimplicialSet(cells, faces)
         problems = validate(X)
     except Exception as exc:
         raise DocumentError(f"simplicial set {name!r}: {exc}") from exc

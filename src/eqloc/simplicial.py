@@ -73,12 +73,14 @@ def word_face(word, i):
     return normalize_word(out), i
 
 
+@functools.cache
 def admissible_words(length, base_dim):
     """All admissible words of the given length acting on a base_dim-simplex.
 
     Sorted; there are C(base_dim + length, length) of them.  A word read
     backwards increases with i_t <= base_dim + t - 1, as does every
-    increasing tuple drawn from range(base_dim + length).
+    increasing tuple drawn from range(base_dim + length).  Cached, so every
+    complex's simplices share one tuple per word.
     """
     return tuple(sorted(tuple(reversed(c)) for c in
                         itertools.combinations(range(base_dim + length),
@@ -120,7 +122,15 @@ class SimplicialSet:
     when their levels and the faces of their cells are equal (entries of
     `faces` for names that are not cells are ignored); the hash is computed
     once.  A complex must not be mutated after construction.
+
+    The class has `__slots__`, so an instance has no `__dict__`.  Its two
+    memos, `_simplices_cache` (n -> `simplices(n)`) and `_bd_index`
+    (m -> `_boundary_index(m)`), stay None until first used.  `levels` and
+    `cell_faces` return the complex's own immutable tuples.
     """
+
+    __slots__ = ("_levels", "_faces", "_index", "_dims", "_hash",
+                 "_simplices_cache", "_bd_index")
 
     def __init__(self, levels, faces):
         lv = [tuple(l) for l in levels]
@@ -139,8 +149,8 @@ class SimplicialSet:
                 dims.append(n)
         self._dims = tuple(dims)
         self._hash = None
-        self._simplices_cache = {}
-        self._bd_index = {}
+        self._simplices_cache = None
+        self._bd_index = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -227,26 +237,42 @@ class SimplicialSet:
         """All n-simplices (degenerate included), canonical order."""
         if n < 0:
             return ()
-        if n not in self._simplices_cache:
+        cache = self._simplices_cache
+        if cache is None:
+            cache = self._simplices_cache = {}
+        if n not in cache:
             out = []
             for q in range(min(n, self.dim) + 1):
                 for cell in self._levels[q]:
                     for w in admissible_words(n - q, q):
                         out.append(Simplex(w, cell))
             out.sort(key=self.skey)
-            self._simplices_cache[n] = tuple(out)
-        return self._simplices_cache[n]
+            cache[n] = tuple(out)
+        return cache[n]
 
     def _boundary_index(self, m):
         """Index boundary (d_0 s, ..., d_m s) -> the m-simplices s with that
-        boundary, in canonical order; all vertices under () when m = 0."""
-        if m not in self._bd_index:
-            idx = {}
-            for s in self.simplices(m):
-                bd = tuple(self.face(s, i) for i in range(m + 1)) if m else ()
-                idx.setdefault(bd, []).append(s)
-            self._bd_index[m] = {k: tuple(v) for k, v in idx.items()}
-        return self._bd_index[m]
+        boundary, in canonical order; all vertices under () when m = 0.
+
+        The faces in a key are the members of `simplices(m - 1)`, and the
+        m = 0 entry is `simplices(0)` itself, so the index copies no simplex.
+        """
+        cache = self._bd_index
+        if cache is None:
+            cache = self._bd_index = {}
+        if m in cache:
+            return cache[m]
+        if m == 0:
+            vertices = self.simplices(0)
+            cache[0] = {(): vertices} if vertices else {}
+            return cache[0]
+        canonical = {s: s for s in self.simplices(m - 1)}
+        idx = {}
+        for s in self.simplices(m):
+            bd = tuple([canonical[self.face(s, i)] for i in range(m + 1)])
+            idx.setdefault(bd, []).append(s)
+        cache[m] = {k: tuple(v) for k, v in idx.items()}
+        return cache[m]
 
 
 def validate(X: SimplicialSet):

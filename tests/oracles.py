@@ -5,7 +5,7 @@ sets by filtering the full product of dimension-preserving assignments, pi0
 by union-find, lifting by filtering full hom sets, tensor adjoints by
 composing whole codegeneracy maps, mapping-complex presentations by
 composing every face and degeneracy from the coface and codegeneracy maps
-per lookup, and the orbit setups of I, J and Hor(F) by one class per
+per lookup, complex documents from fresh lists, and the orbit setups of I, J and Hor(F) by one class per
 family, each building its own W.
 """
 
@@ -283,6 +283,16 @@ def hom_complex_oracle(A, X, cap):
     levels = [hom_D(tensor(A, standard_simplex(m)).diagram, X)
               for m in range(cap + 1)]
     return presentation_oracle(levels, face_fn, deg_fn)
+
+
+def sset_doc_oracle(X):
+    """The document of X built from fresh lists: one list per level and one
+    [word, cell] list per face, the words as lists."""
+    return {
+        "cells": [list(level) for level in X.levels],
+        "faces": {c: [[list(f.word), f.cell] for f in X.cell_faces(c)]
+                  for level in X.levels[1:] for c in level},
+    }
 
 
 def random_sset(rng: random.Random, max_cells=10) -> SimplicialSet:

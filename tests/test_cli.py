@@ -210,6 +210,22 @@ class TestBadFaceData:
         assert "Traceback" not in err
 
 
+class TestMalformedCells:
+    """`cells` that is not a list of lists of strings exits 1 naming the
+    set, whichever command reads it."""
+
+    @pytest.mark.parametrize("command", [["parse"], ["colim", "-d", "S"]])
+    @pytest.mark.parametrize("cells", ["c", [[1]]], ids=["string", "number"])
+    def test_exit_1_names_the_set(self, cells, command, tmp_path, capsys):
+        p = tmp_path / "cells.json"
+        p.write_text(json.dumps({"schema": "eqloc/1", "simplicial_sets": {
+            "S": {"cells": cells, "faces": {}}}}))
+        code, out, err = run(capsys, command[0], "-w", str(p), *command[1:])
+        assert code == 1
+        assert "error: simplicial set 'S': cells must be" in err
+        assert "Traceback" not in err
+
+
 class TestMalformedEntries:
     """A missing key or a wrong type in an entry exits 1 naming the entry."""
 

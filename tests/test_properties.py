@@ -2,6 +2,8 @@
 postconditions, and the localization two-out-of-three instance."""
 
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -24,14 +26,21 @@ from eqloc.cat import (
 )
 from eqloc import homotopy, localization, orbits, soa
 from eqloc.fixtures import (
+    arrow_orbit,
     empty_to_point_map,
     free_z2_orbit,
+    interval_plus_point,
     trivial_z2_orbit,
     two_points_diagram,
     z2_collapse,
     z2_two_orbits,
 )
-from eqloc.documents import assignment_from_doc, sset_doc, sset_from_doc
+from eqloc.documents import (
+    assignment_from_doc,
+    canonical_json,
+    sset_doc,
+    sset_from_doc,
+)
 from eqloc.glue import product, pushout, quotient
 from eqloc.homotopy import default_orbit_category, is_weq_equivariant
 from eqloc.localization import (
@@ -46,6 +55,7 @@ from eqloc.simplicial import (
     Simplex,
     SimplicialMap,
     SimplicialSet,
+    boundary,
     boundary_inclusion,
     compose_words,
     constant_map,
@@ -74,6 +84,7 @@ from oracles import (
     random_collapse_map,
     random_sset,
     setup_I_oracle,
+    sset_doc_oracle,
     setup_J_oracle,
     validate_oracle,
     verify_map_oracle,
@@ -1069,3 +1080,87 @@ class TestParsedSimplices:
         assert a["x"] is a["y"]
         assert a == {"x": nondeg("p"), "y": nondeg("p"),
                      "z": Simplex((0,), "p")}
+
+
+def _fixture_complexes():
+    """Every complex of the fixture diagrams and maps, and the standard
+    simplices, boundaries and horns up to dimension 3."""
+    diagrams = [free_z2_orbit(), trivial_z2_orbit(), z2_two_orbits(),
+                two_points_diagram(), interval_plus_point(),
+                arrow_orbit(standard_simplex(1)), z2_collapse().source,
+                z2_collapse().target]
+    out = [X for D in diagrams for X in D.at.values()]
+    f = empty_to_point_map()
+    out += [f.source, f.target]
+    out += [standard_simplex(n) for n in range(4)]
+    out += [boundary(n) for n in range(4)]
+    out += [horn(n, k) for n in range(1, 4) for k in range(n + 1)]
+    return out
+
+
+def _z2_example_complexes():
+    path = pathlib.Path(__file__).parent / "data" / "z2_example.json"
+    sets = json.loads(path.read_text(encoding="utf-8"))["simplicial_sets"]
+    return [sset_from_doc(doc, name) for name, doc in sorted(sets.items())]
+
+
+def _index_from_faces(X, m):
+    """_boundary_index(m) rebuilt from fresh face() results."""
+    idx = {}
+    for s in X.simplices(m):
+        bd = tuple(X.face(s, i) for i in range(m + 1)) if m else ()
+        idx.setdefault(bd, []).append(s)
+    return {k: tuple(v) for k, v in idx.items()}
+
+
+class TestSharedSimplicialData:
+    """Documents, simplices and boundary indexes share the complex's own
+    immutable data instead of copying it."""
+
+    def test_doc_bytes_match_the_list_serializer(self):
+        pool = (_fixture_complexes() + _z2_example_complexes()
+                + _complex_pool(2024, 30))
+        assert any(f.word for X in pool for c in X.all_cells()
+                   if X.cell_dim(c) for f in X.cell_faces(c))
+        for X in pool:
+            doc = sset_doc(X)
+            assert canonical_json(doc) == canonical_json(sset_doc_oracle(X))
+            assert json.dumps(doc) == json.dumps(sset_doc_oracle(X))
+
+    def test_doc_is_the_complex_tuples(self):
+        for X in _complex_pool(2025, 10):
+            doc = sset_doc(X)
+            assert doc["cells"] is X.levels
+            for c, fs in doc["faces"].items():
+                assert fs is X.cell_faces(c)
+
+    def test_memos_are_built_on_first_use(self):
+        for X in _complex_pool(2026, 10):
+            Y = sset_from_doc(sset_doc_oracle(X))
+            assert validate(Y) == []
+            assert Y._simplices_cache is None and Y._bd_index is None
+            assert not hasattr(Y, "__dict__")
+            Y._boundary_index(1)
+            assert Y._simplices_cache is not None
+            assert Y._bd_index is not None
+
+    def test_boundary_index_keys_are_canonical_simplices(self):
+        for X in _fixture_complexes() + _complex_pool(2027, 20):
+            for m in range(X.dim + 2):
+                got = X._boundary_index(m)
+                assert list(got.items()) == list(
+                    _index_from_faces(X, m).items())
+                if m == 0:
+                    assert got.get((), ()) is X.simplices(0) or not got
+                    continue
+                members = {id(s) for s in X.simplices(m - 1)}
+                assert all(id(f) in members for key in got for f in key)
+
+    def test_equal_words_are_one_object(self):
+        X = standard_simplex(2)
+        Y = product(standard_simplex(1), standard_simplex(1)).space
+        for n in range(1, 5):
+            words = {s.word: s.word for s in X.simplices(n) if s.word}
+            shared = [s.word for s in Y.simplices(n) if s.word in words]
+            assert shared
+            assert all(w is words[w] for w in shared)
