@@ -76,8 +76,14 @@ def sset_doc(X: SimplicialSet) -> dict:
     }
 
 
-def _read_simplex(word, cell, shared):
-    """Simplex(word, cell); one nondegenerate Simplex per name in shared."""
+def _read_simplex(word, cell, shared, owner):
+    """Simplex(word, cell), a face or image of the cell `owner`; one
+    nondegenerate Simplex per name in shared.  The word must be a list or
+    tuple of ints."""
+    if not isinstance(word, (list, tuple)) or (
+            word and not all(type(i) is int for i in word)):
+        raise ValueError(f"cell {owner!r}: degeneracy word {word!r} is not "
+                         f"a list of integers")
     word = tuple(word)
     return Simplex(word, cell) if word else (
         shared.get(cell) or shared.setdefault(cell, Simplex((), cell)))
@@ -88,7 +94,7 @@ def sset_from_doc(doc, name="?") -> SimplicialSet:
     of levels, each a list or tuple of cell-name strings."""
     try:
         shared = {}
-        faces = {c: tuple([_read_simplex(w, d, shared) for w, d in fs])
+        faces = {c: tuple([_read_simplex(w, d, shared, c) for w, d in fs])
                  for c, fs in doc.get("faces", {}).items()}
         cells, seq = doc["cells"], (list, tuple)
         if not (isinstance(cells, seq) and all(
@@ -107,7 +113,7 @@ def sset_from_doc(doc, name="?") -> SimplicialSet:
 
 def assignment_from_doc(doc):
     shared = {}
-    return {c: _read_simplex(v[0], v[1], shared) for c, v in doc.items()}
+    return {c: _read_simplex(v[0], v[1], shared, c) for c, v in doc.items()}
 
 
 def category_from_doc(doc, name="?") -> SmallCategory:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from typing import Callable, NamedTuple, Optional
 
 
@@ -115,13 +116,21 @@ class SimplicialSet:
     levels: per-dimension lists of cell names (the canonical order).
     faces: for each cell of dimension n >= 1, an (n+1)-tuple of Simplex values
     of dimension n-1, listed d_0 .. d_n.  A face that is already a Simplex
-    with a tuple word is kept as is, so faces may be shared with the caller.
+    with a tuple word is kept as is, not copied.
+
+    Construction is hash-consed: equal complexes are one object.  The key is
+    (levels, the faces of each cell in `all_cells()` order, None for a
+    vertex); its hash is computed once, at construction, and is the
+    complex's hash.  While a complex with that key is alive, building the
+    same value again returns it, so its memos serve every builder.  The
+    table holds complexes weakly and keeps none alive.  A complex whose
+    `faces` has an entry for a name that is not a cell is not interned: it is
+    always a fresh object, so `validate` can report the stray entry.
 
     `_index` gives each cell its position in `all_cells()` order; maps out of
     the complex store their images in that order.  Two complexes are equal
-    when their levels and the faces of their cells are equal (entries of
-    `faces` for names that are not cells are ignored); the hash is computed
-    once.  A complex must not be mutated after construction.
+    when their keys are equal (entries of `faces` for names that are not
+    cells are ignored).  A complex must not be mutated after construction.
 
     The class has `__slots__`, so an instance has no `__dict__`.  Its two
     memos, `_simplices_cache` (n -> `simplices(n)`) and `_bd_index`
@@ -130,27 +139,41 @@ class SimplicialSet:
     """
 
     __slots__ = ("_levels", "_faces", "_index", "_dims", "_hash",
-                 "_simplices_cache", "_bd_index")
+                 "_simplices_cache", "_bd_index", "__weakref__")
 
-    def __init__(self, levels, faces):
+    _interned = weakref.WeakValueDictionary()  # key -> the live complex
+
+    def __new__(cls, levels, faces):
         lv = [tuple(l) for l in levels]
         while lv and not lv[-1]:
             lv.pop()
-        self._levels = tuple(lv)
-        self._faces = {c: tuple(map(_as_simplex, fs))
-                       for c, fs in faces.items()}
-        self._index = {}
+        levels = tuple(lv)
+        faces = {c: tuple(map(_as_simplex, fs)) for c, fs in faces.items()}
+        index = {}
         dims = []
-        for n, cells in enumerate(self._levels):
+        for n, cells in enumerate(levels):
             for c in cells:
-                if c in self._index:
+                if c in index:
                     raise ValueError(f"duplicate cell name {c!r}")
-                self._index[c] = len(dims)
+                index[c] = len(dims)
                 dims.append(n)
+        key = (levels, tuple(map(faces.get, index)))
+        interned = faces.keys() <= index.keys()
+        if interned:
+            self = cls._interned.get(key)
+            if self is not None:
+                return self
+        self = super().__new__(cls)
+        self._levels = levels
+        self._faces = faces
+        self._index = index
         self._dims = tuple(dims)
-        self._hash = None
+        self._hash = hash(key)
         self._simplices_cache = None
         self._bd_index = None
+        if interned:
+            cls._interned[key] = self
+        return self
 
     # -- basic structure ----------------------------------------------------
 
@@ -202,9 +225,6 @@ class SimplicialSet:
         return all(mine(c) == theirs(c) for c in self._index)
 
     def __hash__(self):
-        if self._hash is None:
-            faces = self._faces.get
-            self._hash = hash((self._levels, tuple(map(faces, self._index))))
         return self._hash
 
     def __repr__(self):

@@ -81,7 +81,6 @@ class Budget(Record, frozen=True):
     stages: int = 4
     n_cap: int = 2
     dim_cap: int = 1
-    search_nodes: Optional[int] = None
 
 
 class Instrumentation:
@@ -155,8 +154,7 @@ def setup_union(a: Instrumentation, b: Instrumentation,
 
     budget = Budget(stages=max(a.budget.stages, b.budget.stages),
                     n_cap=max(a.budget.n_cap, b.budget.n_cap),
-                    dim_cap=max(a.budget.dim_cap, b.budget.dim_cap),
-                    search_nodes=a.budget.search_nodes)
+                    dim_cap=max(a.budget.dim_cap, b.budget.dim_cap))
     return Instrumentation(name or f"{a.name}+{b.name}", assign, transport,
                            a.prefixes + b.prefixes, budget)
 

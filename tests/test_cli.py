@@ -210,6 +210,42 @@ class TestBadFaceData:
         assert "Traceback" not in err
 
 
+# a degeneracy word that is not a list of ints: the section, the entry and
+# cell the error names, and the entry
+NON_INTEGER_WORDS = {
+    "empty-string-face": ("simplicial_sets", "simplicial set 'S'", "e", {
+        "S": {"cells": [["a", "b"], ["e"]],
+              "faces": {"e": [["", "a"], ["", "b"]]}}}),
+    "digit-string-face": ("simplicial_sets", "simplicial set 'S'", "t", {
+        "S": _sset_entry(dict(TRIANGLE,
+                              t=[["0", "a"], [[], "f"], [[], "g"]]))}),
+    "float-in-face-word": ("simplicial_sets", "simplicial set 'S'", "t", {
+        "S": _sset_entry(dict(TRIANGLE,
+                              t=[[[0.0], "a"], [[], "f"], [[], "g"]]))}),
+    "empty-string-image": ("maps", "map 'f'", "0", {
+        "f": {"source": "point", "target": "point",
+              "assignment": {"0": ["", "0"]}}}),
+    "boolean-in-image-word": ("maps", "map 'f'", "0", {
+        "f": {"source": "point", "target": "point",
+              "assignment": {"0": [[True], "0"]}}}),
+}
+
+
+class TestNonIntegerWords:
+    """A degeneracy word that is not a list of ints exits 1 naming the
+    complex or map and the cell, whichever way JSON spells it."""
+
+    @pytest.mark.parametrize("case", sorted(NON_INTEGER_WORDS))
+    def test_exit_1_names_entry_and_cell(self, case, tmp_path, capsys):
+        section, entry, cell, entries = NON_INTEGER_WORDS[case]
+        p = tmp_path / f"{case}.json"
+        p.write_text(json.dumps({"schema": "eqloc/1", section: entries}))
+        code, out, err = run(capsys, "parse", "-w", str(p))
+        assert code == 1
+        assert f"error: {entry}: cell '{cell}': degeneracy word" in err
+        assert "Traceback" not in err
+
+
 class TestMalformedCells:
     """`cells` that is not a list of lists of strings exits 1 naming the
     set, whichever command reads it."""

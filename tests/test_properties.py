@@ -1,10 +1,12 @@
 """Cross-cutting invariants: randomized universal properties, factorization
 postconditions, and the localization two-out-of-three instance."""
 
+import gc
 import itertools
 import json
 import pathlib
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -552,9 +554,11 @@ class TestHornFillers:
 
 
 def _copy_sset(X):
-    """A structurally equal complex that shares no object with X."""
+    """An equal complex that is another object: its stray `faces` entry
+    opts it out of interning."""
+    faces = {c: X.cell_faces(c) for l in X.levels[1:] for c in l}
     return SimplicialSet([list(l) for l in X.levels],
-                         {c: X.cell_faces(c) for l in X.levels[1:] for c in l})
+                         dict(faces, stray=(nondeg("nowhere"),)))
 
 
 class TestIdentityContract:
@@ -641,13 +645,16 @@ class TestIdentityContract:
         assert equal_pairs > 0
 
     def test_faces_are_kept_not_copied(self):
+        """A fresh value keeps the caller's faces; an equal one is the live
+        complex with its own."""
         rng = random.Random(314159)
         for _ in range(6):
             X = random_sset(rng, max_cells=6)
             faces = {c: tuple(Simplex(f.word, f.cell) for f in X.cell_faces(c))
                      for l in X.levels[1:] for c in l}
-            Y = SimplicialSet(X.levels, faces)
-            assert Y == X
+            assert SimplicialSet(X.levels, faces) is X
+            Y = SimplicialSet([X.levels[0] + ("fresh",), *X.levels[1:]], faces)
+            assert Y != X and Y.cells(0)[:-1] == X.cells(0)
             for c, fs in faces.items():
                 for i, f in enumerate(fs):
                     assert Y.cell_faces(c)[i] is f
@@ -688,7 +695,7 @@ class TestIdentityContract:
 
     def test_diagrams_and_dmaps_built_twice_are_equal(self):
         X1, X2 = free_z2_orbit(), free_z2_orbit()
-        assert X1.at["*"] is not X2.at["*"]
+        assert X1 is not X2 and X1.at["*"] is X2.at["*"]
         assert X1 == X2 and hash(X1) == hash(X2)
         copy = Diagram(X1.shape, {"*": _copy_sset(X1.at["*"])},
                        {m: SimplicialMap(_copy_sset(f.source),
@@ -737,8 +744,7 @@ RECORDS = {
                {"meta": (), "orbit": None}),
     "ArrowSquare": (soa.ArrowSquare, ["source", "target", "upper", "lower"],
                     {}),
-    "Budget": (soa.Budget, [], {"stages": 4, "n_cap": 2, "dim_cap": 1,
-                                "search_nodes": None}),
+    "Budget": (soa.Budget, [], {"stages": 4, "n_cap": 2, "dim_cap": 1}),
     "RlpReport": (soa.RlpReport,
                   ["holds", "n_squares", "lifts", "counterexample"], {}),
     "Stage": (soa.Stage, ["squares", "attached", "stage_map", "rho"],
@@ -842,7 +848,7 @@ class TestRecordContract:
         assert repr(homotopy.Verdict("yes", (1,), "r")) == \
             "Verdict(value='yes', caps=(1,), reason='r')"
         assert repr(soa.Budget(stages=2)) == \
-            "Budget(stages=2, n_cap=2, dim_cap=1, search_nodes=None)"
+            "Budget(stages=2, n_cap=2, dim_cap=1)"
         hidden = {"Cone": ["_pushout", "_cylinder"], "Horn": ["pushout"],
                   "OrbitMap": ["pullback"], "Square": ["orbit"],
                   "Stage": ["pushout", "tops_coproduct"]}
@@ -1056,6 +1062,15 @@ class TestVerifyMapAgainstOracle:
         assert verify_map(f) == [("inadmissible-word", "0.1")]
 
 
+def _unheld_doc(X, tag):
+    """The document of X with every cell renamed tag + name: a value that
+    no live complex holds, so parsing it builds a fresh complex."""
+    doc = sset_doc_oracle(X)
+    return {"cells": [[tag + c for c in l] for l in doc["cells"]],
+            "faces": {tag + c: [[w, tag + d] for w, d in fs]
+                      for c, fs in doc["faces"].items()}}
+
+
 class TestParsedSimplices:
     def test_round_trip(self):
         for X in _complex_pool(1618, 30):
@@ -1064,14 +1079,15 @@ class TestParsedSimplices:
     def test_equal_nondegenerate_faces_are_one_object(self):
         shared = 0
         for X in _complex_pool(1619, 10):
-            Y = sset_from_doc(sset_doc(X))
+            doc = _unheld_doc(X, "parsed:")
+            Y = sset_from_doc(doc)
             seen = {}
             for c in Y.all_cells():
                 for f in (Y.cell_faces(c) if Y.cell_dim(c) else ()):
                     if not f.word:
                         shared += f in seen
                         assert seen.setdefault(f, f) is f
-            assert Y == X
+            assert sset_doc_oracle(Y) == doc
         assert shared > 0
 
     def test_assignment_shares_nondegenerate_images(self):
@@ -1136,7 +1152,7 @@ class TestSharedSimplicialData:
 
     def test_memos_are_built_on_first_use(self):
         for X in _complex_pool(2026, 10):
-            Y = sset_from_doc(sset_doc_oracle(X))
+            Y = sset_from_doc(_unheld_doc(X, "memo:"))
             assert validate(Y) == []
             assert Y._simplices_cache is None and Y._bd_index is None
             assert not hasattr(Y, "__dict__")
@@ -1164,3 +1180,63 @@ class TestSharedSimplicialData:
             shared = [s.word for s in Y.simplices(n) if s.word in words]
             assert shared
             assert all(w is words[w] for w in shared)
+
+
+class TestInterning:
+    """Construction is hash-consed: while a complex is alive, building an
+    equal value returns it.  Stray face entries opt out."""
+
+    def test_equal_complexes_built_apart_are_one_object(self):
+        X = SimplicialSet([["a", "b"], ["e"]],
+                          {"e": (nondeg("b"), nondeg("a"))})
+        assert SimplicialSet([("a", "b"), ("e",), ()],
+                             {"e": [[(), "b"], [[], "a"]]}) is X
+        for Y in _complex_pool(2718, 10) + _fixture_complexes():
+            assert sset_from_doc(sset_doc_oracle(Y)) is Y
+            assert sset_from_doc(json.loads(json.dumps(sset_doc(Y)))) is Y
+        for K in (standard_simplex(2), boundary(2), horn(2, 1)):
+            left, right = product(point(), K), product(K, point())
+            assert left is not right and left.space is right.space
+
+    def test_stray_face_entry_is_a_fresh_object(self):
+        levels = [["a", "b"], ["e"]]
+        faces = {"e": (nondeg("b"), nondeg("a"))}
+        X = SimplicialSet(levels, faces)
+        stray = dict(faces, ghost=(nondeg("a"),))
+        Z1, Z2 = SimplicialSet(levels, stray), SimplicialSet(levels, stray)
+        assert Z1 is not X and Z2 is not Z1
+        assert Z1 == X and hash(Z1) == hash(X)
+        assert validate(Z1) == [("faces-for-unknown-cell", "ghost")]
+        assert validate(X) == []
+        assert SimplicialSet(levels, faces) is X
+
+    def test_table_keeps_nothing_alive(self):
+        table = SimplicialSet._interned
+        gc.collect()
+        before = len(table)
+        X = SimplicialSet([["weak:a", "weak:b"], ["weak:e"]],
+                          {"weak:e": (nondeg("weak:b"), nondeg("weak:a"))})
+        X._boundary_index(1)
+        assert len(table) == before + 1
+        ref = weakref.ref(X)
+        del X
+        gc.collect()
+        assert ref() is None
+        assert len(table) == before
+
+    def test_hash_is_the_hash_of_the_key(self):
+        for X in _complex_pool(2719, 20) + _fixture_complexes():
+            key = (X.levels, tuple(X.cell_faces(c) if X.cell_dim(c) else None
+                                   for c in X.all_cells()))
+            assert hash(X) == hash(key)
+
+    def test_memos_are_seen_through_an_equal_handle(self):
+        for X in _complex_pool(2720, 10):
+            doc = _unheld_doc(X, "handle:")
+            Y = sset_from_doc(doc)
+            assert Y._simplices_cache is None and Y._bd_index is None
+            index = Y._boundary_index(1)
+            simplices = Y.simplices(1)
+            Z = sset_from_doc(doc)
+            assert Z is Y
+            assert Z._boundary_index(1) is index and Z.simplices(1) is simplices
