@@ -12,7 +12,6 @@ functools.cache, keyed by value; their results are shared, not to be mutated.
 from __future__ import annotations
 
 import functools
-import sys
 from typing import Callable, Optional
 
 from . import glue
@@ -24,7 +23,6 @@ from .simplicial import (
     backtrack,
     coface_map,
     codegeneracy_map,
-    compose_words,
     constant_map,
     degenerate_at,
     empty_simplicial_set,
@@ -531,13 +529,8 @@ def coproduct_D(diagrams) -> CoproductD:
     at = {d: cos[d].space for d in D.objects}
     act = {}
     for m in D.arrows:
-        a, b = D.src[m], D.tgt[m]
-        assignment = {}
-        for i, X in enumerate(diagrams):
-            for c in X.at[a].all_cells():
-                img = X.act[m](nondeg(c))
-                assignment[f"{i}:{c}"] = Simplex(img.word, f"{i}:{img.cell}")
-        act[m] = SimplicialMap(at[a], at[b], assignment)
+        act[m] = glue.coproduct_map(at[D.src[m]], at[D.tgt[m]],
+                                    [X.act[m] for X in diagrams])
     diagram = Diagram(D, at, act)
     injections = [DiagramMap(X, diagram,
                              {d: cos[d].injections[i] for d in D.objects})
@@ -719,33 +712,13 @@ def complex_from_levels(levels, cofaces, codegs, cap) -> LevelPresentation:
 
     levels[n] lists the n-elements, maps out of P(Delta^n), in canonical
     order; the `_operators` of P act by precomposition: d_i e =
-    cofaces[n][i].then(e), s_j f = codegs[n][j].then(f).  An n-element e is
-    s_j d_j e for the largest j that gives e back, else a new cell.  Cells
-    above the cap are unknown; the result presents the cap-skeleton.
+    cofaces[n][i].then(e), s_j f = codegs[n][j].then(f); normal forms by
+    `glue.normal_form_complex`.  Cells above the cap are unknown; the result
+    presents the cap-skeleton.
     """
-    to_simplex = {}
-    elem_of_cell = {}
-    new_levels = []
-    faces = {}
-    for n, elems in enumerate(levels):
-        level = []
-        for e in elems:
-            fs = [op.then(e) for op in cofaces[n]]
-            j = next((j for j in reversed(range(n))
-                      if codegs[n][j].then(fs[j]) == e), None)
-            if j is not None:
-                sub = to_simplex[(n - 1, fs[j])]
-                to_simplex[(n, e)] = Simplex(compose_words((j,), sub.word),
-                                             sub.cell)
-            else:
-                name = sys.intern(f"e{n}_{len(level)}")
-                level.append(name)
-                elem_of_cell[name] = e
-                if n >= 1:
-                    faces[name] = tuple(to_simplex[(n - 1, f)] for f in fs)
-                to_simplex[(n, e)] = nondeg(name)
-        new_levels.append(level)
-    space = SimplicialSet(new_levels, faces)
+    space, to_simplex, elem_of_cell = glue.normal_form_complex(
+        levels, lambda n, e, i: cofaces[n][i].then(e),
+        lambda n, f, j: codegs[n][j].then(f), "e")
     return LevelPresentation(space, to_simplex, elem_of_cell, cap)
 
 

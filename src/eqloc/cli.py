@@ -235,38 +235,46 @@ def _loc_caps(args) -> LocalizationCaps:
 
 
 def _loc_spec(args, ws) -> LocalizationSpec:
+    """The spec named by --spec, else the one the --fixedpointwise-f or
+    --generators flag gives; a malformed entry is a DocumentError naming
+    its source."""
     caps = _loc_caps(args)
     shape = ws.diagram(args.diagram).shape
     if getattr(args, "spec", None):
+        where = f"spec {args.spec!r}"
         doc = ws.spec_docs.get(args.spec)
         if doc is None:
             raise DocumentError(f"unknown localization spec {args.spec!r}")
+        if not isinstance(doc, dict):
+            raise DocumentError(f"{where} is not an object")
         doc_caps = doc.get("caps", {})
         if not isinstance(doc_caps, dict):
-            raise DocumentError(f"spec {args.spec!r}: caps is not an object")
+            raise DocumentError(f"{where}: caps is not an object")
         fields = dict(vars(caps))  # every field of LocalizationCaps
         for key, value in doc_caps.items():
-            fields[key] = checked_cap(f"spec {args.spec!r}", key, value,
-                                      fields)
+            fields[key] = checked_cap(where, key, value, fields)
         caps = LocalizationCaps(**fields)
-        if "fixedpointwise" in doc:
-            f = ws.maps.get(doc["fixedpointwise"])
-            if f is None:
-                raise DocumentError(
-                    f"unknown map {doc['fixedpointwise']!r} in spec")
-            return LocalizationSpec(shape, fixedpointwise=f, caps=caps)
-        gens = [ws.dmap(n) for n in doc.get("generators", [])]
-        return LocalizationSpec(shape, generators=gens, caps=caps)
-    if args.fixedpointwise_f:
-        f = ws.maps.get(args.fixedpointwise_f)
-        if f is None:
-            raise DocumentError(f"unknown map {args.fixedpointwise_f!r}")
-        return LocalizationSpec(shape, fixedpointwise=f, caps=caps)
-    if not args.generators:
+        fixed = "fixedpointwise" in doc
+        names = doc["fixedpointwise"] if fixed else doc.get("generators", [])
+    elif args.fixedpointwise_f or args.generators:
+        fixed = bool(args.fixedpointwise_f)
+        where = "--fixedpointwise-f" if fixed else "--generators"
+        names = args.fixedpointwise_f if fixed else args.generators.split(",")
+    else:
         raise DocumentError("one of --spec, --generators or "
                             "--fixedpointwise-f is needed")
-    gens = [ws.dmap(n) for n in args.generators.split(",")]
-    return LocalizationSpec(shape, generators=gens, caps=caps)
+    f = gens = None
+    if fixed:
+        f = ws.maps.get(names) if isinstance(names, str) else None
+        if f is None:
+            raise DocumentError(f"{where}: unknown map {names!r}")
+    elif isinstance(names, list) and all(isinstance(n, str) for n in names):
+        gens = [ws.dmap(n) for n in names]
+    else:
+        raise DocumentError(f"{where}: generators must be a list of map "
+                            f"names, not {names!r}")
+    return LocalizationSpec(shape, generators=gens, fixedpointwise=f,
+                            caps=caps)
 
 
 def _fixed_points(Z, j, spec) -> list:

@@ -42,6 +42,14 @@ class UnionFind:
         if ra != rb:
             self.parent[ra] = rb
 
+    def classes(self, items) -> dict:
+        """root -> the items in its class, in items order; the classes come
+        in the order of their first item."""
+        out = {}
+        for x in items:
+            out.setdefault(self.find(x), []).append(x)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # coproducts
@@ -82,6 +90,56 @@ def coproduct(spaces) -> Coproduct:
     return Coproduct(space, injections, summand_of)
 
 
+def coproduct_map(source, target, maps) -> SimplicialMap:
+    """The sum of maps between coproducts: the cell "<k>:<c>" of source
+    goes to the image of c under maps[k], in summand k of target."""
+    assignment = {}
+    for k, m in enumerate(maps):
+        for c in m.source.all_cells():
+            img = m(nondeg(c))
+            assignment[f"{k}:{c}"] = Simplex(img.word, f"{k}:{img.cell}")
+    return SimplicialMap(source, target, assignment)
+
+
+# ---------------------------------------------------------------------------
+# normal forms
+
+
+def normal_form_complex(levels, face, degeneracy, prefix):
+    """The complex presented by levelwise elements in Eilenberg-Zilber form.
+
+    levels[n] lists the n-elements in canonical order; face(n, e, i) is d_i
+    of an n-element e and degeneracy(n, f, j) the n-element s_j f of an
+    (n-1)-element f.  An n-element e is s_j d_j e for the largest j that
+    gives e back, else a new cell "<prefix>n_k".  Returns the space, the
+    normal form of every element (keyed by (n, e)) and the element behind
+    every cell.
+    """
+    to_simplex = {}
+    elem_of_cell = {}
+    new_levels = []
+    faces = {}
+    for n, elems in enumerate(levels):
+        level = []
+        for e in elems:
+            fs = [face(n, e, i) for i in range(n + 1)] if n else ()
+            j = next((j for j in reversed(range(n))
+                      if degeneracy(n, fs[j], j) == e), None)
+            if j is not None:
+                sub = to_simplex[(n - 1, fs[j])]
+                to_simplex[(n, e)] = Simplex(compose_words((j,), sub.word),
+                                             sub.cell)
+            else:
+                name = sys.intern(f"{prefix}{n}_{len(level)}")
+                level.append(name)
+                elem_of_cell[name] = e
+                if n >= 1:
+                    faces[name] = tuple(to_simplex[(n - 1, f)] for f in fs)
+                to_simplex[(n, e)] = nondeg(name)
+        new_levels.append(level)
+    return SimplicialSet(new_levels, faces), to_simplex, elem_of_cell
+
+
 # ---------------------------------------------------------------------------
 # quotients
 
@@ -114,9 +172,9 @@ def quotient(Z: SimplicialSet, pairs) -> Quotient:
             work.append((Z.face(u, i), Z.face(v, i)))
     pairs = sorted(saturated, key=lambda p: (Z.simplex_dim(p[0]),
                                              Z.skey(p[0]), Z.skey(p[1])))
-    dim = Z.dim
     ufs = []
-    for n in range(dim + 1):
+    firsts = []  # per level: class root -> its least member
+    for n in range(Z.dim + 1):
         uf = UnionFind(Z.simplices(n))
         for u, v in pairs:
             q = Z.simplex_dim(u)
@@ -126,43 +184,19 @@ def quotient(Z: SimplicialSet, pairs) -> Quotient:
                 uf.union(Simplex(compose_words(w, u.word), u.cell),
                          Simplex(compose_words(w, v.word), v.cell))
         ufs.append(uf)
+        firsts.append({root: members[0] for root, members
+                       in uf.classes(Z.simplices(n)).items()})
 
-    levels = []
-    faces = {}
-    rep_of = {}
-    ez_by_root = {}  # (n, root) -> Simplex downstairs
-    for n in range(dim + 1):
-        members = {}
-        for s in Z.simplices(n):
-            members.setdefault(ufs[n].find(s), []).append(s)
-        classes = sorted(members.values(), key=lambda ms: Z.skey(ms[0]))
-        level = []
-        for cls in classes:
-            rep = cls[0]
-            root = ufs[n].find(rep)
-            js = [j for j in range(n)
-                  if ufs[n].find(Z.degeneracy(Z.face(rep, j), j)) == root]
-            if js:
-                j = max(js)
-                sub = ez_by_root[(n - 1, ufs[n - 1].find(Z.face(rep, j)))]
-                ez_by_root[(n, root)] = Simplex(
-                    compose_words((j,), sub.word), sub.cell)
-            else:
-                name = sys.intern(f"q{n}_{len(level)}")
-                level.append(name)
-                rep_of[name] = rep
-                if n >= 1:
-                    faces[name] = tuple(
-                        ez_by_root[(n - 1, ufs[n - 1].find(Z.face(rep, i)))]
-                        for i in range(n + 1))
-                ez_by_root[(n, root)] = nondeg(name)
-        levels.append(level)
+    def least(n, s):
+        return firsts[n][ufs[n].find(s)]
 
-    space = SimplicialSet(levels, faces)
-    projection = SimplicialMap(
-        Z, space,
-        {c: ez_by_root[(Z.cell_dim(c), ufs[Z.cell_dim(c)].find(nondeg(c)))]
-         for c in Z.all_cells()})
+    space, to_simplex, rep_of = normal_form_complex(
+        [level.values() for level in firsts],
+        lambda n, s, i: least(n - 1, Z.face(s, i)),
+        lambda n, s, j: least(n, Z.degeneracy(s, j)), "q")
+    projection = SimplicialMap(Z, space, images=tuple(
+        to_simplex[(n, least(n, nondeg(c)))]
+        for n, cells in enumerate(Z.levels) for c in cells))
     return Quotient(space, projection, rep_of)
 
 
@@ -232,12 +266,7 @@ class TupleComplex:
     def locate(self, coords) -> Simplex:
         coords = tuple(coords)
         word = []
-        while True:
-            common = set(coords[0].word)
-            for c in coords[1:]:
-                common &= set(c.word)
-            if not common:
-                break
+        while common := _shared_word(coords):
             j = max(common)
             coords = tuple(X.face(c, j)
                            for X, c in zip(self.factors, coords))
@@ -257,6 +286,11 @@ class TupleComplex:
         return SimplicialMap(src, self.space, images=tuple(
             self.locate(tuple(m(nondeg(c)) for m in maps))
             for c in src.all_cells()))
+
+
+def _shared_word(coords) -> set:
+    """The degeneracy indices in the word of every coordinate."""
+    return set.intersection(*[set(c.word) for c in coords])
 
 
 def _constrained(factors, by_slot, n, slot, partial):
@@ -304,10 +338,7 @@ def tuple_complex(factors, constraints=()) -> TupleComplex:
     for n, tuples in enumerate(levels_tuples):
         level = []
         for t in tuples:
-            common = set(t[0].word) if t else set()
-            for c in t[1:]:
-                common &= set(c.word)
-            if t and common:
+            if t and _shared_word(t):
                 continue  # jointly degenerate
             name = sys.intern(f"t{n}_{len(level)}")
             level.append(name)

@@ -101,34 +101,15 @@ def is_kan(X: SimplicialSet, n_cap) -> bool:
 
 
 def pi0(X: SimplicialSet):
-    """Connected components: vertices modulo the edge relation.
+    """Connected components: the coequalizer of d_0, d_1: X_1 -> X_0.
 
-    Computed by graph traversal; canonical class order by least vertex.
+    Classes in order of their first vertex, each with its members sorted.
     """
-    vertices = list(X.cells(0))
-    adjacency = {v: set() for v in vertices}
+    uf = UnionFind(X.cells(0))
     for e in X.cells(1):
-        a = X.face(nondeg(e), 0).cell
-        b = X.face(nondeg(e), 1).cell
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen = set()
-    classes = []
-    for v in vertices:
-        if v in seen:
-            continue
-        comp = []
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in sorted(adjacency[u]):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        classes.append(tuple(sorted(comp)))
-    return tuple(classes)
+        faces = X.cell_faces(e)
+        uf.union(faces[0].cell, faces[1].cell)
+    return tuple(tuple(sorted(c)) for c in uf.classes(X.cells(0)).values())
 
 
 def sphere_simplices(X: SimplicialSet, basepoint, n):
@@ -159,11 +140,8 @@ def pi_n(X: SimplicialSet, basepoint, n, kan_checked=False):
             a, b = X.face(w, n), X.face(w, n + 1)
             if a in uf.parent and b in uf.parent:
                 uf.union(a, b)
-    classes = {}
-    for s in spheres:
-        classes.setdefault(uf.find(s), []).append(s)
-    return tuple(tuple(sorted(cls, key=X.skey)) for cls in
-                 sorted(classes.values(), key=lambda c: X.skey(c[0])))
+    # spheres are in canonical order, so are the classes and their members
+    return tuple(tuple(cls) for cls in uf.classes(spheres).values())
 
 
 class HomotopyReport(Record):
@@ -216,24 +194,12 @@ def fibrant_replace_map(phi: SimplicialMap, budget: Budget):
     return r.delta.components["*"], okY and r.stopped_by == "stabilization"
 
 
-def _compare_pi_n(phi: SimplicialMap, v, n) -> bool:
-    """Bijectivity of the induced map on pi_n at the basepoint v."""
-    X, Y = phi.source, phi.target
-    cls_x = pi_n(X, v, n, kan_checked=True)
-    w = phi(nondeg(v)).cell
-    cls_y = pi_n(Y, w, n, kan_checked=True)
-    index_y = {}
-    for idx, cls in enumerate(cls_y):
-        for s in cls:
-            index_y[s] = idx
-    images = []
-    for cls in cls_x:
-        img = phi(cls[0])
-        if img not in index_y:
-            return False
-        images.append(index_y[img])
-    return len(set(images)) == len(images) and set(images) == \
-        set(range(len(cls_y)))
+def _class_bijection(cls_x, cls_y, image) -> bool:
+    """Whether sending each class of cls_x to the class of cls_y holding
+    image(its first member) is a bijection."""
+    index_y = {s: i for i, cls in enumerate(cls_y) for s in cls}
+    images = {index_y.get(image(cls[0])) for cls in cls_x}
+    return None not in images and len(images) == len(cls_x) == len(cls_y)
 
 
 def sset_weq_probe(phi: SimplicialMap, pi_cap, budget: Budget) -> Verdict:
@@ -250,14 +216,15 @@ def sset_weq_probe(phi: SimplicialMap, pi_cap, budget: Budget) -> Verdict:
     cls_x, cls_y = pi0(phi.source), pi0(phi.target)
     if len(cls_x) != len(cls_y):
         return Verdict(NO, caps, "pi0 cardinality differs")
-    index_y = {v: i for i, cls in enumerate(cls_y) for v in cls}
-    images = {index_y[phi(nondeg(cls[0])).cell] for cls in cls_x}
-    if len(images) != len(cls_x):
+    if not _class_bijection(cls_x, cls_y, lambda v: phi(nondeg(v)).cell):
         return Verdict(NO, caps, "pi0 not bijective")
     for cls in cls_x:
         v = cls[0]
+        w = phi(nondeg(v)).cell
         for n in range(1, pi_cap + 1):
-            if not _compare_pi_n(phi, v, n):
+            if not _class_bijection(pi_n(phi.source, v, n, kan_checked=True),
+                                    pi_n(phi.target, w, n, kan_checked=True),
+                                    phi):
                 return Verdict(NO, caps, f"pi_{n} not bijective at {v}")
     return Verdict(YES, caps)
 
@@ -284,20 +251,30 @@ def is_fibration_equivariant(f: DiagramMap, orbits: OrbitCategory,
     return True
 
 
+def weq_probe_all(phis, label, pi_cap, budget: Budget, caps) -> Verdict:
+    """The worst `sset_weq_probe` verdict over the maps phis.
+
+    The first NO stops the walk and names its map as "<label> i"; otherwise
+    the verdict is INCONCLUSIVE if any probe was, else YES, with the caps.
+    """
+    worst = YES
+    for idx, phi in enumerate(phis):
+        v = sset_weq_probe(phi, pi_cap, budget)
+        if v.value == NO:
+            return Verdict(NO, v.caps, f"{label} {idx}: {v.reason}")
+        if v.value == INCONCLUSIVE:
+            worst = INCONCLUSIVE
+    return Verdict(worst, caps)
+
+
 def is_weq_equivariant(f: DiagramMap, orbits: OrbitCategory,
                        pi_cap, hom_cap,
                        budget: Optional[Budget] = None) -> Verdict:
     """Equivariant weak-equivalence probe through all orbit mapping complexes."""
     budget = budget or Budget(stages=3, n_cap=pi_cap + 1, dim_cap=0)
-    worst = YES
-    for idx, T in enumerate(orbits.orbits):
-        phi = hom_complex_post(T, f, hom_cap)
-        v = sset_weq_probe(phi, pi_cap, budget)
-        if v.value == NO:
-            return Verdict(NO, v.caps, f"orbit {idx}: {v.reason}")
-        if v.value == INCONCLUSIVE:
-            worst = INCONCLUSIVE
-    return Verdict(worst, ("pi_cap", pi_cap, "hom_cap", hom_cap))
+    return weq_probe_all((hom_complex_post(T, f, hom_cap)
+                          for T in orbits.orbits), "orbit", pi_cap, budget,
+                         ("pi_cap", pi_cap, "hom_cap", hom_cap))
 
 
 def is_cofibration(g: DiagramMap) -> bool:
@@ -400,11 +377,8 @@ def null_factorization(f: DiagramMap, H: DiagramMap):
     cn = cone(A)
     cyl = cn._cylinder
     end = cyl.i1.then(H)
-    iota = None
-    for cand in diagram_vertices(X):
-        if end == terminal_dmap(A).then(cand):
-            iota = cand
-            break
+    iota = next((v for v in diagram_vertices(X)
+                 if end == terminal_dmap(A).then(v)), None)
     if iota is None:
         raise ValueError("H does not end at a vertex")
     m = cn._pushout.mediate(iota, H)

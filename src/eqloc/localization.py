@@ -40,6 +40,7 @@ from .homotopy import (
     pi0,
     pi_n,
     sset_weq_probe,
+    weq_probe_all,
 )
 from .orbits import OrbitCategory
 from .simplicial import (
@@ -264,15 +265,9 @@ def is_S_equivalence(g: DiagramMap, spec: LocalizationSpec, probes,
     caps = spec.caps
     budget = budget or Budget(stages=caps.stages, n_cap=caps.pi_cap + 1,
                               dim_cap=0)
-    worst = YES
-    for idx, P in enumerate(probes):
-        phi = hom_complex_pre(g, P, caps.hom_cap)
-        v = sset_weq_probe(phi, caps.pi_cap, budget)
-        if v.value == NO:
-            return Verdict(NO, v.caps, f"probe {idx}: {v.reason}")
-        if v.value == INCONCLUSIVE:
-            worst = INCONCLUSIVE
-    return Verdict(worst, ("pi_cap", caps.pi_cap, "hom_cap", caps.hom_cap))
+    return weq_probe_all((hom_complex_pre(g, P, caps.hom_cap)
+                          for P in probes), "probe", caps.pi_cap, budget,
+                         ("pi_cap", caps.pi_cap, "hom_cap", caps.hom_cap))
 
 
 class ObstructedLift(Exception):
@@ -303,21 +298,20 @@ def extend_to_local(g: DiagramMap, result: LocalizationResult) -> DiagramMap:
             if lift is None:
                 raise ObstructedLift(sq)
             lifts.append(lift)
-        coA, coB = stage.tops_coproduct
-        h = stage.pushout.mediate(h, _coproduct_mediate(coB, lifts, P))
+        h = stage.pushout.mediate(
+            h, _coproduct_mediate(stage.tops_coproduct, lifts, P))
     if result.j.then(h) != g:
         raise ValueError("extension does not restrict to g along j")
     return h
 
 
-def simplicially_homotopic(l1: DiagramMap, l2: DiagramMap,
-                           budget=None) -> Optional[DiagramMap]:
+def simplicially_homotopic(l1: DiagramMap,
+                           l2: DiagramMap) -> Optional[DiagramMap]:
     """A simplicial homotopy on the cylinder from l1 to l2, if one exists."""
     if l1.source != l2.source or l1.target != l2.target:
         raise ValueError("simplicially_homotopic needs parallel maps")
     cyl = cylinder(l1.source)
-    found = extensions([(cyl.i0, l1), (cyl.i1, l2)], l1.target, limit=1,
-                       budget=budget)
+    found = extensions([(cyl.i0, l1), (cyl.i1, l2)], l1.target, limit=1)
     return found[0] if found else None
 
 

@@ -85,6 +85,17 @@ def orbit_setup(X: Diagram):
     return tuple(out)
 
 
+def _factor_over(setup, v, g: DiagramMap):
+    """(member, psi) for the level-0 member of setup over the colim vertex v,
+    with member.into . psi == g by the pullback universal property; None
+    when no member lies over v."""
+    member = next((m for m in setup if m.witness == v and m.level == 0),
+                  None)
+    if member is None:
+        return None
+    return member, member.pullback.mediate([g, terminal_dmap(g.source)])
+
+
 def factor_through_setup(phi: DiagramMap, setup) -> Optional[tuple]:
     """Factor a map from an orbit through a setup member, if possible.
 
@@ -95,13 +106,8 @@ def factor_through_setup(phi: DiagramMap, setup) -> Optional[tuple]:
     if not is_orbit(T):
         return None
     co_t = colim(T)
-    m = colim_map(phi)
-    v = m(nondeg(co_t.space.cells(0)[0])).cell
-    for member in setup:
-        if member.witness == v and member.level == 0:
-            psi = member.pullback.mediate([phi, terminal_dmap(T)])
-            return member, psi
-    return None
+    v = colim_map(phi)(nondeg(co_t.space.cells(0)[0])).cell
+    return _factor_over(setup, v, phi)
 
 
 def orbit_naturality(f: DiagramMap, o: OrbitMap):
@@ -112,17 +118,12 @@ def orbit_naturality(f: DiagramMap, o: OrbitMap):
     """
     if o.ambient != f.source:
         raise ValueError("orbit_naturality needs an orbit of the source of f")
-    m = colim_map(f)
-    y = m(nondeg(o.witness)).cell
-    target = None
-    for member in orbit_setup(f.target):
-        if member.witness == y:
-            target = member
-            break
-    if target is None:
+    y = colim_map(f)(nondeg(o.witness)).cell
+    found = _factor_over(orbit_setup(f.target), y, o.into.then(f))
+    if found is None:
         raise ValueError(f"no orbit of the target over the image {y!r} "
                          "of the witness")
-    F = target.pullback.mediate([o.into.then(f), terminal_dmap(o.orbit)])
+    target, F = found
     return F, target
 
 

@@ -364,11 +364,14 @@ def _subset_name(vs) -> str:
     return ".".join(str(v) for v in vs)
 
 
-def _simplex_on_subsets(n, subsets):
-    """Complex whose cells are the given downward-closed vertex subsets."""
+def _simplex_on_subsets(n, keep=None):
+    """Complex whose cells are the vertex subsets of [n] that keep accepts
+    (all of them by default); the kept subsets must be downward closed."""
     by_dim = {}
-    for vs in subsets:
-        by_dim.setdefault(len(vs) - 1, []).append(tuple(vs))
+    for m in range(n + 1):
+        for vs in itertools.combinations(range(n + 1), m + 1):
+            if keep is None or keep(vs):
+                by_dim.setdefault(m, []).append(vs)
     levels = []
     faces = {}
     for d in range(max(by_dim) + 1 if by_dim else 0):
@@ -386,9 +389,7 @@ def _simplex_on_subsets(n, subsets):
 def standard_simplex(n) -> SimplicialSet:
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    subsets = [c for m in range(n + 1)
-               for c in itertools.combinations(range(n + 1), m + 1)]
-    return _simplex_on_subsets(n, subsets)
+    return _simplex_on_subsets(n)
 
 
 @functools.cache
@@ -396,9 +397,7 @@ def boundary(n) -> SimplicialSet:
     """The boundary of the standard n-simplex; empty when n = 0."""
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    subsets = [c for m in range(n)
-               for c in itertools.combinations(range(n + 1), m + 1)]
-    return _simplex_on_subsets(n, subsets)
+    return _simplex_on_subsets(n, lambda vs: len(vs) <= n)
 
 
 @functools.cache
@@ -409,10 +408,7 @@ def horn(n, k) -> SimplicialSet:
     if not 0 <= k <= n:
         raise ValueError("horn index out of range")
     skipped = tuple(v for v in range(n + 1) if v != k)
-    subsets = [c for m in range(n)
-               for c in itertools.combinations(range(n + 1), m + 1)
-               if c != skipped]
-    return _simplex_on_subsets(n, subsets)
+    return _simplex_on_subsets(n, lambda vs: len(vs) <= n and vs != skipped)
 
 
 def empty_simplicial_set() -> SimplicialSet:

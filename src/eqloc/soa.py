@@ -33,9 +33,9 @@ from .cat import (
     pushout_D,
     tensor_map,
 )
+from .glue import coproduct_map
 from .orbits import OrbitMap, orbit_naturality, orbit_setup
 from .simplicial import (
-    Simplex,
     SimplicialMap,
     boundary_inclusion,
     divide_word,
@@ -337,25 +337,22 @@ def extensions(along, target: Diagram, cell_filter: Optional[Callable] = None,
                  budget=budget)
 
 
-def find_lift(i: DiagramMap, p: DiagramMap, a: DiagramMap, b: DiagramMap,
-              budget: Optional[list] = None):
+def find_lift(i: DiagramMap, p: DiagramMap, a: DiagramMap, b: DiagramMap):
     """A diagonal filler for the square (a, b) of i against p: the first
     extension of a along i over b in canonical order, or None."""
 
     def fiber(d, cell, cand):
         return p.components[d](cand) == b.components[d](nondeg(cell))
 
-    lifts = extensions([(i, a)], p.source, cell_filter=fiber, limit=1,
-                       budget=budget)
+    lifts = extensions([(i, a)], p.source, cell_filter=fiber, limit=1)
     return lifts[0] if lifts else None
 
 
-def commutative_squares(i: DiagramMap, p: DiagramMap,
-                        budget: Optional[list] = None):
+def commutative_squares(i: DiagramMap, p: DiagramMap):
     """The pairs (a, b) with a.then(p) == i.then(b), in canonical order."""
-    rights = hom_D(i.target, p.target, budget=budget)
+    rights = hom_D(i.target, p.target)
     squares = []
-    for a in hom_D(i.source, p.source, budget=budget):
+    for a in hom_D(i.source, p.source):
         ap = a.then(p)
         for b in rights:
             if i.then(b) == ap:
@@ -370,17 +367,16 @@ class RlpReport(Record):
     counterexample: Optional[tuple]  # (a, b) square without a lift
 
 
-def rlp_check(i: DiagramMap, p: DiagramMap,
-              budget: Optional[list] = None) -> RlpReport:
+def rlp_check(i: DiagramMap, p: DiagramMap) -> RlpReport:
     """Right lifting property of p against i, by exhaustive square search.
 
     Every commutative square of i over p is enumerated; the report carries a
     lift per square or the first counterexample square.
     """
-    squares = commutative_squares(i, p, budget=budget)
+    squares = commutative_squares(i, p)
     lifts = []
     for a, b in squares:
-        l = find_lift(i, p, a, b, budget=budget)
+        l = find_lift(i, p, a, b)
         if l is None:
             return RlpReport(False, len(squares), lifts, (a, b))
         lifts.append(l)
@@ -392,16 +388,11 @@ def rlp_check(i: DiagramMap, p: DiagramMap,
 
 
 def _coproduct_arrow(coA: CoproductD, coB: CoproductD, maps) -> DiagramMap:
-    comps = {}
-    for d in coA.diagram.shape.objects:
-        assignment = {}
-        for k, m in enumerate(maps):
-            for c in m.source.at[d].all_cells():
-                img = m.components[d](nondeg(c))
-                assignment[f"{k}:{c}"] = Simplex(img.word, f"{k}:{img.cell}")
-        comps[d] = SimplicialMap(coA.diagram.at[d], coB.diagram.at[d],
-                                 assignment)
-    return DiagramMap(coA.diagram, coB.diagram, comps)
+    A, B = coA.diagram, coB.diagram
+    comps = {d: coproduct_map(A.at[d], B.at[d],
+                              [m.components[d] for m in maps])
+             for d in A.shape.objects}
+    return DiagramMap(A, B, comps)
 
 
 def _coproduct_mediate(co: CoproductD, legs, target: Diagram) -> DiagramMap:
@@ -421,6 +412,7 @@ class Stage(Record):
     stage_map: DiagramMap   # i_beta: Z_beta -> Z_{beta+1}
     rho: DiagramMap         # Z_{beta+1} -> Y
     pushout: object = field(repr=False, default=None)
+    # the coproduct of the targets of the attached squares' tops
     tops_coproduct: object = field(repr=False, default=None)
 
 
@@ -478,7 +470,7 @@ def small_object_argument(f: DiagramMap, instr: Instrumentation,
         rho_next = po.mediate(rho, right_sum)
         records.append(Stage(squares=squares, attached=attach,
                              stage_map=stage_map, rho=rho_next,
-                             pushout=po, tops_coproduct=(coA, coB)))
+                             pushout=po, tops_coproduct=coB))
         Z = po.diagram
         rho = rho_next
 
@@ -511,8 +503,7 @@ def soa_functorial(g: ArrowSquare, r1: FactorizationResult,
     rho1, rho2 = r1.arrow, r2.arrow
     for s1, s2 in zip(r1.stages, r2.stages):
         g_beta = ArrowSquare(source=rho1, target=rho2, upper=xi, lower=g.lower)
-        coA1, coB1 = s1.tops_coproduct
-        coA2, coB2 = s2.tops_coproduct
+        coB1, coB2 = s1.tops_coproduct, s2.tops_coproduct
         po2 = s2.pushout
         # route each attached square of run 1 to its transported counterpart
         b_maps = []

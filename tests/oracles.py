@@ -1,8 +1,9 @@
 """Independent brute-force oracles and a seeded random-instance generator.
 
 The oracles deliberately avoid the pruned search paths of the package: hom
-sets by filtering the full product of dimension-preserving assignments, pi0
-by union-find, lifting by filtering full hom sets, tensor adjoints by
+sets by filtering the full product of dimension-preserving assignments, the
+pi0 count by union-find and the pi0 classes by graph traversal, quotients
+by their own normal-form extraction, lifting by filtering full hom sets, tensor adjoints by
 composing whole codegeneracy maps, mapping-complex presentations by
 composing every face and degeneracy from the coface and codegeneracy maps
 per lookup, complex documents from fresh lists, and the orbit setups of I, J and Hor(F) by one class per
@@ -35,6 +36,7 @@ from eqloc.simplicial import (
     Simplex,
     SimplicialMap,
     SimplicialSet,
+    admissible_words,
     boundary,
     boundary_inclusion,
     coface_map,
@@ -161,6 +163,98 @@ def pi0_oracle(X):
     for e in X.cells(1):
         uf.union(X.face(nondeg(e), 0).cell, X.face(nondeg(e), 1).cell)
     return len({uf.find(v) for v in X.cells(0)})
+
+
+def pi0_dfs_oracle(X):
+    """The classes of pi0 by depth-first traversal of the edge graph: in
+    order of their least vertex, each with its members sorted."""
+    adjacency = {v: set() for v in X.cells(0)}
+    for e in X.cells(1):
+        a = X.face(nondeg(e), 0).cell
+        b = X.face(nondeg(e), 1).cell
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    seen = set()
+    classes = []
+    for v in X.cells(0):
+        if v in seen:
+            continue
+        comp = []
+        stack = [v]
+        seen.add(v)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in sorted(adjacency[u]):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        classes.append(tuple(sorted(comp)))
+    return tuple(classes)
+
+
+def quotient_oracle(Z, pairs):
+    """(space, projection, rep_of) of the quotient of Z by the congruence
+    the pairs generate: the pairs closed under faces, then one union-find per
+    level over every degeneracy of them, and each class read off through its
+    least member, whose degeneracy test scans every j < n."""
+    saturated = set()
+    work = [(u, v) for u, v in pairs if u != v]
+    while work:
+        u, v = work.pop()
+        if (u, v) in saturated or (v, u) in saturated or u == v:
+            continue
+        saturated.add((u, v))
+        for i in range(Z.simplex_dim(u) + 1) if Z.simplex_dim(u) >= 1 else ():
+            work.append((Z.face(u, i), Z.face(v, i)))
+    pairs = sorted(saturated, key=lambda p: (Z.simplex_dim(p[0]),
+                                             Z.skey(p[0]), Z.skey(p[1])))
+    ufs = []
+    for n in range(Z.dim + 1):
+        uf = UnionFind(Z.simplices(n))
+        for u, v in pairs:
+            q = Z.simplex_dim(u)
+            if q > n:
+                continue
+            for w in admissible_words(n - q, q):
+                uf.union(Simplex(compose_words(w, u.word), u.cell),
+                         Simplex(compose_words(w, v.word), v.cell))
+        ufs.append(uf)
+    levels = []
+    faces = {}
+    rep_of = {}
+    ez_by_root = {}  # (n, root) -> Simplex downstairs
+    for n in range(Z.dim + 1):
+        members = {}
+        for s in Z.simplices(n):
+            members.setdefault(ufs[n].find(s), []).append(s)
+        level = []
+        for cls in sorted(members.values(), key=lambda ms: Z.skey(ms[0])):
+            rep = cls[0]
+            root = ufs[n].find(rep)
+            js = [j for j in range(n)
+                  if ufs[n].find(Z.degeneracy(Z.face(rep, j), j)) == root]
+            if js:
+                j = max(js)
+                sub = ez_by_root[(n - 1, ufs[n - 1].find(Z.face(rep, j)))]
+                ez_by_root[(n, root)] = Simplex(
+                    compose_words((j,), sub.word), sub.cell)
+            else:
+                name = sys.intern(f"q{n}_{len(level)}")
+                level.append(name)
+                rep_of[name] = rep
+                if n >= 1:
+                    faces[name] = tuple(
+                        ez_by_root[(n - 1, ufs[n - 1].find(Z.face(rep, i)))]
+                        for i in range(n + 1))
+                ez_by_root[(n, root)] = nondeg(name)
+        levels.append(level)
+    space = SimplicialSet(levels, faces)
+    projection = SimplicialMap(
+        Z, space,
+        {c: ez_by_root[(Z.cell_dim(c), ufs[Z.cell_dim(c)].find(nondeg(c)))]
+         for c in Z.all_cells()})
+    return space, projection, rep_of
 
 
 def rlp_oracle(i, p):

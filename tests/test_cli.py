@@ -543,6 +543,45 @@ class TestCapChecks:
         assert code == 0
 
 
+MALFORMED_SPECS = {
+    "not-an-object": 7,
+    "generators-not-a-list": {"generators": 5},
+    "generator-not-a-name": {"generators": [["swap"]]},
+    "fixedpointwise-not-a-name": {"fixedpointwise": ["empty-to-point"]},
+    "fixedpointwise-unknown": {"fixedpointwise": "nope"},
+}
+
+
+class TestMalformedSpecs:
+    """A localization spec entry of the wrong shape makes localize and
+    locality exit 1 with an error line naming the spec, not a traceback."""
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_SPECS))
+    @pytest.mark.parametrize("command", ["localize", "locality"])
+    def test_malformed_spec_exits_1(self, command, kind, tmp_path, capsys):
+        doc = {"schema": "eqloc/1",
+               "localization_specs": {"S": MALFORMED_SPECS[kind]}}
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "-w", Z2, "-w", str(p),
+                             "-d", "both", "--spec", "S")
+        assert code == 1
+        assert err.startswith("error: spec 'S'")
+        assert "Traceback" not in out + err
+
+    def test_unknown_flag_map_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "locality", "-w", Z2, "-d", "both",
+                             "--fixedpointwise-f", "nope")
+        assert code == 1
+        assert err.startswith("error: --fixedpointwise-f: unknown map 'nope'")
+
+    def test_generators_flag_still_resolves_names(self, capsys):
+        code, out, err = run(capsys, "locality", "-w", Z2, "-d", "both",
+                             "--generators", "swap,nope")
+        assert code == 1
+        assert "unknown map 'nope'" in err
+
+
 class TestWorkspace:
     def test_builtins_present(self):
         ws = Workspace()

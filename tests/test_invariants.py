@@ -254,6 +254,41 @@ class TestOnePullbackHomFamily:
         assert found == [], found
 
 
+def _callers(name):
+    """(module, innermost enclosing def) of every call naming `name`."""
+    found = set()
+    for module in MODULES:
+        tree = _tree(module)
+        # ast.walk is breadth-first, so the innermost def wins
+        owner = {id(n): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) for n in ast.walk(fn)}
+        found |= {(module, owner.get(id(n))) for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and name in _names(n.func)}
+    return found
+
+
+class TestOneMechanismPerConcept:
+    """Normal forms of levelwise elements come from glue.normal_form_complex,
+    components from glue.UnionFind, and the worst verdict over a family of
+    weak-equivalence probes from homotopy.weq_probe_all."""
+
+    def test_one_normal_form_extractor(self):
+        assert _callers("normal_form_complex") == {
+            ("cat", "complex_from_levels"), ("glue", "quotient")}
+
+    def test_components_by_union_find(self):
+        assert _callers("UnionFind") == {
+            ("glue", "quotient"), ("homotopy", "pi0"), ("homotopy", "pi_n")}
+
+    def test_one_probe_loop(self):
+        assert _callers("sset_weq_probe") == {
+            ("homotopy", "weq_probe_all"),
+            ("localization", "fixed_point_locality_report")}
+        assert _callers("weq_probe_all") == {
+            ("homotopy", "is_weq_equivariant"),
+            ("localization", "is_S_equivalence")}
+
+
 def test_import_loads_no_heavy_stdlib_modules():
     """A fresh interpreter importing eqloc and its CLI loads none of the
     inspect chain (dataclasses, inspect, ast, dis)."""

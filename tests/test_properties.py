@@ -44,7 +44,7 @@ from eqloc.documents import (
     sset_from_doc,
 )
 from eqloc.glue import product, pushout, quotient
-from eqloc.homotopy import default_orbit_category, is_weq_equivariant
+from eqloc.homotopy import default_orbit_category, is_weq_equivariant, pi0
 from eqloc.localization import (
     LocalizationCaps,
     LocalizationSpec,
@@ -83,6 +83,9 @@ from oracles import (
     HorFFamilyOracle,
     face_oracle,
     naive_hom,
+    pi0_dfs_oracle,
+    pi0_oracle,
+    quotient_oracle,
     random_collapse_map,
     random_sset,
     setup_I_oracle,
@@ -1240,3 +1243,68 @@ class TestInterning:
             Z = sset_from_doc(doc)
             assert Z is Y
             assert Z._boundary_index(1) is index and Z.simplices(1) is simplices
+
+
+# ---------------------------------------------------------------------------
+# quotients and components against the traversal and per-class oracles
+
+
+def _random_pairs(X, rng):
+    """Zero to four pairs of simplices of X of equal dimension, degenerate
+    ones and dimensions above X's included, some pairs equal."""
+    pairs = []
+    for _ in range(rng.randint(0, 4)):
+        n = rng.randint(0, X.dim + 1)
+        simplices = X.simplices(n)
+        if simplices:
+            pairs.append((rng.choice(simplices), rng.choice(simplices)))
+    return pairs
+
+
+class TestComponentsAndQuotients:
+    """pi0 is the union-find coequalizer of d_0 and d_1, and quotient reads
+    its classes off through glue.normal_form_complex; both agree with the
+    former traversal and per-class extraction."""
+
+    def test_pi0_matches_the_traversal(self):
+        rng = random.Random(1414)
+        pool = _complex_pool(1413, 30) + _fixture_complexes() + [
+            random_sset(rng, max_cells=12) for _ in range(30)]
+        for X in pool:
+            classes = pi0(X)
+            assert classes == pi0_dfs_oracle(X)
+            assert len(classes) == pi0_oracle(X)
+        assert pi0(SimplicialSet([], {})) == ()
+
+    def test_pi0_classes_in_first_vertex_order_with_sorted_members(self):
+        X = SimplicialSet([["d", "a", "c", "b"], ["e", "f"]],
+                          {"e": (nondeg("b"), nondeg("d")),
+                           "f": (nondeg("a"), nondeg("a"))})
+        assert pi0(X) == pi0_dfs_oracle(X) == (("b", "d"), ("a",), ("c",))
+
+    def test_quotient_matches_the_extraction(self):
+        rng = random.Random(1415)
+        checked = 0
+        for X in _complex_pool(1416, 30) + _fixture_complexes():
+            for _ in range(4):
+                pairs = _random_pairs(X, rng)
+                q = quotient(X, pairs)
+                space, projection, rep_of = quotient_oracle(X, pairs)
+                assert q.space == space and q.space.levels == space.levels
+                assert all(q.space.cell_faces(c) == space.cell_faces(c)
+                           for level in space.levels[1:] for c in level)
+                assert q.projection == projection
+                assert q.rep_of == rep_of
+                assert verify_map(q.projection) == []
+                checked += bool(pairs)
+        assert checked > 100
+
+    def test_quotient_identifying_a_face_with_a_degeneracy(self):
+        X = standard_simplex(2)
+        for pairs in ([(nondeg("0.1"), Simplex((0,), "0"))],
+                      [(nondeg("0.1.2"), Simplex((1,), "0.2"))],
+                      [(nondeg("0.1"), nondeg("1.2")),
+                       (nondeg("0"), nondeg("2"))]):
+            q = quotient(X, pairs)
+            assert (q.space, q.projection, q.rep_of) == quotient_oracle(
+                X, pairs)
