@@ -53,8 +53,8 @@ from .soa import (
 
 ENV_CAPS = "EQLOC_CAPS"
 
-_CAP_KEYS = ("stages", "n_cap", "dim_cap", "hor_n_cap", "j_n_cap",
-             "probe_n_cap", "hom_cap", "pi_cap", "level_cap")
+_CAP_KEYS = ("stages", "n_cap", "dim_cap", "j_n_cap", "probe_n_cap",
+             "hom_cap", "pi_cap", "level_cap")
 
 
 def checked_cap(source, key, value, known=_CAP_KEYS):
@@ -200,9 +200,10 @@ def cmd_rlp(args):
 
 
 def _budget(args):
-    return Budget(stages=cap(args, "stages", 4),
-                  n_cap=cap(args, "n_cap", 2),
-                  dim_cap=cap(args, "dim_cap", 1))
+    default = Budget()
+    return Budget(stages=cap(args, "stages", default.stages),
+                  n_cap=cap(args, "n_cap", default.n_cap),
+                  dim_cap=cap(args, "dim_cap", default.dim_cap))
 
 
 def cmd_factorize(args):
@@ -224,14 +225,15 @@ def cmd_factorize(args):
 
 
 def _loc_caps(args) -> LocalizationCaps:
+    default = LocalizationCaps()
     return LocalizationCaps(
-        hor_n_cap=cap(args, "n_cap", 2),
-        j_n_cap=cap(args, "j_n_cap", 1),
-        probe_n_cap=cap(args, "probe_n_cap", 2),
-        dim_cap=cap(args, "dim_cap", 1),
-        hom_cap=cap(args, "hom_cap", 2),
-        pi_cap=cap(args, "pi_cap", 0),
-        stages=cap(args, "stages", 3))
+        hor_n_cap=cap(args, "n_cap", default.hor_n_cap),
+        j_n_cap=cap(args, "j_n_cap", default.j_n_cap),
+        probe_n_cap=cap(args, "probe_n_cap", default.probe_n_cap),
+        dim_cap=cap(args, "dim_cap", default.dim_cap),
+        hom_cap=cap(args, "hom_cap", default.hom_cap),
+        pi_cap=cap(args, "pi_cap", default.pi_cap),
+        stages=cap(args, "stages", default.stages))
 
 
 def _loc_spec(args, ws) -> LocalizationSpec:
@@ -269,7 +271,10 @@ def _loc_spec(args, ws) -> LocalizationSpec:
         if f is None:
             raise DocumentError(f"{where}: unknown map {names!r}")
     elif isinstance(names, list) and all(isinstance(n, str) for n in names):
-        gens = [ws.dmap(n) for n in names]
+        try:
+            gens = [ws.dmap(n) for n in names]
+        except DocumentError as exc:
+            raise DocumentError(f"{where}: {exc}") from None
     else:
         raise DocumentError(f"{where}: generators must be a list of map "
                             f"names, not {names!r}")

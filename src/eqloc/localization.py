@@ -108,12 +108,15 @@ class LocalizationSpec:
 
 
 def validate_spec(spec: LocalizationSpec):
-    """Generators must be levelwise injections and non-trivial."""
+    """Generators must be levelwise injections over the spec's shape and
+    non-trivial."""
     problems = []
     if spec.mode == "set":
         for idx, g in enumerate(spec.generators):
-            if not all(is_injective(g.components[d])
-                       for d in g.source.shape.objects):
+            if g.source.shape != spec.shape:
+                problems.append(("shape-mismatch", idx))
+            elif not all(is_injective(g.components[d])
+                         for d in g.source.shape.objects):
                 problems.append(("not-injective", idx))
             elif all(is_isomorphism(g.components[d]) is not None
                      for d in g.source.shape.objects):
@@ -212,7 +215,8 @@ def hor_F_instrumentation(f: SimplicialMap,
     budget = Budget(stages=caps.stages, n_cap=caps.hor_n_cap,
                     dim_cap=caps.dim_cap)
     members = [_corners(f, n) for n in range(caps.hor_n_cap + 1)]
-    return PullbackHomFamily("HorF", members, budget).instrumentation()
+    return Instrumentation(
+        "HorF", [PullbackHomFamily("HorF", members, caps.dim_cap)], budget)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +238,7 @@ def localize(X: Diagram, spec: LocalizationSpec) -> LocalizationResult:
     on the trace and reflected in the locality verdict.
     """
     instr = class_K(spec)
-    r = small_object_argument(terminal_dmap(X), instr,
-                              stages=spec.caps.stages)
+    r = small_object_argument(terminal_dmap(X), instr)
     local_object = r.gamma.target
     verdict = is_S_local(local_object, spec)
     return LocalizationResult(local_object=local_object, j=r.gamma,

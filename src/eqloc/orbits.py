@@ -41,13 +41,12 @@ from .simplicial import (
 class OrbitMap(Record, frozen=True):
     """An orbit with its structure map into an ambient diagram.
 
-    level is the cotensor exponent n of the witnessing vertex; witness is the
-    vertex of colim of the n-th cotensor over which the orbit was pulled back.
+    witness is the vertex of colim of the ambient diagram over which the
+    orbit was pulled back.
     """
 
     orbit: Diagram
     into: DiagramMap
-    level: int
     witness: str
     pullback: object = field(compare=False, repr=False, default=None)
 
@@ -81,16 +80,15 @@ def orbit_setup(X: Diagram):
                            for d in D.objects})
         pb = pullback_D(q, vmap)
         out.append(OrbitMap(orbit=pb.diagram, into=pb.projections[0],
-                            level=0, witness=v, pullback=pb))
+                            witness=v, pullback=pb))
     return tuple(out)
 
 
 def _factor_over(setup, v, g: DiagramMap):
-    """(member, psi) for the level-0 member of setup over the colim vertex v,
-    with member.into . psi == g by the pullback universal property; None
-    when no member lies over v."""
-    member = next((m for m in setup if m.witness == v and m.level == 0),
-                  None)
+    """(member, psi) for the member of setup over the colim vertex v, with
+    member.into . psi == g by the pullback universal property; None when no
+    member lies over v."""
+    member = next((m for m in setup if m.witness == v), None)
     if member is None:
         return None
     return member, member.pullback.mediate([g, terminal_dmap(g.source)])
@@ -195,6 +193,25 @@ def diagram_isomorphic(T1: Diagram, T2: Diagram) -> Optional[DiagramMap]:
     return None
 
 
+def _deduplicated(found, level_cap, dim_cap) -> OrbitCategory:
+    """The orbit category of the (orbit, witnesses) pairs of found, in
+    discovery order: an orbit isomorphic to one kept before it is merged
+    into that one, which gains its witnesses."""
+    kept = []
+    witnesses = []
+    for T, ws in found:
+        i = next((i for i, K in enumerate(kept)
+                  if diagram_isomorphic(T, K) is not None), None)
+        if i is None:
+            kept.append(T)
+            witnesses.append(list(ws))
+        else:
+            witnesses[i] += ws
+    homs = {(i, j): tuple(hom_D(Ti, Tj))
+            for i, Ti in enumerate(kept) for j, Tj in enumerate(kept)}
+    return OrbitCategory(kept, homs, witnesses, level_cap, dim_cap)
+
+
 def orbit_category_of(X: Diagram, level_cap=1, dim_cap=2) -> OrbitCategory:
     """Orbits of X over vertices of colim of the cotensor levels n <= level_cap.
 
@@ -202,38 +219,19 @@ def orbit_category_of(X: Diagram, level_cap=1, dim_cap=2) -> OrbitCategory:
     the result.  Orbits are deduplicated up to isomorphism, ties broken by
     discovery order.
     """
-    kept = []
-    witnesses = []
-    for n in range(level_cap + 1):
-        C = cotensor(X, standard_simplex(n), dim_cap).diagram
-        for o in orbit_setup(C):
-            found = next((i for i, T in enumerate(kept)
-                          if diagram_isomorphic(o.orbit, T) is not None), None)
-            if found is None:
-                kept.append(o.orbit)
-                witnesses.append([(n, o.witness)])
-            else:
-                witnesses[found].append((n, o.witness))
-    homs = {(i, j): tuple(hom_D(Ti, Tj))
-            for i, Ti in enumerate(kept) for j, Tj in enumerate(kept)}
-    return OrbitCategory(kept, homs, witnesses, level_cap, dim_cap)
+    found = ((o.orbit, [(n, o.witness)]) for n in range(level_cap + 1)
+             for o in orbit_setup(cotensor(X, standard_simplex(n),
+                                           dim_cap).diagram))
+    return _deduplicated(found, level_cap, dim_cap)
 
 
 def orbit_category_union(*cats) -> OrbitCategory:
-    """Merge orbit categories, deduplicating orbits up to isomorphism."""
-    kept = []
-    witnesses = []
-    for cat in cats:
-        for i, T in enumerate(cat.orbits):
-            if any(diagram_isomorphic(T, K) is not None for K in kept):
-                continue
-            kept.append(T)
-            witnesses.append(list(cat.witnesses[i]))
-    homs = {(i, j): tuple(hom_D(Ti, Tj))
-            for i, Ti in enumerate(kept) for j, Tj in enumerate(kept)}
-    level_cap = max(c.level_cap for c in cats)
-    dim_cap = max(c.dim_cap for c in cats)
-    return OrbitCategory(kept, homs, witnesses, level_cap, dim_cap)
+    """Merge orbit categories, deduplicating orbits up to isomorphism; a
+    merged copy's witnesses join those of the orbit kept."""
+    found = ((T, cat.witnesses[i]) for cat in cats
+             for i, T in enumerate(cat.orbits))
+    return _deduplicated(found, max(c.level_cap for c in cats),
+                         max(c.dim_cap for c in cats))
 
 
 def orbit_point_diagram(X: Diagram, E: OrbitCategory, dim_cap) -> Diagram:

@@ -550,11 +550,6 @@ def identity_map(X: SimplicialSet) -> SimplicialMap:
     return SimplicialMap(X, X, images=tuple(map(nondeg, X.all_cells())))
 
 
-def compose(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
-    """g after f."""
-    return f.then(g)
-
-
 def verify_map(f: SimplicialMap):
     """Violations of dimension preservation and face commutation; an image
     word of an n-cell with an index outside 0..n-1 is inadmissible."""

@@ -1,10 +1,11 @@
 """Factorization setups, instrumented classes, lifting search, and the
 generalized small object argument with full traces and functorial action.
 
-An instrumentation assigns to every arrow a finite set of attachment squares,
-functorially in the arrow.  The argument iterates: attach the squares by a
-pushout of the coproduct of their tops, stop when every assigned square
-already lifts.  Transfinite stages are replaced by a stage budget.
+An instrumentation is a union of named families, each assigning to every
+arrow a finite set of attachment squares, functorially in the arrow; each
+square names its family in meta[0].  The argument iterates: attach the
+squares by a pushout of the coproduct of their tops, stop when every assigned
+square already lifts.  Transfinite stages are replaced by a stage budget.
 """
 
 from __future__ import annotations
@@ -86,44 +87,52 @@ class Budget(Record, frozen=True):
 class Instrumentation:
     """A class of maps with a factorization setup and iteration budgets.
 
-    assign maps an arrow to its finite tuple of attachment squares, in
-    canonical order; transport carries squares along morphisms of arrows and
-    returns the target square together with the connecting maps of tops.
+    The class is the union of its families, each a functorial choice of
+    attachment squares with its own name.  assign maps an arrow to the
+    squares of every family in family order, each family's in canonical
+    order; transport hands a square to the family named by meta[0], which
+    carries it along a morphism of arrows and returns the target square
+    together with the connecting maps of tops.
     """
 
-    def __init__(self, name, assign_fn, transport_fn, prefixes, budget: Budget):
+    def __init__(self, name, families, budget: Budget):
         self.name = name
-        self._assign = assign_fn
-        self._transport = transport_fn
-        self.prefixes = tuple(prefixes)
+        self.families = {}
+        for fam in families:
+            if fam.name in self.families:
+                raise ValueError(f"instrumentation {name!r} has two "
+                                 f"families named {fam.name!r}")
+            self.families[fam.name] = fam
         self.budget = budget
 
     def assign(self, arrow: DiagramMap):
-        return self._assign(arrow)
+        return tuple(sq for fam in self.families.values()
+                     for sq in fam.assign(arrow))
 
     def transport(self, g: ArrowSquare, sq: Square):
-        return self._transport(g, sq)
-
-    def owns(self, sq: Square) -> bool:
-        return any(sq.member_id.startswith(p) for p in self.prefixes)
+        return self.families[sq.meta[0]].transport(g, sq)
 
 
 # ---------------------------------------------------------------------------
 # set-based setups
 
 
-def setup_from_set(members, name="set", budget: Budget = Budget()):
+class SetFamily:
     """The factorization setup of a small subcategory: all maps from the
     members into the arrow, transported by postcomposition."""
-    members = tuple(members)
 
-    def assign(f: DiagramMap):
+    def __init__(self, name, members):
+        self.name = name
+        self.members = tuple(members)
+
+    def assign(self, f: DiagramMap):
         return tuple(Square(top=m, left=a, right=b, bottom=f,
-                            member_id=f"{name}#{idx}", meta=(name, idx))
-                     for idx, m in enumerate(members)
+                            member_id=f"{self.name}#{idx}",
+                            meta=(self.name, idx))
+                     for idx, m in enumerate(self.members)
                      for a, b in commutative_squares(m, f))
 
-    def transport(g: ArrowSquare, sq: Square):
+    def transport(self, g: ArrowSquare, sq: Square):
         target = Square(top=sq.top,
                         left=sq.left.then(g.upper),
                         right=sq.right.then(g.lower),
@@ -132,35 +141,25 @@ def setup_from_set(members, name="set", budget: Budget = Budget()):
         connect = (identity_dmap(sq.top.source), identity_dmap(sq.top.target))
         return target, connect
 
-    return Instrumentation(name, assign, transport, (f"{name}#",), budget)
+
+def setup_from_set(members, name="set", budget: Budget = Budget()):
+    """The instrumentation of the one set family of the members."""
+    return Instrumentation(name, [SetFamily(name, members)], budget)
 
 
 def setup_union(a: Instrumentation, b: Instrumentation,
                 name=None) -> Instrumentation:
-    """Disjoint union of two setups; member classes must be disjoint."""
-    if set(a.prefixes) & set(b.prefixes):
-        raise ValueError("instrumentations overlap: "
-                         f"{set(a.prefixes) & set(b.prefixes)}")
-
-    def assign(f):
-        return tuple(a.assign(f)) + tuple(b.assign(f))
-
-    def transport(g, sq):
-        if a.owns(sq):
-            return a.transport(g, sq)
-        if b.owns(sq):
-            return b.transport(g, sq)
-        raise ValueError(f"square {sq.member_id} belongs to neither setup")
-
+    """The families of a, then those of b; family names must be disjoint."""
     budget = Budget(stages=max(a.budget.stages, b.budget.stages),
                     n_cap=max(a.budget.n_cap, b.budget.n_cap),
                     dim_cap=max(a.budget.dim_cap, b.budget.dim_cap))
-    return Instrumentation(name or f"{a.name}+{b.name}", assign, transport,
-                           a.prefixes + b.prefixes, budget)
+    return Instrumentation(name or f"{a.name}+{b.name}",
+                           [*a.families.values(), *b.families.values()],
+                           budget)
 
 
 def empty_instrumentation(name="empty", budget: Budget = Budget()):
-    return Instrumentation(name, lambda f: (), None, (f"{name}#",), budget)
+    return Instrumentation(name, (), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +209,14 @@ class PullbackHomFamily:
     part of tuple_complex's memo key, so equal Ws share one complex.
     """
 
-    def __init__(self, name, members, budget: Budget):
+    def __init__(self, name, members, dim_cap: int):
         self.name = name
         self.members = {m.meta: m for m in members}
-        self.budget = budget
-
-    def instrumentation(self) -> Instrumentation:
-        return Instrumentation(self.name, self.assign, self.transport,
-                               (f"{self.name}@",), self.budget)
+        self.dim_cap = dim_cap
 
     def _w(self, g: DiagramMap, m: CornerMember):
         """W of the arrow g, with the cotensor of every factor."""
-        cap = self.budget.dim_cap
+        cap = self.dim_cap
         ends = (g.source, g.target)
         cots = [cotensor(ends[e], C, cap) for e, C in m.factors]
 
@@ -273,7 +268,7 @@ class PullbackHomFamily:
         # the induced natural map W_1 -> W_2, factor by factor
         ends = (gsq.upper, gsq.lower)
         g_tilde = lim2.mediate([
-            p.then(cotensor_map(ends[e], C, self.budget.dim_cap))
+            p.then(cotensor_map(ends[e], C, self.dim_cap))
             for p, (e, C) in zip(lim1.projections, m.factors)])
         F, o2 = orbit_naturality(g_tilde, sq.orbit)
         target, po2 = self._square(gsq.target, m, o2, lim2, cots2)
@@ -297,14 +292,16 @@ def setup_I(budget: Budget = Budget()) -> Instrumentation:
     """Instrumentation of the generating cofibrations T (x) (bd n -> Delta^n)."""
     members = [_one_corner((n,), boundary_inclusion(n))
                for n in range(budget.n_cap + 1)]
-    return PullbackHomFamily("I", members, budget).instrumentation()
+    return Instrumentation(
+        "I", [PullbackHomFamily("I", members, budget.dim_cap)], budget)
 
 
 def setup_J(budget: Budget = Budget()) -> Instrumentation:
     """Instrumentation of the generating trivial cofibrations (horn fillers)."""
     members = [_one_corner((n, k), horn_inclusion(n, k))
                for n in range(1, budget.n_cap + 1) for k in range(n + 1)]
-    return PullbackHomFamily("J", members, budget).instrumentation()
+    return Instrumentation(
+        "J", [PullbackHomFamily("J", members, budget.dim_cap)], budget)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 
 from eqloc.cli import main
 from eqloc.documents import DocumentError, Workspace
+from eqloc.localization import LocalizationCaps
+from eqloc.soa import Budget
 
 DATA = pathlib.Path(__file__).parent / "data"
 Z2 = str(DATA / "z2_example.json")
@@ -404,6 +406,45 @@ class TestCommands:
                              "--n", "1")
         assert code == 1
 
+    def test_pi1_per_basepoint(self, tmp_path, capsys):
+        out_path = str(tmp_path / "pi.json")
+        code, out, err = run(capsys, "pi", "-w", Z2, "--complex", "three",
+                             "--n", "1", "--out", out_path)
+        assert code == 0
+        doc = json.loads(pathlib.Path(out_path).read_text())
+        assert doc["classes_per_basepoint"] == {"p": 1, "q": 1, "c": 1}
+        assert doc["caps"] == {"kan_checked_to": 2}
+        code, out, err = run(capsys, "pi", "-w", Z2, "--complex", "three",
+                             "--n", "1", "--basepoint", "q", "--out",
+                             out_path)
+        assert code == 0
+        doc = json.loads(pathlib.Path(out_path).read_text())
+        assert doc["classes_per_basepoint"] == {"q": 1}
+
+    def test_pi1_unknown_basepoint_exits_1(self, capsys):
+        code, out, err = run(capsys, "pi", "-w", Z2, "--complex", "three",
+                             "--n", "1", "--basepoint", "zz")
+        assert code == 1
+        assert err == "error: unknown basepoint 'zz'\n"
+
+    def test_rlp_failure_reports_a_counterexample(self, tmp_path, capsys):
+        doc = {"schema": "eqloc/1", "maps": {"c-to-p": {
+            "source": "one", "target": "two",
+            "assignment": {"c": [[], "p"]}}}}
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        out_path = str(tmp_path / "rlp.json")
+        code, out, err = run(capsys, "rlp", "-w", Z2, "-w", str(p),
+                             "-i", "empty-to-point", "-p", "c-to-p",
+                             "--out", out_path)
+        assert code == 0
+        assert "rlp fails over 2 squares" in out
+        doc = json.loads(pathlib.Path(out_path).read_text())
+        assert doc["holds"] is False and doc["n_squares"] == 2
+        # the point cannot lift to q, outside the image of c -> p
+        assert doc["counterexample"] == {"left": {"*": {}},
+                                         "right": {"*": {"0": [[], "q"]}}}
+
     def test_cone(self, capsys):
         code, out, err = run(capsys, "cone", "-w", Z2, "-d", "trivial")
         assert code == 0
@@ -474,6 +515,32 @@ class TestReplay:
         monkeypatch.setenv("EQLOC_CAPS", "bogus=3")
         code, out, err = run(capsys, "orbits", "-w", Z2, "-d", "free")
         assert code == 1
+
+    def test_env_caps_rejects_hor_n_cap(self, capsys, monkeypatch):
+        # the horn exponent cap is n_cap on the command line
+        monkeypatch.setenv("EQLOC_CAPS", "hor_n_cap=0")
+        code, out, err = run(capsys, "locality", "-w", Z2, "-d", "free",
+                             "--fixedpointwise-f", "empty-to-point",
+                             "--hom-cap", "1", "--probe-n-cap", "1")
+        assert code == 1
+        assert err == "error: EQLOC_CAPS: unknown cap 'hor_n_cap' = 0\n"
+
+    def test_default_caps_are_the_record_defaults(self, tmp_path, capsys):
+        out_path = str(tmp_path / "f.json")
+        code, _, _ = run(capsys, "factorize", "-w", Z2, "--map", "swap3",
+                         "--out", out_path)
+        assert code == 0
+        doc = json.loads(pathlib.Path(out_path).read_text())
+        assert doc["trace"]["budget"] == dict(vars(Budget()))
+        code, out, _ = run(capsys, "locality", "-w", Z2, "-d", "both",
+                           "--fixedpointwise-f", "empty-to-point", "--out",
+                           out_path)
+        assert code == 0
+        doc = json.loads(pathlib.Path(out_path).read_text())
+        caps = LocalizationCaps()
+        assert doc["locality"]["caps"] == [str(x) for x in (
+            "hor_n_cap", caps.hor_n_cap, "probe_n_cap", caps.probe_n_cap,
+            "dim_cap", caps.dim_cap)]
 
 
 # the bad value of each kind, as a flag or EQLOC_CAPS gives it and as a
@@ -549,6 +616,7 @@ MALFORMED_SPECS = {
     "generator-not-a-name": {"generators": [["swap"]]},
     "fixedpointwise-not-a-name": {"fixedpointwise": ["empty-to-point"]},
     "fixedpointwise-unknown": {"fixedpointwise": "nope"},
+    "generator-unknown": {"generators": ["nope"]},
 }
 
 
@@ -579,10 +647,49 @@ class TestMalformedSpecs:
         code, out, err = run(capsys, "locality", "-w", Z2, "-d", "both",
                              "--generators", "swap,nope")
         assert code == 1
-        assert "unknown map 'nope'" in err
+        assert err == "error: --generators: unknown map 'nope'\n"
+
+    def test_generator_of_another_shape_is_named(self, capsys):
+        # empty-to-point lives over the terminal category, both over Z/2
+        code, out, err = run(capsys, "localize", "-w", Z2, "-d", "both",
+                             "--generators", "empty-to-point")
+        assert code == 1
+        assert err == ("error: invalid localization generators: "
+                       "[('shape-mismatch', 0)]\n")
 
 
 class TestWorkspace:
+    def _diagram_map_doc(self, name, source, component):
+        return {"schema": "eqloc/1",
+                "maps": {"collapse3": {
+                    "source": "three", "target": "three",
+                    "assignment": {"p": [[], "p"], "q": [[], "p"],
+                                   "c": [[], "c"]}}},
+                "diagram_maps": {name: {"source": source, "target": source,
+                                        "components": {"*": component}}}}
+
+    def test_diagram_map_entry(self, tmp_path, capsys):
+        p = tmp_path / "dm.json"
+        p.write_text(json.dumps(
+            self._diagram_map_doc("swap-self", "free", "swap")))
+        ws = Workspace().load(Z2).load(str(p))
+        h = ws.dmap("swap-self")
+        assert h.source == h.target == ws.diagram("free")
+        assert h.components["*"] == ws.maps["swap"]
+        code, out, err = run(capsys, "rlp", "-w", Z2, "-w", str(p),
+                             "-i", "swap-self", "-p", "swap-self")
+        assert code == 0 and "rlp holds" in out
+
+    def test_non_natural_diagram_map_rejected(self, tmp_path, capsys):
+        # p, q -> p does not commute with the swap of p and q
+        p = tmp_path / "dm.json"
+        p.write_text(json.dumps(
+            self._diagram_map_doc("bad", "both", "collapse3")))
+        code, out, err = run(capsys, "parse", "-w", Z2, "-w", str(p))
+        assert code == 1
+        assert err == ("error: diagram map 'bad' invalid: "
+                       "[('naturality', 'g1')]\n")
+
     def test_builtins_present(self):
         ws = Workspace()
         assert "empty-to-point" in ws.maps

@@ -52,7 +52,7 @@ CHECKS = [
         TRIVIAL, orbit_setup(free_z2_orbit())[0])),
     ("no orbit of the target", lambda: orbit_naturality(
         identity_dmap(EDGE),
-        OrbitMap(orbit=EDGE, into=identity_dmap(EDGE), level=0,
+        OrbitMap(orbit=EDGE, into=identity_dmap(EDGE),
                  witness=colim(EDGE).space.cells(1)[0]))),
     ("out of the source of j", lambda: extend_to_local(
         identity_dmap(wrap_sset(point())),
@@ -252,6 +252,32 @@ class TestOnePullbackHomFamily:
                          and f.name in ("assign", "transport")
                          for f in c.body)]
         assert found == [], found
+
+
+class TestOneSetupType:
+    """soa.Instrumentation is a union of named families: a square reaches
+    its family by the name in meta[0], never by parsing its member_id, and
+    every assign and transport is a method of a setup class."""
+
+    def test_no_member_id_prefix_tests(self):
+        found = []
+        for module in MODULES:
+            found += [(module, n.lineno) for n in ast.walk(_tree(module))
+                      if isinstance(n, ast.Call)
+                      and isinstance(n.func, ast.Attribute)
+                      and n.func.attr == "startswith"
+                      and "member_id" in _names(n.func.value)]
+        assert found == [], f"startswith on a member_id at {found}"
+
+    def test_assign_and_transport_are_methods(self):
+        tree = _tree("soa")
+        methods = {id(f) for c in ast.walk(tree)
+                   if isinstance(c, ast.ClassDef) for f in c.body}
+        found = [f.lineno for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef)
+                 and f.name in ("assign", "transport")
+                 and id(f) not in methods]
+        assert found == [], f"assign/transport outside a class at {found}"
 
 
 def _callers(name):

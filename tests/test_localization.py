@@ -3,6 +3,7 @@ import pytest
 from eqloc.cat import (
     identity_dmap,
     point_diagram,
+    pushout_D,
     terminal_category,
     terminal_dmap,
     validate_dmap,
@@ -21,6 +22,7 @@ from eqloc.homotopy import pi0
 from eqloc.localization import (
     LocalizationCaps,
     LocalizationSpec,
+    ObstructedLift,
     arrow_isomorphic,
     class_K,
     extend_to_local,
@@ -75,6 +77,13 @@ class TestSpecValidation:
     def test_mode_exclusivity(self):
         with pytest.raises(ValueError):
             LocalizationSpec(d1_shape())
+
+    def test_generator_of_another_shape_rejected(self):
+        spec = LocalizationSpec(z2_category(),
+                                generators=[wrap_smap(empty_to_point_map())])
+        assert validate_spec(spec) == [("shape-mismatch", 0)]
+        with pytest.raises(ValueError, match="shape-mismatch"):
+            class_K(spec)
 
 
 class TestHorns:
@@ -165,6 +174,22 @@ class TestExtendToLocal:
         rep = extension_uniqueness(r.j, r)
         assert identity_dmap(r.local_object) in rep.lifts
         assert rep.all_homotopic
+
+    def test_extensions_into_a_doubled_target_are_not_homotopic(self):
+        # L X glued to itself along X: the two copies of L X extend the
+        # same map, and no cylinder joins them
+        r = localize(two_points_diagram(), empty_to_point_spec())
+        po = pushout_D(r.j, r.j)
+        rep = extension_uniqueness(r.j.then(po.from_left), r)
+        assert len(rep.lifts) == 2 and not rep.truncated
+        assert rep.all_homotopic is False
+
+    def test_non_local_target_obstructs_the_extension(self):
+        X = two_points_diagram()
+        r = localize(X, empty_to_point_spec())
+        with pytest.raises(ObstructedLift, match="Hor#1") as exc:
+            extend_to_local(identity_dmap(X), r)
+        assert exc.value.square.meta == ("Hor", 1)
 
 
 class TestSEquivalence:

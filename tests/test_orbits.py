@@ -163,6 +163,18 @@ class TestOrbitCategory:
         E = orbit_category_union(E1, E2)
         assert len(E) == 2
 
+    def test_union_keeps_the_witnesses_of_merged_copies(self):
+        E1 = orbit_category_of(z2_two_orbits(), level_cap=0, dim_cap=1)
+        E2 = orbit_category_of(free_z2_orbit(), level_cap=0, dim_cap=1)
+        assert E1.witnesses == [[(0, "q0_0")], [(0, "q0_1")]]
+        assert E2.witnesses == [[(0, "q0_0")]]
+        E = orbit_category_union(E1, E2)
+        # the free orbit of E2 merges into orbit 0 of E1, the free one
+        assert diagram_isomorphic(E2.orbits[0], E1.orbits[0]) is not None
+        assert E.witnesses == [[(0, "q0_0"), (0, "q0_0")], [(0, "q0_1")]]
+        assert E.orbits == E1.orbits
+        assert E.homs == E1.homs
+
 
 class TestOrbitPointDiagram:
     def test_z2_fixed_points(self):

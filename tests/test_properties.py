@@ -741,7 +741,7 @@ RECORDS = {
     "OrbitLocalityReport": (localization.OrbitLocalityReport,
                             ["orbit_index", "fibrant", "components",
                              "trivial_pi", "local"], {}),
-    "OrbitMap": (orbits.OrbitMap, ["orbit", "into", "level", "witness"],
+    "OrbitMap": (orbits.OrbitMap, ["orbit", "into", "witness"],
                  {"pullback": None}),
     "Square": (soa.Square, ["top", "left", "right", "bottom", "member_id"],
                {"meta": (), "orbit": None}),
@@ -841,7 +841,7 @@ class TestRecordContract:
         c = orbits.OrbitMap(**dict(orbit, pullback="one pullback"))
         d = orbits.OrbitMap(**dict(orbit, pullback="another pullback"))
         assert c == d and hash(c) == hash(d)
-        assert c != orbits.OrbitMap(**dict(orbit, level=7))
+        assert c != orbits.OrbitMap(**dict(orbit, witness="other"))
 
     def test_records_of_different_classes_differ(self):
         assert soa.Budget() != localization.LocalizationCaps()

@@ -27,6 +27,9 @@ from eqloc.simplicial import (
 from eqloc.soa import (
     ArrowSquare,
     Budget,
+    Instrumentation,
+    SetFamily,
+    empty_instrumentation,
     find_lift,
     retract_witness,
     rlp_check,
@@ -115,6 +118,65 @@ class TestSetupFromSet:
         assert len(u.assign(f)) == len(a.assign(f)) + len(b.assign(f))
         with pytest.raises(ValueError):
             setup_union(a, setup_from_set([], name="A"))
+
+
+class TestFamilies:
+    """An instrumentation is its families: assign concatenates their squares
+    in family order, and transport routes a square by the family name in
+    meta[0]."""
+
+    def _point_member(self):
+        return wrap_smap(boundary_inclusion(0))  # empty -> point
+
+    def test_assign_concatenates_in_family_order(self):
+        a = setup_from_set([wrap_smap(boundary_inclusion(1))], name="A")
+        b = setup_from_set([self._point_member()], name="B")
+        u = setup_union(b, a, name="U")
+        f = terminal_dmap(wrap_sset(two_points()))
+        assert list(u.families) == ["B", "A"]
+        assert u.assign(f) == b.assign(f) + a.assign(f)
+        assert {sq.meta[0] for sq in u.assign(f)} == {"A", "B"}
+
+    def test_set_family_named_like_a_member_id_routes_by_name(self):
+        # "I@x#0" begins like the member ids "I@n" of setup_I, but its
+        # square names the set family I@x, which transports it
+        budget = Budget(stages=1, n_cap=1, dim_cap=1)
+        u = setup_union(setup_I(budget),
+                        setup_from_set([self._point_member()], name="I@x"))
+        f = terminal_dmap(wrap_sset(two_points()))
+        ident = ArrowSquare(source=f, target=f,
+                            upper=identity_dmap(f.source),
+                            lower=identity_dmap(f.target))
+        squares = [sq for sq in u.assign(f) if sq.meta[0] == "I@x"]
+        assert [sq.member_id for sq in squares] == ["I@x#0"]
+        for sq in u.assign(f):
+            target, _ = u.transport(ident, sq)
+            assert target == sq
+
+    def test_union_rejects_a_set_family_named_I_beside_setup_I(self):
+        # the member ids differ (I#0 against I@0); the family names do not
+        budget = Budget(stages=1, n_cap=0, dim_cap=1)
+        with pytest.raises(ValueError, match="two families named 'I'"):
+            setup_union(setup_I(budget),
+                        setup_from_set([self._point_member()], name="I"))
+
+    def test_duplicate_family_names_rejected(self):
+        fam = SetFamily("M", [self._point_member()])
+        with pytest.raises(ValueError, match="'M'"):
+            Instrumentation("twice", [fam, fam], Budget())
+
+    def test_empty_instrumentation_has_no_families(self):
+        e = empty_instrumentation()
+        assert e.families == {}
+        assert e.assign(terminal_dmap(wrap_sset(two_points()))) == ()
+
+    def test_union_budget_is_fieldwise_max(self):
+        a = setup_from_set([], name="A",
+                           budget=Budget(stages=1, n_cap=3, dim_cap=0))
+        b = setup_from_set([], name="B",
+                           budget=Budget(stages=5, n_cap=0, dim_cap=2))
+        assert setup_union(a, b).budget == Budget(stages=5, n_cap=3,
+                                                  dim_cap=2)
 
 
 class TestSetupI:
