@@ -78,6 +78,7 @@ from .homotopy import (
     is_kan,
     is_null_homotopic,
     is_weq_equivariant,
+    lifts,
     null_factorization,
     pi0,
     pi_n,

@@ -85,7 +85,7 @@ def cap(args, name, default):
     explicit = getattr(args, name, None)
     if explicit is not None:
         return checked_cap("--" + name.replace("_", "-"), name, explicit)
-    return env_caps().get(name, default)
+    return args.env_caps.get(name, default)
 
 
 def load_workspace(args) -> Workspace:
@@ -96,8 +96,9 @@ def load_workspace(args) -> Workspace:
 
 
 def provenance(args) -> dict:
-    # the output path is where the report lands, not part of its derivation
-    skip = ("func", "command", "out")
+    # the output path is where the report lands, not part of its derivation;
+    # env_caps (EQLOC_CAPS, parsed by main) reaches it through the caps used
+    skip = ("func", "command", "out", "env_caps")
     items = sorted(vars(args).items())
     return {"command": args.command,
             "args": {k: v for k, v in items
@@ -515,6 +516,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # a usage error is bad input: exit 1, not 2
         return 1 if exc.code else 0
     try:
+        args.env_caps = env_caps()  # checked for every command
         return args.func(args)
     except (DocumentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

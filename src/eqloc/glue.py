@@ -111,9 +111,9 @@ def normal_form_complex(levels, face, degeneracy, prefix):
     levels[n] lists the n-elements in canonical order; face(n, e, i) is d_i
     of an n-element e and degeneracy(n, f, j) the n-element s_j f of an
     (n-1)-element f.  An n-element e is s_j d_j e for the largest j that
-    gives e back, else a new cell "<prefix>n_k".  Returns the space, the
-    normal form of every element (keyed by (n, e)) and the element behind
-    every cell.
+    gives e back (tried only where d_j e == d_{j+1} e, as e = s_j t forces),
+    else a new cell "<prefix>n_k".  Returns the space, the normal form of
+    every element (keyed by (n, e)) and the element behind every cell.
     """
     to_simplex = {}
     elem_of_cell = {}
@@ -123,8 +123,8 @@ def normal_form_complex(levels, face, degeneracy, prefix):
         level = []
         for e in elems:
             fs = [face(n, e, i) for i in range(n + 1)] if n else ()
-            j = next((j for j in reversed(range(n))
-                      if degeneracy(n, fs[j], j) == e), None)
+            j = next((j for j in reversed(range(n)) if fs[j] == fs[j + 1]
+                      and degeneracy(n, fs[j], j) == e), None)
             if j is not None:
                 sub = to_simplex[(n - 1, fs[j])]
                 to_simplex[(n, e)] = Simplex(compose_words((j,), sub.word),

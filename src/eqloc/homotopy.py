@@ -32,18 +32,19 @@ from .simplicial import (
     BudgetExceeded,
     SimplicialMap,
     SimplicialSet,
+    boundary,
+    constant_map,
     degenerate_at,
     hom_set,
     horn,
-    horn_inclusion,
     is_injective,
     nondeg,
+    point,
     standard_simplex,
 )
 from .soa import (
     Budget,
     extensions,
-    rlp_check,
     setup_J,
     small_object_argument,
 )
@@ -69,35 +70,43 @@ INCONCLUSIVE = "inconclusive"
 # Kan conditions and homotopy groups of simplicial sets
 
 
-def horn_has_filler(X: SimplicialSet, n, k, phi: SimplicialMap) -> bool:
-    """Whether phi: Lambda^n_k -> X extends over Delta^n.  By the simplicial
-    identities the images of the horn's facets fix the boundary of the
-    missing face d_k; each candidate d_k gives one full boundary to look up."""
-    faces = [None if i == k else
-             phi(nondeg(".".join(str(v) for v in range(n + 1) if v != i)))
-             for i in range(n + 1)]
+def _fillers(X: SimplicialSet, n, faces, k=None):
+    """The n-simplices of X with faces d_0 .. d_n (none when n = 0), in
+    canonical order.  With k given, d_k is free: by the simplicial
+    identities the other faces fix its boundary, and each candidate for it
+    gives one full boundary to look up."""
+    if k is None:
+        return X._boundary_index(n).get(tuple(faces), ())
     missing = tuple(X.face(faces[j], k - 1) if j < k else
                     X.face(faces[j + 1], k) for j in range(n)) if n > 1 else ()
-    fillers = X._boundary_index(n)
-    for cand in X._boundary_index(n - 1).get(missing, ()):
-        faces[k] = cand
-        if tuple(faces) in fillers:
-            return True
-    return False
+    return (s for cand in X._boundary_index(n - 1).get(missing, ())
+            for s in X._boundary_index(n).get(
+                (*faces[:k], cand, *faces[k + 1:]), ()))
+
+
+def lifts(p: SimplicialMap, n, k=None) -> bool:
+    """Whether p: X -> Y lifts against the horn Lambda^n_k -> Delta^n, or
+    against the sphere boundary(n) -> Delta^n when k is None: over every
+    n-simplex of Y that fills the image of a horn (sphere) of X, some filler
+    of that horn (sphere) in X."""
+    X, Y = p.source, p.target
+    names = [".".join(str(v) for v in range(n + 1) if v != i)
+             for i in range(n + 1)] if n else []
+    for a in hom_set(boundary(n) if k is None else horn(n, k), X):
+        faces = [None if i == k else a(nondeg(c)) for i, c in enumerate(names)]
+        below = [None if s is None else p(s) for s in faces]
+        if not all(any(p(l) == b for l in _fillers(X, n, faces, k))
+                   for b in _fillers(Y, n, below, k)):
+            return False
+    return True
 
 
 def is_kan(X: SimplicialSet, n_cap) -> bool:
-    """Right lifting against all horns of dimension <= n_cap, exhaustively.
-
-    This certifies fibrancy only up to the cap; callers flag truncation.
-    """
-    for n in range(1, n_cap + 1):
-        for k in range(n + 1):
-            H = horn(n, k)
-            for phi in hom_set(H, X):
-                if not horn_has_filler(X, n, k, phi):
-                    return False
-    return True
+    """Right lifting of X -> point against all horns of dimension <= n_cap.
+    This certifies fibrancy only up to the cap; callers flag truncation."""
+    to_point = constant_map(X, point(), "0")
+    return all(lifts(to_point, n, k)
+               for n in range(1, n_cap + 1) for k in range(n + 1))
 
 
 def pi0(X: SimplicialSet):
@@ -114,12 +123,7 @@ def pi0(X: SimplicialSet):
 
 def sphere_simplices(X: SimplicialSet, basepoint, n):
     """n-simplices whose every face is the degenerate basepoint."""
-    base = degenerate_at(X, basepoint, n - 1)
-    out = []
-    for s in X.simplices(n):
-        if all(X.face(s, i) == base for i in range(n + 1)):
-            out.append(s)
-    return out
+    return list(_fillers(X, n, [degenerate_at(X, basepoint, n - 1)] * (n + 1)))
 
 
 def pi_n(X: SimplicialSet, basepoint, n, kan_checked=False):
@@ -167,11 +171,6 @@ def homotopy_report(X: SimplicialSet, cap) -> HomotopyReport:
 
 # ---------------------------------------------------------------------------
 # lifting and weak-equivalence probes for plain simplicial sets
-
-
-def sset_rlp(i: SimplicialMap, p: SimplicialMap) -> bool:
-    """Right lifting property of p against i, at the simplicial-set level."""
-    return rlp_check(wrap_smap(i), wrap_smap(p)).holds
 
 
 def fibrant_replace(X: SimplicialSet, budget: Budget):
@@ -242,13 +241,10 @@ def default_orbit_category(f: DiagramMap, level_cap=0, dim_cap=1):
 def is_fibration_equivariant(f: DiagramMap, orbits: OrbitCategory,
                              n_cap, hom_cap) -> bool:
     """Horn-RLP of hom(T, f) for every orbit T, at the caps."""
-    for T in orbits.orbits:
-        phi = hom_complex_post(T, f, hom_cap)
-        for n in range(1, n_cap + 1):
-            for k in range(n + 1):
-                if not sset_rlp(horn_inclusion(n, k), phi):
-                    return False
-    return True
+    return all(lifts(phi, n, k)
+               for phi in (hom_complex_post(T, f, hom_cap)
+                           for T in orbits.orbits)
+               for n in range(1, n_cap + 1) for k in range(n + 1))
 
 
 def weq_probe_all(phis, label, pi_cap, budget: Budget, caps) -> Verdict:

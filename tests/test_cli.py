@@ -525,6 +525,21 @@ class TestReplay:
         assert code == 1
         assert err == "error: EQLOC_CAPS: unknown cap 'hor_n_cap' = 0\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["parse"], ["colim", "-d", "free"],
+        ["rlp", "-i", "empty-to-point", "-p", "swap"]])
+    def test_env_caps_checked_by_every_command(self, capsys, monkeypatch,
+                                               argv):
+        """A command that reads no cap still rejects an unknown key, and a
+        valid EQLOC_CAPS leaves its output as it was."""
+        argv = [argv[0], "-w", Z2, *argv[1:]]
+        plain = run(capsys, *argv)
+        monkeypatch.setenv("EQLOC_CAPS", "stages=2,pi_cap=1")
+        assert run(capsys, *argv) == plain
+        monkeypatch.setenv("EQLOC_CAPS", "bogus=1")
+        assert run(capsys, *argv) == (
+            1, "", "error: EQLOC_CAPS: unknown cap 'bogus' = 1\n")
+
     def test_default_caps_are_the_record_defaults(self, tmp_path, capsys):
         out_path = str(tmp_path / "f.json")
         code, _, _ = run(capsys, "factorize", "-w", Z2, "--map", "swap3",

@@ -29,11 +29,11 @@ from eqloc.homotopy import (
     is_kan,
     is_null_homotopic,
     is_weq_equivariant,
+    lifts,
     null_factorization,
     pi0,
     pi_n,
     properness_probe,
-    sset_rlp,
     sset_weq_probe,
 )
 from eqloc.orbits import orbit_category_of, orbit_category_union
@@ -42,7 +42,6 @@ from eqloc.simplicial import (
     SimplicialSet,
     boundary,
     constant_map,
-    horn_inclusion,
     identity_map,
     isomorphic,
     nondeg,
@@ -89,6 +88,18 @@ class TestKan:
 
     def test_discrete_is_kan(self):
         assert is_kan(two_points(), 3)
+
+    def test_only_the_last_outer_horn_fails(self):
+        # one loop e with 2-cells (e, e, e) and (s v, s v, e): the horn
+        # (s v, e, -) has no filler, every 2-horn at k < 2 has one
+        v, e = nondeg("v"), nondeg("e")
+        X = SimplicialSet([["v"], ["e"], ["a", "b"]],
+                          {"e": (v, v), "a": (e, e, e),
+                           "b": (((0,), "v"), ((0,), "v"), e)})
+        assert validate(X) == []
+        to_point = constant_map(X, point(), "0")
+        assert [lifts(to_point, 2, k) for k in range(3)] == [True, True, False]
+        assert is_kan(X, 1) and not is_kan(X, 2)
 
 
 class TestPi0:
@@ -137,11 +148,19 @@ class TestPiN:
 class TestSsetProbes:
     def test_rlp_horn_against_point(self):
         p = constant_map(standard_simplex(2), point(), "0")
-        assert sset_rlp(horn_inclusion(2, 1), p)
+        assert lifts(p, 2, 1)
 
     def test_rlp_fails_on_interval(self):
         p = constant_map(standard_simplex(1), point(), "0")
-        assert not sset_rlp(horn_inclusion(2, 0), p)
+        assert not lifts(p, 2, 0)
+
+    def test_sphere_lifting(self):
+        # against the empty sphere in Delta^0: onto on vertices
+        assert lifts(constant_map(two_points(), point(), "0"), 0)
+        assert not lifts(constant_map(point(), two_points(), "u"), 0)
+        # the sphere (u, v) has no edge over the degenerate edge of the point
+        assert not lifts(constant_map(two_points(), point(), "0"), 1)
+        assert lifts(identity_map(two_points()), 1)
 
     def test_fibrant_replace_discrete(self):
         X, j, ok = fibrant_replace(two_points(), Budget(stages=2, n_cap=2))

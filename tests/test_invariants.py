@@ -281,7 +281,8 @@ class TestOneSetupType:
 
 
 def _callers(name):
-    """(module, innermost enclosing def) of every call naming `name`."""
+    """(module, innermost enclosing def) of every call of a function or
+    method named `name`: `name(...)` or `x.name(...)`, not `name.m(...)`."""
     found = set()
     for module in MODULES:
         tree = _tree(module)
@@ -289,14 +290,16 @@ def _callers(name):
         owner = {id(n): fn.name for fn in ast.walk(tree)
                  if isinstance(fn, ast.FunctionDef) for n in ast.walk(fn)}
         found |= {(module, owner.get(id(n))) for n in ast.walk(tree)
-                  if isinstance(n, ast.Call) and name in _names(n.func)}
+                  if isinstance(n, ast.Call) and name == getattr(
+                      n.func, "id", getattr(n.func, "attr", None))}
     return found
 
 
 class TestOneMechanismPerConcept:
     """Normal forms of levelwise elements come from glue.normal_form_complex,
-    components from glue.UnionFind, and the worst verdict over a family of
-    weak-equivalence probes from homotopy.weq_probe_all."""
+    components from glue.UnionFind, the worst verdict over a family of
+    weak-equivalence probes from homotopy.weq_probe_all, and every horn or
+    sphere lifting question of a simplicial map from homotopy.lifts."""
 
     def test_one_normal_form_extractor(self):
         assert _callers("normal_form_complex") == {
@@ -313,6 +316,15 @@ class TestOneMechanismPerConcept:
         assert _callers("weq_probe_all") == {
             ("homotopy", "is_weq_equivariant"),
             ("localization", "is_S_equivalence")}
+
+    def test_one_fill_test(self):
+        assert _callers("_fillers") == {
+            ("homotopy", "lifts"), ("homotopy", "sphere_simplices")}
+        assert _callers("lifts") == {
+            ("homotopy", "is_kan"), ("homotopy", "is_fibration_equivariant")}
+        # outside the hom search, only the filler lookup reads the index
+        assert {c for c in _callers("_boundary_index")
+                if c[0] != "simplicial"} == {("homotopy", "_fillers")}
 
 
 def test_import_loads_no_heavy_stdlib_modules():

@@ -1,6 +1,10 @@
 import pytest
 
 from eqloc.cat import (
+    Diagram,
+    DiagramMap,
+    empty_diagram,
+    hom_complex,
     identity_dmap,
     point_diagram,
     pushout_D,
@@ -18,7 +22,7 @@ from eqloc.fixtures import (
     z2_category,
     z2_two_orbits,
 )
-from eqloc.homotopy import pi0
+from eqloc.homotopy import is_kan, pi0
 from eqloc.localization import (
     LocalizationCaps,
     LocalizationSpec,
@@ -37,7 +41,10 @@ from eqloc.localization import (
 )
 from eqloc.orbits import orbit_category_of, orbit_category_union
 from eqloc.simplicial import (
+    SimplicialMap,
+    SimplicialSet,
     boundary_inclusion,
+    nondeg,
     point,
     standard_simplex,
 )
@@ -251,6 +258,34 @@ class TestFixedPointwise:
                                               E, spec.caps)
         # the trivial-orbit fixed points are empty: not local
         assert any(r.local.value == "no" for r in reports)
+
+    def swapped_loops(self):
+        """Z/2 acting on one vertex with two loops that it swaps."""
+        X = SimplicialSet([["v"], ["a", "b"]],
+                          {"a": (nondeg("v"), nondeg("v")),
+                           "b": (nondeg("v"), nondeg("v"))})
+        swap = SimplicialMap(X, X, {"v": nondeg("v"), "a": nondeg("b"),
+                                    "b": nondeg("a")})
+        return Diagram(z2_category(), {"*": X}, {"g1": swap})
+
+    def test_swapped_loops_fail_at_the_free_orbit(self):
+        """Z has no free orbit, yet its horns do: the missing filler shows
+        only in hom(free orbit, Z) = Z, and the fixed points Z^{Z/2} (the
+        vertex alone) are Kan.  Both modes give the same verdict."""
+        Z = self.swapped_loops()
+        assert orbit_category_of(Z, 0, 1).orbits == \
+            orbit_category_of(trivial_z2_orbit(), 0, 1).orbits
+        assert not is_kan(hom_complex(free_z2_orbit(), Z, 2).space, 2)
+        assert is_kan(hom_complex(trivial_z2_orbit(), Z, 2).space, 2)
+        generator = DiagramMap(empty_diagram(z2_category()),
+                               point_diagram(z2_category()),
+                               {"*": empty_to_point_map()})
+        for spec in (LocalizationSpec(z2_category(),
+                                      fixedpointwise=empty_to_point_map()),
+                     LocalizationSpec(z2_category(), generators=[generator])):
+            v = is_S_local(Z, spec)
+            assert (v.value, v.reason) == ("no", "no lift for J@2_0")
+            assert v.caps == ("hor_n_cap", 2, "probe_n_cap", 2, "dim_cap", 1)
 
     def test_localize_free_orbit(self):
         spec = self.fp_spec()

@@ -64,6 +64,7 @@ from eqloc.simplicial import (
     enumerate_maps,
     hom_set,
     horn,
+    horn_inclusion,
     identity_map,
     nondeg,
     normalize_word,
@@ -88,6 +89,7 @@ from oracles import (
     quotient_oracle,
     random_collapse_map,
     random_sset,
+    rlp_oracle,
     setup_I_oracle,
     sset_doc_oracle,
     setup_J_oracle,
@@ -530,30 +532,57 @@ def _random_quotient(rng):
                       {"a": q, "b": q})
 
 
-class TestHornFillers:
-    def test_horn_has_filler_matches_a_scan_of_all_simplices(self):
-        """A horn fills when some n-simplex has the horn's faces, found by a
-        scan of every n-simplex rather than by boundary lookup."""
+class TestLifts:
+    def test_lifts_to_a_point_matches_a_scan_of_all_simplices(self):
+        """X -> point lifts against a horn (sphere) when every horn (sphere)
+        of X has a filler, found by a scan of every n-simplex rather than
+        by boundary lookup; is_kan(X, m) is the conjunction over the horns
+        up to m."""
         rng = random.Random(223606)
         spaces = [random_sset(rng, max_cells=8) for _ in range(6)]
         spaces += [standard_simplex(2), boundary_inclusion(2).source]
         checked = filled = 0
         for X in spaces:
+            to_point = constant_map(X, point(), "0")
+            horns_fill = {}
             for n in range(1, 4):
-                for k in range(n + 1):
+                for k in [None, *range(n + 1)]:
                     facets = {i: nondeg(".".join(str(v) for v in range(n + 1)
                                                  if v != i))
                               for i in range(n + 1) if i != k}
-                    for phi in hom_set(horn(n, k), X):
-                        expected = any(
-                            all(X.face(s, i) == phi(f)
+                    expected = all(
+                        any(all(X.face(s, i) == phi(f)
                                 for i, f in facets.items())
                             for s in X.simplices(n))
-                        got = homotopy.horn_has_filler(X, n, k, phi)
-                        assert got == expected
-                        checked += 1
-                        filled += got
+                        for phi in hom_set(
+                            boundary(n) if k is None else horn(n, k), X))
+                    got = homotopy.lifts(to_point, n, k)
+                    assert got == expected, (X, n, k)
+                    checked += 1
+                    filled += got
+                    if k is not None:
+                        horns_fill[n, k] = got
+            for m in range(1, 4):
+                assert homotopy.is_kan(X, m) == all(
+                    v for (n, _), v in horns_fill.items() if n <= m)
         assert 0 < filled < checked
+
+    def test_lifts_matches_the_brute_force_oracle(self):
+        """lifts(p, n, k) equals rlp_oracle, which filters whole hom sets,
+        on seeded collapse maps, for horns and spheres up to n = 2."""
+        rng = random.Random(1983)
+        seen = {}
+        for _ in range(20):
+            X = random_sset(rng, max_cells=3)
+            p = random_collapse_map(rng, X)
+            for n in range(3):
+                for k in [None, *range(n + 1)] if n else [None]:
+                    i = boundary_inclusion(n) if k is None \
+                        else horn_inclusion(n, k)
+                    got = homotopy.lifts(p, n, k)
+                    assert got == rlp_oracle(i, p), (X, n, k)
+                    seen.setdefault(k is None, set()).add(got)
+        assert seen == {True: {True, False}, False: {True, False}}
 
 
 def _copy_sset(X):
