@@ -20,7 +20,6 @@ from .cat import (
     SmallCategory,
     cotensor_restriction,
     field,
-    hom_D,
     hom_complex,
     hom_complex_pre,
     identity_dmap,
@@ -42,7 +41,7 @@ from .homotopy import (
     sset_weq_probe,
     weq_probe_all,
 )
-from .orbits import OrbitCategory
+from .orbits import OrbitCategory, isomorphisms
 from .simplicial import (
     SimplicialMap,
     SimplicialSet,
@@ -400,14 +399,6 @@ def isomorphic_to_point(X: SimplicialSet) -> bool:
 
 def arrow_isomorphic(f: DiagramMap, g: DiagramMap) -> bool:
     """Isomorphism of arrows: isos of sources and targets commuting with them."""
-    for psi in hom_D(f.target, g.target):
-        if not all(is_isomorphism(psi.components[d]) is not None
-                   for d in f.target.shape.objects):
-            continue
-        for phi in hom_D(f.source, g.source):
-            if not all(is_isomorphism(phi.components[d]) is not None
-                       for d in f.source.shape.objects):
-                continue
-            if phi.then(g) == f.then(psi):
-                return True
-    return False
+    return any(phi.then(g) == f.then(psi)
+               for psi in isomorphisms(f.target, g.target)
+               for phi in isomorphisms(f.source, g.source))

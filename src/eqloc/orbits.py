@@ -177,20 +177,25 @@ class OrbitCategory:
         return cat, lookup
 
 
-def diagram_isomorphic(T1: Diagram, T2: Diagram) -> Optional[DiagramMap]:
-    """An isomorphism T1 -> T2 when one exists.
+def isomorphisms(T1: Diagram, T2: Diagram):
+    """The isomorphisms T1 -> T2, in canonical order.
 
-    A natural transformation with isomorphism components is invertible, so it
-    suffices to scan hom_D for one.
+    A natural transformation with isomorphism components is invertible, so
+    these are the members of hom_D whose components are all isomorphisms;
+    none when some object's level sizes differ.
     """
-    for d in T1.shape.objects:
-        if [len(l) for l in T1.at[d].levels] != [len(l) for l in T2.at[d].levels]:
-            return None
+    if any([len(l) for l in T1.at[d].levels]
+           != [len(l) for l in T2.at[d].levels] for d in T1.shape.objects):
+        return
     for h in hom_D(T1, T2):
         if all(is_isomorphism(h.components[d]) is not None
                for d in T1.shape.objects):
-            return h
-    return None
+            yield h
+
+
+def diagram_isomorphic(T1: Diagram, T2: Diagram) -> Optional[DiagramMap]:
+    """An isomorphism T1 -> T2 when one exists."""
+    return next(isomorphisms(T1, T2), None)
 
 
 def _deduplicated(found, level_cap, dim_cap) -> OrbitCategory:

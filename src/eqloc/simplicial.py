@@ -660,30 +660,28 @@ def backtrack(n, candidates, emit, accept=None, limit=None, budget=None):
     return results
 
 
-def _map_search(X: SimplicialSet, Y: SimplicialSet, faces_first):
+def _map_search(X: SimplicialSet, Y: SimplicialSet):
     """Slot order, boundary and emit functions of a search for maps X -> Y.
 
-    Slots are cell positions in `all_cells()` order or, with faces_first,
-    top cells from the highest level down, each right after its faces not
-    yet placed (d_0 first).  boundary(k, chosen) gives the cell of slot k,
-    its dimension and the boundary its image must have.
+    Slots are cell positions faces-first: top cells from the highest level
+    down, each right after its faces not yet placed (d_0 first).
+    boundary(k, chosen) gives the cell of slot k, its dimension and the
+    boundary its image must have.
     """
     index = X._index
     cells = list(index)
-    order = list(range(len(cells)))
-    if faces_first:
-        order, placed = [], set()
-        for top in itertools.chain.from_iterable(reversed(X.levels)):
-            stack = [(top, False)]
-            while stack:
-                cell, ready = stack.pop()
-                if ready and cell not in placed:
-                    placed.add(cell)
-                    order.append(index[cell])
-                elif cell not in placed:
-                    stack.append((cell, True))
-                    stack.extend((f.cell, False) for f in reversed(
-                        X.cell_faces(cell) if X.cell_dim(cell) else ()))
+    order, placed = [], set()
+    for top in itertools.chain.from_iterable(reversed(X.levels)):
+        stack = [(top, False)]
+        while stack:
+            cell, ready = stack.pop()
+            if ready and cell not in placed:
+                placed.add(cell)
+                order.append(index[cell])
+            elif cell not in placed:
+                stack.append((cell, True))
+                stack.extend((f.cell, False) for f in reversed(
+                    X.cell_faces(cell) if X.cell_dim(cell) else ()))
     slot = sorted(range(len(order)), key=order.__getitem__)  # by position
     plan = [(cells[p], X._dims[p], tuple(
         (slot[index[f.cell]], f.word)
@@ -705,23 +703,20 @@ def _map_search(X: SimplicialSet, Y: SimplicialSet, faces_first):
 def enumerate_maps(X: SimplicialSet, Y: SimplicialSet,
                    pins: Optional[dict] = None,
                    cell_filter: Optional[Callable] = None,
-                   limit: Optional[int] = None,
                    budget: Optional[list] = None):
     """All simplicial maps X -> Y by backtracking, in canonical order.
 
     pins forces cell values; cell_filter(cell, candidate) prunes candidates;
-    limit caps the number of maps returned; budget is a one-element mutable
-    counter of candidate tries, decremented per try: the first try after it
-    reaches zero raises BudgetExceeded.
+    budget is a one-element mutable counter of candidate tries, decremented
+    per try: the first try after it reaches zero raises BudgetExceeded.
 
-    Without limit, cells are searched faces-first (each right after the
-    cells of its faces) and the maps are sorted back into canonical order;
-    with limit, in `all_cells()` order, so the first limit maps are the
-    canonical ones.  budget counts tries in search order, so where it runs
-    out depends on that order.  Candidates come from Y's boundary index.
+    Cells are searched faces-first (each right after the cells of its
+    faces) and the maps are sorted back into canonical order.  budget
+    counts tries in search order, so where it runs out depends on that
+    order.  Candidates come from Y's boundary index.
     """
     pins = pins or {}
-    order, boundary, emit = _map_search(X, Y, faces_first=limit is None)
+    order, boundary, emit = _map_search(X, Y)
     by_boundary = Y._boundary_index
 
     def candidates(k, chosen):
@@ -734,7 +729,7 @@ def enumerate_maps(X: SimplicialSet, Y: SimplicialSet,
             return pool
         return (s for s in pool if cell_filter(cell, s))
 
-    maps = backtrack(len(order), candidates, emit, limit=limit, budget=budget)
+    maps = backtrack(len(order), candidates, emit, budget=budget)
     if order != sorted(order):
         maps.sort(key=lambda f: [Y.skey(s) for s in f.images])
     return maps
@@ -794,7 +789,7 @@ def isomorphic(X: SimplicialSet, Y: SimplicialSet) -> Optional[SimplicialMap]:
     """Search for an isomorphism X -> Y; None when the complexes differ."""
     if [len(l) for l in X.levels] != [len(l) for l in Y.levels]:
         return None
-    order, boundary, emit = _map_search(X, Y, faces_first=True)
+    order, boundary, emit = _map_search(X, Y)
 
     def candidates(k, chosen):
         _, m, bd = boundary(k, chosen)

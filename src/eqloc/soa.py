@@ -346,15 +346,13 @@ def find_lift(i: DiagramMap, p: DiagramMap, a: DiagramMap, b: DiagramMap):
 
 
 def commutative_squares(i: DiagramMap, p: DiagramMap):
-    """The pairs (a, b) with a.then(p) == i.then(b), in canonical order."""
-    rights = hom_D(i.target, p.target)
-    squares = []
-    for a in hom_D(i.source, p.source):
-        ap = a.then(p)
-        for b in rights:
-            if i.then(b) == ap:
-                squares.append((a, b))
-    return squares
+    """The pairs (a, b) with a.then(p) == i.then(b), in canonical order: for
+    each a, the b are the extensions of a.then(p) along i.  Equal b are one
+    object."""
+    shared = {}
+    return [(a, shared.setdefault(b, b))
+            for a in hom_D(i.source, p.source)
+            for b in extensions([(i, a.then(p))], p.target)]
 
 
 class RlpReport(Record):

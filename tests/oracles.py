@@ -281,6 +281,19 @@ def rlp_oracle(i, p):
     return True
 
 
+def commutative_squares_oracle(i, p):
+    """The squares (a, b) of i against p by filtering every pair of
+    hom_D(i.source, p.source) x hom_D(i.target, p.target), in that order."""
+    rights = hom_D(i.target, p.target)
+    squares = []
+    for a in hom_D(i.source, p.source):
+        ap = a.then(p)
+        for b in rights:
+            if i.then(b) == ap:
+                squares.append((a, b))
+    return squares
+
+
 def adjoint_to_tensor_oracle(phi, cot):
     """phi: T -> X^K as a map tensor(T, K) -> X, by whole maps.
 

@@ -298,8 +298,10 @@ def _callers(name):
 class TestOneMechanismPerConcept:
     """Normal forms of levelwise elements come from glue.normal_form_complex,
     components from glue.UnionFind, the worst verdict over a family of
-    weak-equivalence probes from homotopy.weq_probe_all, and every horn or
-    sphere lifting question of a simplicial map from homotopy.lifts."""
+    weak-equivalence probes from homotopy.weq_probe_all, every horn or
+    sphere lifting question of a simplicial map from homotopy.lifts, every
+    isomorphism of diagrams from orbits.isomorphisms, and the commutative
+    squares of a member from soa.extensions."""
 
     def test_one_normal_form_extractor(self):
         assert _callers("normal_form_complex") == {
@@ -325,6 +327,14 @@ class TestOneMechanismPerConcept:
         # outside the hom search, only the filler lookup reads the index
         assert {c for c in _callers("_boundary_index")
                 if c[0] != "simplicial"} == {("homotopy", "_fillers")}
+
+    def test_one_isomorphism_scan(self):
+        assert _callers("isomorphisms") == {
+            ("orbits", "diagram_isomorphic"),
+            ("localization", "arrow_isomorphic")}
+
+    def test_squares_by_pinned_extension(self):
+        assert ("soa", "commutative_squares") in _callers("extensions")
 
 
 def test_import_loads_no_heavy_stdlib_modules():

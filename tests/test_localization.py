@@ -44,6 +44,7 @@ from eqloc.simplicial import (
     SimplicialMap,
     SimplicialSet,
     boundary_inclusion,
+    constant_map,
     nondeg,
     point,
     standard_simplex,
@@ -106,6 +107,16 @@ class TestHorns:
         spec = empty_to_point_spec()
         h0 = horns_of(spec.generators, 0)[0]
         assert arrow_isomorphic(h0.arrow, spec.generators[0])
+
+    def test_arrows_with_isomorphic_ends_need_not_be_isomorphic(self):
+        two = SimplicialSet([["u", "v"]], {})
+        swap = wrap_smap(SimplicialMap(two, two, {"u": nondeg("v"),
+                                                  "v": nondeg("u")}))
+        collapse = wrap_smap(constant_map(two, two, "u"))
+        ident = identity_dmap(wrap_sset(two))
+        assert arrow_isomorphic(swap, ident)
+        assert not arrow_isomorphic(collapse, swap)
+        assert not arrow_isomorphic(swap, collapse)
 
     def test_class_K_assigns_both_families(self):
         spec = empty_to_point_spec()

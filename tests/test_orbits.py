@@ -1,4 +1,5 @@
 from eqloc.cat import (
+    DiagramMap,
     arrow_category,
     constant_diagram,
     coproduct_D,
@@ -22,6 +23,7 @@ from eqloc.fixtures import (
 from eqloc.orbits import (
     diagram_isomorphic,
     factor_through_setup,
+    isomorphisms,
     is_orbit,
     orbit_category_of,
     orbit_category_union,
@@ -150,6 +152,17 @@ class TestOrbitCategory:
         E = orbit_category_of(X, level_cap=0, dim_cap=1)
         assert len(E) == 1
         assert diagram_isomorphic(E.orbits[0], X) is not None
+
+    def test_isomorphisms_of_the_free_orbit(self):
+        F = free_z2_orbit()
+        swap = DiagramMap(F, F, {"*": F.act["g1"]})
+        assert list(isomorphisms(F, F)) == [identity_dmap(F), swap]
+        assert list(isomorphisms(F, F)) == list(hom_D(F, F))
+        assert list(isomorphisms(F, trivial_z2_orbit())) == []
+        # equal level sizes, but no equivariant map from fixed points to F
+        two = constant_diagram(z2_category(), SimplicialSet([["u", "v"]], {}))
+        assert list(isomorphisms(two, F)) == []
+        assert diagram_isomorphic(two, F) is None
 
     def test_as_category_laws(self):
         from eqloc.cat import validate_category

@@ -16,6 +16,7 @@ from eqloc.cat import (
     DiagramMap,
     arrow_category,
     constant_diagram,
+    empty_dmap_into,
     hom_D,
     identity_dmap,
     limit_D,
@@ -59,6 +60,7 @@ from eqloc.simplicial import (
     SimplicialSet,
     boundary,
     boundary_inclusion,
+    codegeneracy_map,
     compose_words,
     constant_map,
     enumerate_maps,
@@ -82,6 +84,7 @@ from eqloc.soa import (
 )
 from oracles import (
     HorFFamilyOracle,
+    commutative_squares_oracle,
     face_oracle,
     naive_hom,
     pi0_dfs_oracle,
@@ -344,10 +347,12 @@ class TestSearchKernel:
 
     def test_limit_returns_a_prefix(self):
         for X, Y in self._pairs(161803):
-            full = enumerate_maps(X, Y)
-            assert enumerate_maps(X, Y, limit=0) == []
+            A, B = wrap_sset(X), wrap_sset(Y)
+            full = hom_D(A, B)
+            assert [h.components["*"] for h in full] == enumerate_maps(X, Y)
+            assert hom_D(A, B, limit=0) == []
             for k in range(1, len(full) + 2):
-                assert enumerate_maps(X, Y, limit=k) == full[:k]
+                assert hom_D(A, B, limit=k) == full[:k]
 
     def test_budget_runs_out_or_gives_the_full_list(self):
         ran_out = 0
@@ -484,21 +489,27 @@ class TestExtensions:
         assert checked > 0
 
     def test_commutative_squares_equal_a_filtered_product(self):
+        """Squares come from extensions along i; they equal the filter of
+        every pair, order included, also where i has degenerate images and
+        the pins need word division.  Equal right maps are one object."""
         rng = random.Random(602214)
         arrows = [z2_collapse(), terminal_dmap(z2_two_orbits()),
                   identity_dmap(free_z2_orbit())]
         arrows += [_random_quotient(rng) for _ in range(5)]
-        sizes = set()
-        for i in arrows:
-            for p in arrows:
-                if i.source.shape != p.source.shape:
-                    continue
-                expected = [(a, b) for a in hom_D(i.source, p.source)
-                            for b in hom_D(i.target, p.target)
-                            if a.then(p) == i.then(b)]
-                assert soa.commutative_squares(i, p) == expected
-                sizes.add(min(len(expected), 2))
+        cases = [(i, p) for i in arrows for p in arrows
+                 if i.source.shape == p.source.shape]
+        sizes, degenerate, repeated = set(), 0, 0
+        for i, p in cases + _square_cases():
+            squares = soa.commutative_squares(i, p)
+            assert squares == commutative_squares_oracle(i, p)
+            sizes.add(min(len(squares), 2))
+            degenerate += any(s.word for f in i.components.values()
+                              for s in f.images)
+            rights = {b for _, b in squares}
+            assert len({id(b) for _, b in squares}) == len(rights)
+            repeated += len(squares) > len(rights)
         assert sizes == {0, 1, 2}
+        assert degenerate > 0 and repeated > 0
 
     def test_pullback_D_is_the_two_factor_limit(self):
         rng = random.Random(141592)
@@ -521,6 +532,29 @@ class TestExtensions:
                 m = pb.mediate([a, b])
                 assert m == lim.mediate([a, b])
                 assert [m.then(p) for p in pb.projections] == [a, b]
+
+
+def _square_cases():
+    """(i, p) pairs: horn and boundary inclusions, codegeneracies and
+    constant maps against random collapse maps, and the set-mode horns of
+    two Z/2 generators against the Z/2 fixtures."""
+    rng = random.Random(299792)
+    members = [horn_inclusion(n, k) for n in (1, 2) for k in range(n + 1)]
+    members += [boundary_inclusion(n) for n in range(3)]
+    members += [codegeneracy_map(n, j) for n in (0, 1) for j in range(n + 1)]
+    members += [constant_map(standard_simplex(n), standard_simplex(1), "1")
+                for n in (1, 2)]
+    cases = []
+    for _ in range(6):
+        p = wrap_smap(random_collapse_map(rng, random_sset(rng, max_cells=5)))
+        cases += [(wrap_smap(i), p) for i in members]
+    generators = [empty_dmap_into(free_z2_orbit()),
+                  empty_dmap_into(trivial_z2_orbit())]
+    targets = [z2_collapse(), terminal_dmap(z2_two_orbits()),
+               identity_dmap(free_z2_orbit())]
+    cases += [(h.arrow, p) for h in localization.horns_of(generators, 2)
+              for p in targets]
+    return cases
 
 
 def _random_quotient(rng):
@@ -716,8 +750,8 @@ class TestIdentityContract:
         checked = 0
         for _ in range(8):
             X, Y, Z = (random_sset(rng, max_cells=5) for _ in range(3))
-            for f in enumerate_maps(X, Y, limit=4):
-                for g in enumerate_maps(Y, Z, limit=4):
+            for f in enumerate_maps(X, Y)[:4]:
+                for g in enumerate_maps(Y, Z)[:4]:
                     fg = f.then(g)
                     for n in range(3):
                         for s in X.simplices(n):
