@@ -289,8 +289,11 @@ class Diagram(Keyed):
 
 
 def validate_diagram(X: Diagram):
-    problems = []
     D = X.shape
+    problems = ([("unknown-object", o) for o in X.at if o not in D.objects]
+                + [("unknown-arrow", m) for m in X.act if m not in D.src])
+    if problems:
+        return problems
     for m in D.arrows:
         f = X.act.get(m)
         if f is None:
@@ -353,10 +356,13 @@ def identity_dmap(X: Diagram) -> DiagramMap:
 
 
 def validate_dmap(h: DiagramMap):
-    problems = []
     if h.source.shape != h.target.shape:
         return [("shape-mismatch",)]
     D = h.source.shape
+    problems = [("unknown-object", o) for o in h.components
+                if o not in D.objects]
+    if problems:
+        return problems
     for d in D.objects:
         f = h.components.get(d)
         if f is None or f.source != h.source.at[d] or f.target != h.target.at[d]:
@@ -522,6 +528,14 @@ class CoproductD:
         self.diagram = diagram
         self.injections = injections
 
+    def mediate(self, legs, target: Diagram) -> DiagramMap:
+        """The map out of the coproduct that is legs[k] on summand k."""
+        comps = {d: glue.copairing(self.diagram.at[d],
+                                   [leg.components[d] for leg in legs],
+                                   target.at[d])
+                 for d in self.diagram.shape.objects}
+        return DiagramMap(self.diagram, target, comps)
+
 
 def coproduct_D(diagrams) -> CoproductD:
     D = diagrams[0].shape
@@ -622,11 +636,9 @@ def pullback_D(f: DiagramMap, g: DiagramMap) -> LimitD:
 
 
 class Tensor:
-    def __init__(self, diagram, tcs, base, K):
+    def __init__(self, diagram, tcs):
         self.diagram = diagram
         self.tcs = tcs  # object -> glue.TupleComplex for at[d] x K
-        self.base = base
-        self.K = K
 
 
 @functools.cache
@@ -638,7 +650,7 @@ def tensor(X: Diagram, K: SimplicialSet) -> Tensor:
     act = {m: glue.induced_tuple_map(tcs[D.src[m]], tcs[D.tgt[m]],
                                      (X.act[m], identity_map(K)))
            for m in D.arrows}
-    return Tensor(Diagram(D, at, act), tcs, X, K)
+    return Tensor(Diagram(D, at, act), tcs)
 
 
 def tensor_map(f: DiagramMap, k: SimplicialMap) -> DiagramMap:

@@ -285,7 +285,7 @@ def _loc_spec(args, ws) -> LocalizationSpec:
 
 def _fixed_points(Z, j, spec) -> list:
     """The fixed-point reports of Z over the orbits of the map j."""
-    E = default_orbit_category(j, 0, spec.caps.dim_cap)
+    E = default_orbit_category(j, spec.caps.dim_cap)
     return [{"orbit": rep.orbit_index, "fibrant": rep.fibrant,
              "pi0": rep.components, "local": verdict_doc(rep.local)}
             for rep in fixed_point_locality_report(Z, spec.f, E, spec.caps)]
@@ -392,7 +392,7 @@ def cmd_proper_probe(args):
     along = ws.dmap(args.along)
     pi_cap = cap(args, "pi_cap", 0)
     hom_cap = cap(args, "hom_cap", 1)
-    E = default_orbit_category(weq, 0, cap(args, "dim_cap", 1))
+    E = default_orbit_category(weq, cap(args, "dim_cap", 1))
     v = properness_probe(args.kind, weq, along, E, pi_cap, hom_cap)
     emit(args, {"verdict": verdict_doc(v), "kind": args.kind},
          f"{args.kind} properness probe: {v.value}")

@@ -89,6 +89,13 @@ def _read_simplex(word, cell, shared, owner):
         shared.get(cell) or shared.setdefault(cell, Simplex((), cell)))
 
 
+def _valid(kind, name, obj, problems):
+    """obj, or a DocumentError naming the entry and its problems."""
+    if problems:
+        raise DocumentError(f"{kind} {name!r} invalid: {problems}")
+    return obj
+
+
 def sset_from_doc(doc, name="?") -> SimplicialSet:
     """The validated complex of a document; `cells` must be a list or tuple
     of levels, each a list or tuple of cell-name strings."""
@@ -106,9 +113,7 @@ def sset_from_doc(doc, name="?") -> SimplicialSet:
         problems = validate(X)
     except Exception as exc:
         raise DocumentError(f"simplicial set {name!r}: {exc}") from exc
-    if problems:
-        raise DocumentError(f"simplicial set {name!r} invalid: {problems}")
-    return X
+    return _valid("simplicial set", name, X, problems)
 
 
 def assignment_from_doc(doc):
@@ -124,10 +129,7 @@ def category_from_doc(doc, name="?") -> SmallCategory:
                           {(g, f): gf for g, f, gf in doc.get("composition", [])})
     except Exception as exc:
         raise DocumentError(f"category {name!r}: {exc}") from exc
-    problems = validate_category(D)
-    if problems:
-        raise DocumentError(f"category {name!r} invalid: {problems}")
-    return D
+    return _valid("category", name, D, validate_category(D))
 
 
 # ---------------------------------------------------------------------------
@@ -135,34 +137,29 @@ def category_from_doc(doc, name="?") -> SmallCategory:
 
 
 class Workspace:
-    """Named entities loaded from documents plus derived artifacts.
-
-    Every artifact carries provenance: the file it came from, or the
-    operation and inputs that derived it.
-    """
+    """Named entities read from documents, one table per section.  The
+    builtins (the category `1`, the simplicial sets `empty` and `point`, the
+    map `empty-to-point`) are the initial table contents, never listed by
+    `summary`.  CLI reports record their own provenance."""
 
     def __init__(self):
-        self.categories = {}
-        self.simplicial_sets = {}
-        self.maps = {}
+        self.categories = {"1": terminal_category()}
+        self.simplicial_sets = {"empty": empty_simplicial_set(),
+                                "point": point()}
+        self.maps = {"empty-to-point": SimplicialMap(
+            empty_simplicial_set(), point(), {})}
         self.diagrams = {}
         self.diagram_maps = {}
         self.spec_docs = {}
-        self.provenance = {}
-        self._install_builtins()
 
-    def _install_builtins(self):
-        self.categories["1"] = terminal_category()
-        self.simplicial_sets["empty"] = empty_simplicial_set()
-        self.simplicial_sets["point"] = point()
-        self.maps["empty-to-point"] = SimplicialMap(
-            empty_simplicial_set(), point(), {})
-        for name in ("1", "empty", "point", "empty-to-point"):
-            self.provenance[name] = {"builtin": True}
-
-    def _fresh(self, table, name):
-        if name in table:
-            raise DocumentError(f"duplicate name {name!r}")
+    def _tables(self):
+        """Each of SECTIONS' tables, with the reader of one (doc, name)."""
+        return ((self.categories, category_from_doc),
+                (self.simplicial_sets, sset_from_doc),
+                (self.maps, self._map),
+                (self.diagrams, self._diagram),
+                (self.diagram_maps, self._diagram_map),
+                (self.spec_docs, lambda d, name: d))
 
     def load(self, path):
         try:
@@ -187,63 +184,38 @@ class Workspace:
             if not isinstance(doc.get(key, {}), dict):
                 raise DocumentError(f"{origin}: section {key!r} is not an "
                                     f"object")
-        for name, d in doc.get("categories", {}).items():
-            self._fresh(self.categories, name)
-            self.categories[name] = category_from_doc(d, name)
-            self.provenance[name] = {"file": origin}
-        for name, d in doc.get("simplicial_sets", {}).items():
-            self._fresh(self.simplicial_sets, name)
-            self.simplicial_sets[name] = sset_from_doc(d, name)
-            self.provenance[name] = {"file": origin}
-        for name, d in doc.get("maps", {}).items():
-            self._fresh(self.maps, name)
-            with _entry("map", name):
-                src = self._get(self.simplicial_sets, d["source"],
-                                "simplicial set")
-                tgt = self._get(self.simplicial_sets, d["target"],
-                                "simplicial set")
-                f = SimplicialMap(src, tgt,
-                                  assignment_from_doc(d["assignment"]))
-                problems = verify_map(f)
-            if problems:
-                raise DocumentError(f"map {name!r} invalid: {problems}")
-            self.maps[name] = f
-            self.provenance[name] = {"file": origin}
-        for name, d in doc.get("diagrams", {}).items():
-            self._fresh(self.diagrams, name)
-            with _entry("diagram", name):
-                shape = self._get(self.categories, d["shape"], "category")
-                at = {o: self._get(self.simplicial_sets, s, "simplicial set")
-                      for o, s in d["at"].items()}
-                act = {}
-                for m, mapname in d.get("act", {}).items():
-                    if mapname == "id":
-                        act[m] = identity_map(at[shape.src[m]])
-                    else:
-                        act[m] = self._get(self.maps, mapname, "map")
-                X = Diagram(shape, at, act)
-                problems = validate_diagram(X)
-            if problems:
-                raise DocumentError(f"diagram {name!r} invalid: {problems}")
-            self.diagrams[name] = X
-            self.provenance[name] = {"file": origin}
-        for name, d in doc.get("diagram_maps", {}).items():
-            self._fresh(self.diagram_maps, name)
-            with _entry("diagram map", name):
-                src = self._get(self.diagrams, d["source"], "diagram")
-                tgt = self._get(self.diagrams, d["target"], "diagram")
-                comps = {o: self._get(self.maps, m, "map")
-                         for o, m in d["components"].items()}
-                h = DiagramMap(src, tgt, comps)
-                problems = validate_dmap(h)
-            if problems:
-                raise DocumentError(f"diagram map {name!r} invalid: {problems}")
-            self.diagram_maps[name] = h
-            self.provenance[name] = {"file": origin}
-        for name, d in doc.get("localization_specs", {}).items():
-            self._fresh(self.spec_docs, name)
-            self.spec_docs[name] = d
-            self.provenance[name] = {"file": origin}
+        for key, (table, read) in zip(SECTIONS, self._tables()):
+            for name, d in doc.get(key, {}).items():
+                if name in table:
+                    raise DocumentError(f"duplicate name {name!r}")
+                table[name] = read(d, name)
+
+    def _map(self, d, name) -> SimplicialMap:
+        with _entry("map", name):
+            src = self._get(self.simplicial_sets, d["source"], "simplicial set")
+            tgt = self._get(self.simplicial_sets, d["target"], "simplicial set")
+            f = SimplicialMap(src, tgt, assignment_from_doc(d["assignment"]))
+            return _valid("map", name, f, verify_map(f))
+
+    def _diagram(self, d, name) -> Diagram:
+        with _entry("diagram", name):
+            shape = self._get(self.categories, d["shape"], "category")
+            at = {o: self._get(self.simplicial_sets, s, "simplicial set")
+                  for o, s in d["at"].items()}
+            act = {m: identity_map(at[shape.src[m]]) if mapname == "id"
+                   else self._get(self.maps, mapname, "map")
+                   for m, mapname in d.get("act", {}).items()}
+            X = Diagram(shape, at, act)
+            return _valid("diagram", name, X, validate_diagram(X))
+
+    def _diagram_map(self, d, name) -> DiagramMap:
+        with _entry("diagram map", name):
+            src = self._get(self.diagrams, d["source"], "diagram")
+            tgt = self._get(self.diagrams, d["target"], "diagram")
+            comps = {o: self._get(self.maps, m, "map")
+                     for o, m in d["components"].items()}
+            h = DiagramMap(src, tgt, comps)
+            return _valid("diagram map", name, h, validate_dmap(h))
 
     def _get(self, table, name, kind):
         if name not in table:
@@ -272,18 +244,10 @@ class Workspace:
         raise DocumentError(f"unknown simplicial set {name!r}")
 
     def summary(self) -> dict:
-        return {
-            "categories": sorted(n for n in self.categories
-                                 if "builtin" not in self.provenance.get(n, {})),
-            "simplicial_sets": sorted(
-                n for n in self.simplicial_sets
-                if "builtin" not in self.provenance.get(n, {})),
-            "maps": sorted(n for n in self.maps
-                           if "builtin" not in self.provenance.get(n, {})),
-            "diagrams": sorted(self.diagrams),
-            "diagram_maps": sorted(self.diagram_maps),
-            "localization_specs": sorted(self.spec_docs),
-        }
+        """The names each section added, sorted; builtins are left out."""
+        return {key: sorted(table.keys() - builtin.keys())
+                for key, (table, _), (builtin, _) in zip(
+                    SECTIONS, self._tables(), Workspace()._tables())}
 
 
 # ---------------------------------------------------------------------------

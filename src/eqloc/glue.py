@@ -101,6 +101,15 @@ def coproduct_map(source, target, maps) -> SimplicialMap:
     return SimplicialMap(source, target, assignment)
 
 
+def copairing(space, legs, target) -> SimplicialMap:
+    """The map out of the coproduct `space` that is legs[k] on summand k.
+    A coproduct's cells come level by level, summand by summand, so the
+    images are read in that order."""
+    return SimplicialMap(space, target, images=tuple(
+        leg(nondeg(c)) for n in range(space.dim + 1)
+        for leg in legs for c in leg.source.cells(n)))
+
+
 # ---------------------------------------------------------------------------
 # normal forms
 

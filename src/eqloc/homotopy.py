@@ -232,10 +232,10 @@ def sset_weq_probe(phi: SimplicialMap, pi_cap, budget: Budget) -> Verdict:
 # equivariant probes through orbit mapping complexes
 
 
-def default_orbit_category(f: DiagramMap, level_cap=0, dim_cap=1):
-    return orbit_category_union(
-        orbit_category_of(f.source, level_cap, dim_cap),
-        orbit_category_of(f.target, level_cap, dim_cap))
+def default_orbit_category(f: DiagramMap, dim_cap=1):
+    """The level-0 orbits of the source and the target of f."""
+    return orbit_category_union(orbit_category_of(f.source, 0, dim_cap),
+                                orbit_category_of(f.target, 0, dim_cap))
 
 
 def is_fibration_equivariant(f: DiagramMap, orbits: OrbitCategory,
@@ -388,8 +388,7 @@ def null_factorization(f: DiagramMap, H: DiagramMap):
 
 
 def properness_probe(kind, weq: DiagramMap, along: DiagramMap,
-                     orbits: OrbitCategory, pi_cap, hom_cap,
-                     budget: Optional[Budget] = None) -> Verdict:
+                     orbits: OrbitCategory, pi_cap, hom_cap) -> Verdict:
     """Instance-wise (left or right) properness check.
 
     kind "left": pushout of a weak equivalence along a cofibration; kind
@@ -412,4 +411,4 @@ def properness_probe(kind, weq: DiagramMap, along: DiagramMap,
         probe = pb.projections[1]  # base change of the weak equivalence
     else:
         raise ValueError(f"unknown probe kind {kind!r}")
-    return is_weq_equivariant(probe, orbits, pi_cap, hom_cap, budget)
+    return is_weq_equivariant(probe, orbits, pi_cap, hom_cap)

@@ -19,7 +19,6 @@ from .cat import (
     Record,
     SmallCategory,
     cotensor_restriction,
-    field,
     hom_complex,
     hom_complex_pre,
     identity_dmap,
@@ -58,7 +57,6 @@ from .soa import (
     FactorizationResult,
     Instrumentation,
     PullbackHomFamily,
-    _coproduct_mediate,
     extensions,
     find_lift,
     setup_J,
@@ -139,7 +137,6 @@ class Horn(Record):
     arrow: DiagramMap
     generator_index: int
     n: int
-    pushout: object = field(repr=False, default=None)
 
 
 def horns_of(generators, n_cap):
@@ -154,7 +151,7 @@ def horns_of(generators, n_cap):
             po = pushout_D(a_incl, f_bd)
             arrow = po.mediate(tensor_map(f, identity_map(standard_simplex(n))),
                                tensor_map(identity_dmap(B), incl))
-            out.append(Horn(arrow=arrow, generator_index=idx, n=n, pushout=po))
+            out.append(Horn(arrow=arrow, generator_index=idx, n=n))
     return tuple(out)
 
 
@@ -257,16 +254,15 @@ def is_S_local(Z: Diagram, spec: LocalizationSpec) -> Verdict:
     return Verdict(YES, caps)
 
 
-def is_S_equivalence(g: DiagramMap, spec: LocalizationSpec, probes,
-                     budget: Optional[Budget] = None) -> Verdict:
+def is_S_equivalence(g: DiagramMap, spec: LocalizationSpec,
+                     probes) -> Verdict:
     """Mapping-space comparison against the supplied local diagrams.
 
     Cofibrant replacement is omitted: every diagram of simplicial sets is
     cofibrant in the equivariant structure.
     """
     caps = spec.caps
-    budget = budget or Budget(stages=caps.stages, n_cap=caps.pi_cap + 1,
-                              dim_cap=0)
+    budget = Budget(stages=caps.stages, n_cap=caps.pi_cap + 1, dim_cap=0)
     return weq_probe_all((hom_complex_pre(g, P, caps.hom_cap)
                           for P in probes), "probe", caps.pi_cap, budget,
                          ("pi_cap", caps.pi_cap, "hom_cap", caps.hom_cap))
@@ -300,8 +296,7 @@ def extend_to_local(g: DiagramMap, result: LocalizationResult) -> DiagramMap:
             if lift is None:
                 raise ObstructedLift(sq)
             lifts.append(lift)
-        h = stage.pushout.mediate(
-            h, _coproduct_mediate(stage.tops_coproduct, lifts, P))
+        h = stage.pushout.mediate(h, stage.tops_coproduct.mediate(lifts, P))
     if result.j.then(h) != g:
         raise ValueError("extension does not restrict to g along j")
     return h
@@ -323,11 +318,11 @@ class ExtensionReport(Record):
     truncated: bool
 
 
-def extension_uniqueness(g: DiagramMap, result: LocalizationResult,
-                         limit=None) -> ExtensionReport:
-    """Enumerate extensions of g over the coaugmentation and probe pairwise
-    simplicial homotopy within the budget."""
-    limit = limit if limit is not None else result.spec.caps.uniqueness_limit
+def extension_uniqueness(g: DiagramMap,
+                         result: LocalizationResult) -> ExtensionReport:
+    """Enumerate extensions of g over the coaugmentation, up to the spec's
+    uniqueness_limit, and probe pairwise simplicial homotopy."""
+    limit = result.spec.caps.uniqueness_limit
     lifts = extensions([(result.j, g)], g.target, limit=limit + 1)
     truncated = len(lifts) > limit
     lifts = lifts[:limit]

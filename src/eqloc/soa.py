@@ -158,8 +158,8 @@ def setup_union(a: Instrumentation, b: Instrumentation,
                            budget)
 
 
-def empty_instrumentation(name="empty", budget: Budget = Budget()):
-    return Instrumentation(name, (), budget)
+def empty_instrumentation():
+    return Instrumentation("empty", (), Budget())
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +390,6 @@ def _coproduct_arrow(coA: CoproductD, coB: CoproductD, maps) -> DiagramMap:
     return DiagramMap(A, B, comps)
 
 
-def _coproduct_mediate(co: CoproductD, legs, target: Diagram) -> DiagramMap:
-    comps = {}
-    for d in co.diagram.shape.objects:
-        assignment = {}
-        for k, leg in enumerate(legs):
-            for c in leg.source.at[d].all_cells():
-                assignment[f"{k}:{c}"] = leg.components[d](nondeg(c))
-        comps[d] = SimplicialMap(co.diagram.at[d], target.at[d], assignment)
-    return DiagramMap(co.diagram, target, comps)
-
-
 class Stage(Record):
     squares: tuple          # all assigned squares, canonical order
     attached: tuple         # indices of squares glued at this stage
@@ -457,9 +446,8 @@ def small_object_argument(f: DiagramMap, instr: Instrumentation,
         coA = coproduct_D([t.source for t in tops])
         coB = coproduct_D([t.target for t in tops])
         top_sum = _coproduct_arrow(coA, coB, tops)
-        left_sum = _coproduct_mediate(coA, [squares[i].left for i in attach], Z)
-        right_sum = _coproduct_mediate(coB, [squares[i].right for i in attach],
-                                       rho.target)
+        left_sum = coA.mediate([squares[i].left for i in attach], Z)
+        right_sum = coB.mediate([squares[i].right for i in attach], rho.target)
         po = pushout_D(left_sum, top_sum)
         stage_map = po.from_left
         rho_next = po.mediate(rho, right_sum)
@@ -509,7 +497,7 @@ def soa_functorial(g: ArrowSquare, r1: FactorizationResult,
             if j not in s2.attached:
                 raise ValueError("transported square was not attached")
             b_maps.append(cB.then(coB2.injections[s2.attached.index(j)]))
-        to_b2 = _coproduct_mediate(coB1, b_maps, coB2.diagram)
+        to_b2 = coB1.mediate(b_maps, coB2.diagram)
         xi = s1.pushout.mediate(xi.then(po2.from_left),
                                 to_b2.then(po2.from_right))
         rho1, rho2 = s1.rho, s2.rho
@@ -526,16 +514,15 @@ class RetractWitness(Record):
     section: DiagramMap  # B -> Z with delta . section = id, section . f = gamma
 
 
-def retract_witness(f: DiagramMap, instr: Instrumentation,
-                    stages: Optional[int] = None,
-                    strict: bool = False) -> Optional[RetractWitness]:
+def retract_witness(f: DiagramMap,
+                    instr: Instrumentation) -> Optional[RetractWitness]:
     """Exhibit a cofibration as a retract of its own cellular factor.
 
     Runs the argument on f and searches a lift of f against its delta; the
     retraction fixes the domain.  None when the lift search fails within the
     budget (reported by the caller).
     """
-    r = small_object_argument(f, instr, stages=stages, strict=strict)
+    r = small_object_argument(f, instr)
     q = find_lift(f, r.delta, r.gamma, identity_dmap(f.target))
     if q is None:
         return None

@@ -7,7 +7,8 @@ by their own normal-form extraction, lifting by filtering full hom sets, tensor 
 composing whole codegeneracy maps, mapping-complex presentations by
 composing every face and degeneracy from the coface and codegeneracy maps
 per lookup, complex documents from fresh lists, and the orbit setups of I, J and Hor(F) by one class per
-family, each building its own W.
+family, each building its own W; maps out of a coproduct by the summand cell
+names "<k>:<cell>".
 """
 
 import itertools
@@ -292,6 +293,19 @@ def commutative_squares_oracle(i, p):
             if i.then(b) == ap:
                 squares.append((a, b))
     return squares
+
+
+def coproduct_mediate_oracle(co, legs, target):
+    """The map out of the coproduct diagram co.diagram that is legs[k] on
+    summand k, assigned by the cell names "<k>:<cell>" of glue.coproduct."""
+    comps = {}
+    for d in co.diagram.shape.objects:
+        assignment = {}
+        for k, leg in enumerate(legs):
+            for c in leg.source.at[d].all_cells():
+                assignment[f"{k}:{c}"] = leg.components[d](nondeg(c))
+        comps[d] = SimplicialMap(co.diagram.at[d], target.at[d], assignment)
+    return DiagramMap(co.diagram, target, comps)
 
 
 def adjoint_to_tensor_oracle(phi, cot):

@@ -7,6 +7,7 @@ import pytest
 import eqloc
 from eqloc import glue
 from eqloc.cat import (
+    Diagram,
     DiagramMap,
     adjoint_to_cotensor,
     adjoint_to_tensor,
@@ -106,6 +107,24 @@ class TestDiagrams:
     def test_validate_dmap(self):
         assert validate_dmap(z2_collapse()) == []
         assert validate_dmap(identity_dmap(free_z2_orbit())) == []
+
+    def test_stray_object_and_arrow_reported_first(self):
+        X = free_z2_orbit()
+        at_zz = Diagram(X.shape, {**X.at, "zz": point()}, X.act)
+        assert validate_diagram(at_zz) == [("unknown-object", "zz")]
+        act_zz = Diagram(X.shape, X.at, {**X.act, "zz": X.act["g1"]})
+        assert validate_diagram(act_zz) == [("unknown-arrow", "zz")]
+        # checked before the actions: a stray key hides a bad action
+        bad = Diagram(X.shape, {**X.at, "zz": point()},
+                      {"g1": identity_map(point()), "yy": X.act["g1"]})
+        assert validate_diagram(bad) == [("unknown-object", "zz"),
+                                         ("unknown-arrow", "yy")]
+
+    def test_stray_component_reported_first(self):
+        h = identity_dmap(free_z2_orbit())
+        stray = DiagramMap(h.source, h.target,
+                           {**h.components, "zz": h.components["*"]})
+        assert validate_dmap(stray) == [("unknown-object", "zz")]
 
     def test_free_diagram_on_arrow(self):
         D = arrow_category()

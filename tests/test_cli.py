@@ -710,6 +710,45 @@ class TestWorkspace:
         assert "empty-to-point" in ws.maps
         assert "1" in ws.categories
 
+    def test_builtins_never_listed_under_a_shared_name(self, tmp_path,
+                                                       capsys):
+        # a simplicial set named like the builtin category, and a diagram
+        # named like a builtin simplicial set
+        p = tmp_path / "collide.json"
+        p.write_text(json.dumps({
+            "schema": "eqloc/1",
+            "simplicial_sets": {"1": {"cells": [["v"]]}},
+            "diagrams": {"empty": {"shape": "1", "at": {"*": "1"}}}}))
+        out_path = str(tmp_path / "parse.json")
+        code, out, err = run(capsys, "parse", "-w", str(p), "--out", out_path)
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == (
+            "0 categories; 1 simplicial_sets; 0 maps; 1 diagrams; "
+            "0 diagram_maps; 0 localization_specs")
+        doc = json.loads(pathlib.Path(out_path).read_text())
+        assert doc["workspace"] == {
+            "categories": [], "simplicial_sets": ["1"], "maps": [],
+            "diagrams": ["empty"], "diagram_maps": [],
+            "localization_specs": []}
+
+    @pytest.mark.parametrize("section, entry, problem", [
+        ("diagrams", {"shape": "Z2", "at": {"*": "two", "zz": "one"},
+                      "act": {"g1": "swap"}},
+         "diagram 'X' invalid: [('unknown-object', 'zz')]"),
+        ("diagrams", {"shape": "Z2", "at": {"*": "two"},
+                      "act": {"g1": "swap", "zz": "swap"}},
+         "diagram 'X' invalid: [('unknown-arrow', 'zz')]"),
+        ("diagram_maps", {"source": "free", "target": "free",
+                          "components": {"*": "swap", "zz": "swap"}},
+         "diagram map 'X' invalid: [('unknown-object', 'zz')]"),
+    ], ids=["at-object", "act-arrow", "component-object"])
+    def test_stray_entry_rejected(self, tmp_path, capsys, section, entry,
+                                  problem):
+        p = tmp_path / "stray.json"
+        p.write_text(json.dumps({"schema": "eqloc/1", section: {"X": entry}}))
+        code, out, err = run(capsys, "parse", "-w", Z2, "-w", str(p))
+        assert (code, out, err) == (1, "", f"error: {problem}\n")
+
     def test_duplicate_name_rejected(self, tmp_path):
         ws = Workspace()
         ws.load(Z2)

@@ -337,6 +337,30 @@ class TestOneMechanismPerConcept:
         assert ("soa", "commutative_squares") in _callers("extensions")
 
 
+class TestModuleBoundaries:
+    """A module reaches another's helpers only through its public names, and
+    the coproduct naming scheme "<k>:<cell>" lives in glue alone."""
+
+    def test_no_private_names_imported_across_modules(self):
+        found = [(module, alias.name) for module in MODULES
+                 for n in ast.walk(_tree(module))
+                 if isinstance(n, ast.ImportFrom) and (
+                     n.level > 0 or (n.module or "").startswith("eqloc"))
+                 for alias in n.names if alias.name.startswith("_")]
+        assert found == [], f"private names imported: {found}"
+
+    def test_coproduct_cell_names_only_in_glue(self):
+        def pair(n):
+            return (isinstance(n, ast.JoinedStr) and len(n.values) == 3
+                    and isinstance(n.values[0], ast.FormattedValue)
+                    and isinstance(n.values[1], ast.Constant)
+                    and n.values[1].value == ":"
+                    and isinstance(n.values[2], ast.FormattedValue))
+        found = {module for module in MODULES
+                 if any(pair(n) for n in ast.walk(_tree(module)))}
+        assert found == {"glue"}
+
+
 def test_import_loads_no_heavy_stdlib_modules():
     """A fresh interpreter importing eqloc and its CLI loads none of the
     inspect chain (dataclasses, inspect, ast, dis)."""

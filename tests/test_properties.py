@@ -184,7 +184,7 @@ class TestFactorizationPostconditions:
         f = terminal_dmap(z2_two_orbits())
         r = small_object_argument(f, instr)
         assert r.stopped_by == "stabilization"
-        E = default_orbit_category(r.delta, 0, 1)
+        E = default_orbit_category(r.delta, 1)
         assert is_fibration_equivariant(r.delta, E, 2, 2)
 
 
@@ -204,7 +204,7 @@ class TestTwoOutOfThree:
         v1 = is_S_equivalence(fold, spec, [Y])
         # the induced map between localizations, through initiality
         Lg = extend_to_local(fold.then(rY.j), rX)
-        E = default_orbit_category(Lg, 0, 1)
+        E = default_orbit_category(Lg, 1)
         v2 = is_weq_equivariant(Lg, E, 0, 2)
         decisive = {"yes", "no"}
         if v1.value in decisive and v2.value in decisive:
@@ -794,8 +794,7 @@ RECORDS = {
     "LocalizationCaps": (localization.LocalizationCaps, [], {
         "hor_n_cap": 2, "j_n_cap": 1, "probe_n_cap": 2, "dim_cap": 1,
         "hom_cap": 2, "pi_cap": 0, "stages": 3, "uniqueness_limit": 6}),
-    "Horn": (localization.Horn, ["arrow", "generator_index", "n"],
-             {"pushout": None}),
+    "Horn": (localization.Horn, ["arrow", "generator_index", "n"], {}),
     "LocalizationResult": (localization.LocalizationResult,
                            ["local_object", "j", "trace", "locality", "spec"],
                            {}),
@@ -915,7 +914,7 @@ class TestRecordContract:
             "Verdict(value='yes', caps=(1,), reason='r')"
         assert repr(soa.Budget(stages=2)) == \
             "Budget(stages=2, n_cap=2, dim_cap=1)"
-        hidden = {"Cone": ["_pushout", "_cylinder"], "Horn": ["pushout"],
+        hidden = {"Cone": ["_pushout", "_cylinder"], "Horn": [],
                   "OrbitMap": ["pullback"], "Square": ["orbit"],
                   "Stage": ["pushout", "tops_coproduct"]}
         for name, fields in hidden.items():

@@ -1,6 +1,10 @@
+import pathlib
+
 import pytest
 
 from eqloc.cat import (
+    CoproductD,
+    coproduct_D,
     empty_diagram,
     empty_dmap_into,
     identity_dmap,
@@ -10,9 +14,19 @@ from eqloc.cat import (
     wrap_smap,
     wrap_sset,
 )
+from eqloc.documents import Workspace
 from eqloc.fixtures import (
+    empty_to_point_map,
     free_z2_orbit,
+    interval_plus_point,
+    two_points_diagram,
     z2_two_orbits,
+)
+from eqloc.localization import (
+    LocalizationCaps,
+    LocalizationSpec,
+    extend_to_local,
+    localize,
 )
 from eqloc.simplicial import (
     SimplicialMap,
@@ -43,6 +57,9 @@ from eqloc.soa import (
     verify_pullback_over_colim,
     verify_square,
 )
+from oracles import coproduct_mediate_oracle
+
+Z2 = str(pathlib.Path(__file__).parent / "data" / "z2_example.json")
 
 
 def two_points():
@@ -410,3 +427,74 @@ class TestRetract:
         w = retract_witness(incl, instr)
         assert w is not None
         assert incl.then(w.section) == w.factorization.gamma
+
+
+def _spy_mediate(monkeypatch):
+    """Record every CoproductD.mediate call as (co, legs, target, result)."""
+    calls = []
+    mediate = CoproductD.mediate
+
+    def spy(co, legs, target):
+        out = mediate(co, legs, target)
+        calls.append((co, list(legs), target, out))
+        return out
+    monkeypatch.setattr(CoproductD, "mediate", spy)
+    return calls
+
+
+class TestCoproductMediate:
+    """CoproductD.mediate reads a coproduct's cells by position; the oracle
+    assigns them by glue.coproduct's cell names "<k>:<cell>"."""
+
+    def _agree(self, calls):
+        assert calls
+        for co, legs, target, out in calls:
+            assert out == coproduct_mediate_oracle(co, legs, target)
+
+    def _stages_agree(self, calls, r):
+        """Each stage mediates its lefts, then its rights out of the stored
+        coproduct of tops."""
+        assert len(calls) == 2 * r.n_stages
+        self._agree(calls)
+        for stage, lefts, rights in zip(r.stages, calls[::2], calls[1::2]):
+            attached = [stage.squares[i] for i in stage.attached]
+            assert lefts[1] == [sq.left for sq in attached]
+            assert rights[0] is stage.tops_coproduct
+            assert rights[1] == [sq.right for sq in attached]
+
+    def test_every_stage_of_criterion_1(self, monkeypatch):
+        calls = _spy_mediate(monkeypatch)
+        r = small_object_argument(terminal_dmap(interval_plus_point()),
+                                  setup_I(Budget(stages=4, n_cap=3,
+                                                 dim_cap=0)))
+        assert r.n_stages > 0
+        self._stages_agree(calls, r)
+
+    def test_strict_run_on_z2_example(self, monkeypatch):
+        f = terminal_dmap(Workspace().load(Z2).diagram("both"))
+        instr = setup_I(Budget(stages=2, n_cap=1, dim_cap=1))
+        calls = _spy_mediate(monkeypatch)
+        r = small_object_argument(f, instr, strict=True)
+        assert [len(s.attached) for s in r.stages] == [6, 11]
+        self._stages_agree(calls, r)
+
+    def test_extension_lifts_on_relocalize_fixtures(self):
+        spec = LocalizationSpec(
+            terminal_category(),
+            generators=[wrap_smap(empty_to_point_map())],
+            caps=LocalizationCaps())
+        for X in (two_points_diagram(), interval_plus_point()):
+            r = localize(X, spec)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = _spy_mediate(mp)
+                extend_to_local(terminal_dmap(X), r)
+            assert len(calls) == r.trace.n_stages
+            self._agree(calls)
+
+    def test_injections_mediate_to_the_identity(self):
+        for parts in ([free_z2_orbit()], [free_z2_orbit(), z2_two_orbits()],
+                      [wrap_sset(point()), wrap_sset(standard_simplex(2)),
+                       wrap_sset(two_points())]):
+            co = coproduct_D(parts)
+            assert co.mediate(co.injections, co.diagram) == \
+                identity_dmap(co.diagram)

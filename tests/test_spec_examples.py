@@ -168,7 +168,7 @@ class TestTruncationVerdicts:
         # the circle's mapping space never stabilizes under horn filling, so
         # a pi_1-level probe with a small budget must answer inconclusive
         f = terminal_dmap(wrap_sset(circle()))
-        E = default_orbit_category(f, 0, 1)
+        E = default_orbit_category(f, 1)
         v = is_weq_equivariant(f, E, pi_cap=1, hom_cap=2,
                                budget=Budget(stages=2, n_cap=2, dim_cap=0))
         assert v.value == "inconclusive"
