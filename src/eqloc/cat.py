@@ -191,6 +191,13 @@ class SmallCategory(Keyed):
         return tuple(m for m in self.arrows
                      if self.src[m] == a and self.tgt[m] == b)
 
+    def is_groupoid(self) -> bool:
+        """True when every arrow has a two-sided inverse."""
+        ids = self.identity
+        return all(any(self.comp.get((n, m)) == ids[self.src[m]]
+                       and self.comp.get((m, n)) == ids[self.tgt[m]]
+                       for n in self.arrows) for m in self.arrows)
+
     def _identity(self):
         return (self.objects,
                 tuple((m, self.src[m], self.tgt[m]) for m in self.arrows),

@@ -202,8 +202,10 @@ class Workspace:
             shape = self._get(self.categories, d["shape"], "category")
             at = {o: self._get(self.simplicial_sets, s, "simplicial set")
                   for o, s in d["at"].items()}
-            act = {m: identity_map(at[shape.src[m]]) if mapname == "id"
-                   else self._get(self.maps, mapname, "map")
+            # a stray arrow keeps its map name for validate_diagram to report
+            act = {m: self._get(self.maps, mapname, "map") if mapname != "id"
+                   else identity_map(at[shape.src[m]]) if m in shape.src
+                   else mapname
                    for m, mapname in d.get("act", {}).items()}
             X = Diagram(shape, at, act)
             return _valid("diagram", name, X, validate_diagram(X))

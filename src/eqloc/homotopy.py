@@ -70,15 +70,12 @@ INCONCLUSIVE = "inconclusive"
 # Kan conditions and homotopy groups of simplicial sets
 
 
-def _fillers(X: SimplicialSet, n, faces, k=None):
+def _fillers(X: SimplicialSet, n, faces, k=None, missing=()):
     """The n-simplices of X with faces d_0 .. d_n (none when n = 0), in
-    canonical order.  With k given, d_k is free: by the simplicial
-    identities the other faces fix its boundary, and each candidate for it
-    gives one full boundary to look up."""
+    canonical order.  With k given, d_k is free: each candidate for it
+    with the boundary missing gives one full boundary to look up."""
     if k is None:
         return X._boundary_index(n).get(tuple(faces), ())
-    missing = tuple(X.face(faces[j], k - 1) if j < k else
-                    X.face(faces[j + 1], k) for j in range(n)) if n > 1 else ()
     return (s for cand in X._boundary_index(n - 1).get(missing, ())
             for s in X._boundary_index(n).get(
                 (*faces[:k], cand, *faces[k + 1:]), ()))
@@ -95,8 +92,13 @@ def lifts(p: SimplicialMap, n, k=None) -> bool:
     for a in hom_set(boundary(n) if k is None else horn(n, k), X):
         faces = [None if i == k else a(nondeg(c)) for i, c in enumerate(names)]
         below = [None if s is None else p(s) for s in faces]
-        if not all(any(p(l) == b for l in _fillers(X, n, faces, k))
-                   for b in _fillers(Y, n, below, k)):
+        # the boundary of the free face d_k, which the other faces fix by
+        # the simplicial identities; p carries it to the one below
+        missing = () if k is None or n < 2 else tuple(
+            X.face(faces[j], k - 1) if j < k else X.face(faces[j + 1], k)
+            for j in range(n))
+        if not all(any(p(l) == b for l in _fillers(X, n, faces, k, missing))
+                   for b in _fillers(Y, n, below, k, tuple(map(p, missing)))):
             return False
     return True
 

@@ -220,13 +220,16 @@ def _deduplicated(found, level_cap, dim_cap) -> OrbitCategory:
 def orbit_category_of(X: Diagram, level_cap=1, dim_cap=2) -> OrbitCategory:
     """Orbits of X over vertices of colim of the cotensor levels n <= level_cap.
 
-    The cotensor levels are truncated at dim_cap; both caps are recorded on
-    the result.  Orbits are deduplicated up to isomorphism, ties broken by
+    The cotensor levels are truncated at dim_cap, or at 0 on a groupoid
+    shape, whose orbits are discrete (soa.PullbackHomFamily proves it), so
+    that the cap cannot change them; both caps as given are recorded on the
+    result.  Orbits are deduplicated up to isomorphism, ties broken by
     discovery order.
     """
+    cap = 0 if X.shape.is_groupoid() else dim_cap
     found = ((o.orbit, [(n, o.witness)]) for n in range(level_cap + 1)
              for o in orbit_setup(cotensor(X, standard_simplex(n),
-                                           dim_cap).diagram))
+                                           cap).diagram))
     return _deduplicated(found, level_cap, dim_cap)
 
 

@@ -207,6 +207,20 @@ class PullbackHomFamily:
     tuple_complex cell names of W, and those name the orbit witnesses that
     each square records in its meta.  The constraint order is fixed too, as
     part of tuple_complex's memo key, so equal Ws share one complex.
+
+    On a groupoid shape every orbit is discrete, so W is built at cap 0.
+    Let X be a diagram over a groupoid and x an n-simplex of X(d), n > 0,
+    whose class in colim X is degenerate, [x] = [s_i y].  Over a groupoid
+    the relation x ~ m.x that presents the colimit is already an
+    equivalence (inverses make it symmetric, composites transitive), so
+    one arrow m gives x = m.(s_i y) = s_i (m.y), and x is degenerate.  The
+    orbit over a vertex v of colim X holds the simplices whose class is a
+    degeneracy of v, hence no nondegenerate simplex above dimension 0.
+    W is a diagram over the same shape, so its orbits are discrete; an
+    orbit, its witness and the adjoint square read only level 0 of W and
+    of the cotensors, whose cells and names do not depend on the cap.  Any
+    other shape keeps dim_cap: over the arrow category, or a monoid with
+    an idempotent, an orbit can hold an edge.
     """
 
     def __init__(self, name, members, dim_cap: int):
@@ -214,9 +228,12 @@ class PullbackHomFamily:
         self.members = {m.meta: m for m in members}
         self.dim_cap = dim_cap
 
-    def _w(self, g: DiagramMap, m: CornerMember):
+    def _cap(self, g: DiagramMap) -> int:
+        """The cap W of g is built at: 0 on a groupoid shape, else dim_cap."""
+        return 0 if g.source.shape.is_groupoid() else self.dim_cap
+
+    def _w(self, g: DiagramMap, m: CornerMember, cap: int):
         """W of the arrow g, with the cotensor of every factor."""
-        cap = self.dim_cap
         ends = (g.source, g.target)
         cots = [cotensor(ends[e], C, cap) for e, C in m.factors]
 
@@ -255,20 +272,22 @@ class PullbackHomFamily:
 
     def assign(self, g: DiagramMap):
         squares = []
+        cap = self._cap(g)
         for m in self.members.values():
-            lim, cots = self._w(g, m)
+            lim, cots = self._w(g, m, cap)
             squares += [self._square(g, m, o, lim, cots)[0]
                         for o in orbit_setup(lim.diagram)]
         return tuple(squares)
 
     def transport(self, gsq: ArrowSquare, sq: Square):
         m = self.members[sq.meta[1:-1]]
-        lim1, _ = self._w(gsq.source, m)
-        lim2, cots2 = self._w(gsq.target, m)
+        cap = self._cap(gsq.source)
+        lim1, _ = self._w(gsq.source, m, cap)
+        lim2, cots2 = self._w(gsq.target, m, cap)
         # the induced natural map W_1 -> W_2, factor by factor
         ends = (gsq.upper, gsq.lower)
         g_tilde = lim2.mediate([
-            p.then(cotensor_map(ends[e], C, self.dim_cap))
+            p.then(cotensor_map(ends[e], C, cap))
             for p, (e, C) in zip(lim1.projections, m.factors)])
         F, o2 = orbit_naturality(g_tilde, sq.orbit)
         target, po2 = self._square(gsq.target, m, o2, lim2, cots2)

@@ -7,8 +7,9 @@ by their own normal-form extraction, lifting by filtering full hom sets, tensor 
 composing whole codegeneracy maps, mapping-complex presentations by
 composing every face and degeneracy from the coface and codegeneracy maps
 per lookup, complex documents from fresh lists, and the orbit setups of I, J and Hor(F) by one class per
-family, each building its own W; maps out of a coproduct by the summand cell
-names "<k>:<cell>".
+family, each building its own W, or by one function building W at a given
+cap whatever the shape; maps out of a coproduct by the summand cell names
+"<k>:<cell>".
 """
 
 import itertools
@@ -16,6 +17,7 @@ import random
 import sys
 
 from eqloc.cat import (
+    Diagram,
     DiagramMap,
     adjoint_to_tensor,
     cotensor,
@@ -28,6 +30,7 @@ from eqloc.cat import (
     pushout_D,
     tensor,
     tensor_map,
+    terminal_dmap,
 )
 from eqloc.glue import (UnionFind, induced_tuple_map, product, pushout,
                         quotient)
@@ -446,6 +449,33 @@ def random_sset(rng: random.Random, max_cells=10) -> SimplicialSet:
     return X
 
 
+def swapped_loops():
+    """Z/2 acting on one vertex with two loops that it swaps."""
+    from eqloc.fixtures import z2_category
+    X = SimplicialSet([["v"], ["a", "b"]],
+                      {"a": (nondeg("v"), nondeg("v")),
+                       "b": (nondeg("v"), nondeg("v"))})
+    swap = SimplicialMap(X, X, {"v": nondeg("v"), "a": nondeg("b"),
+                                "b": nondeg("a")})
+    return Diagram(z2_category(), {"*": X}, {"g1": swap})
+
+
+def random_z2_diagram(rng: random.Random, max_edges=2):
+    """A random Z/2-diagram: two swapped copies of a random graph K glued
+    along some of its vertices, which the involution then fixes."""
+    from eqloc.fixtures import free_z2_orbit
+    verts = [f"v{i}" for i in range(rng.randint(1, 3))]
+    faces = {f"e{i}": (nondeg(rng.choice(verts)), nondeg(rng.choice(verts)))
+             for i in range(rng.randint(0, max_edges))}
+    K = SimplicialSet([verts, list(faces)] if faces else [verts], faces)
+    glued = rng.sample(verts, rng.randint(1, len(verts)))
+    A = SimplicialSet([glued], {})
+    incl = SimplicialMap(A, K, {v: nondeg(v) for v in glued})
+    free = free_z2_orbit()
+    return pushout_D(tensor_map(identity_dmap(free), incl),
+                     tensor_map(terminal_dmap(free), identity_map(A))).diagram
+
+
 def random_collapse_map(rng: random.Random, X) -> SimplicialMap:
     """A random map from X onto a quotient of itself."""
     verts = list(X.cells(0))
@@ -469,6 +499,27 @@ def _orbit_square_oracle(o, pb, incl, member_id, meta, f, cX, cY):
     top = tensor_map(identity_dmap(o.orbit), incl)
     return Square(top=top, left=left, right=right, bottom=f,
                   member_id=member_id, meta=meta, orbit=o)
+
+
+def assign_at_cap_oracle(family, g, cap):
+    """PullbackHomFamily.assign with W of every member built at cap, whatever
+    the shape: the squares of the orbits of that W, member by member."""
+    ends = (g.source, g.target)
+    squares = []
+    for m in family.members.values():
+        cots = [cotensor(ends[e], C, cap) for e, C in m.factors]
+
+        def leg(i, a):
+            e, C = m.factors[i]
+            return (cotensor_map(g, C, cap) if a is None
+                    else cotensor_restriction(ends[e], a, cap))
+
+        lim = limit_D([c.diagram for c in cots],
+                      [(i, leg(i, a), k, leg(k, b))
+                       for i, a, k, b in m.constraints])
+        squares += [family._square(g, m, o, lim, cots)[0]
+                    for o in orbit_setup(lim.diagram)]
+    return tuple(squares)
 
 
 class OrbitSetupFamilyOracle:

@@ -1,8 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import eqloc
 from eqloc.cli import main
 from eqloc.documents import DocumentError, Workspace
 from eqloc.localization import LocalizationCaps
@@ -558,6 +562,42 @@ class TestReplay:
             "dim_cap", caps.dim_cap)]
 
 
+def run_process(*argv, timeout=60):
+    """The CLI in a fresh interpreter, killed after timeout seconds."""
+    src = pathlib.Path(eqloc.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "eqloc.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+class TestGroupoidRuns:
+    """Localizations over Z/2 build their orbit setups at cap 0, so runs
+    that once built every cotensor up to dim_cap finish."""
+
+    def test_fixedpointwise_at_dim_cap_4(self):
+        out = run_process("localize", "-w", Z2, "-d", "both",
+                          "--fixedpointwise-f", "empty-to-point",
+                          "--dim-cap", "4")
+        assert out.returncode == 0, out.stderr
+
+    def test_set_mode_with_a_free_orbit_generator(self, tmp_path):
+        doc = {"schema": "eqloc/1",
+               "diagrams": {"emptyZ2": {"shape": "Z2", "at": {"*": "empty"},
+                                        "act": {"g1": "id"}}},
+               "maps": {"e_two": {"source": "empty", "target": "two",
+                                  "assignment": {}}},
+               "diagram_maps": {"e_to_free": {
+                   "source": "emptyZ2", "target": "free",
+                   "components": {"*": "e_two"}}}}
+        p = tmp_path / "e_to_free.json"
+        p.write_text(json.dumps(doc))
+        out = run_process("localize", "-w", Z2, "-w", str(p), "-d", "both",
+                          "--generators", "e_to_free")
+        assert out.returncode == 0, out.stderr
+        assert "locality: yes" in out.stdout
+
+
 # the bad value of each kind, as a flag or EQLOC_CAPS gives it and as a
 # spec's JSON gives it
 BAD_CAPS = {
@@ -738,10 +778,13 @@ class TestWorkspace:
         ("diagrams", {"shape": "Z2", "at": {"*": "two"},
                       "act": {"g1": "swap", "zz": "swap"}},
          "diagram 'X' invalid: [('unknown-arrow', 'zz')]"),
+        ("diagrams", {"shape": "Z2", "at": {"*": "two"},
+                      "act": {"g1": "swap", "zz": "id"}},
+         "diagram 'X' invalid: [('unknown-arrow', 'zz')]"),
         ("diagram_maps", {"source": "free", "target": "free",
                           "components": {"*": "swap", "zz": "swap"}},
          "diagram map 'X' invalid: [('unknown-object', 'zz')]"),
-    ], ids=["at-object", "act-arrow", "component-object"])
+    ], ids=["at-object", "act-arrow", "act-arrow-id", "component-object"])
     def test_stray_entry_rejected(self, tmp_path, capsys, section, entry,
                                   problem):
         p = tmp_path / "stray.json"

@@ -300,8 +300,9 @@ class TestOneMechanismPerConcept:
     components from glue.UnionFind, the worst verdict over a family of
     weak-equivalence probes from homotopy.weq_probe_all, every horn or
     sphere lifting question of a simplicial map from homotopy.lifts, every
-    isomorphism of diagrams from orbits.isomorphisms, and the commutative
-    squares of a member from soa.extensions."""
+    isomorphism of diagrams from orbits.isomorphisms, the commutative
+    squares of a member from soa.extensions, and the cap of an orbit setup
+    from one groupoid test in each of its two builders."""
 
     def test_one_normal_form_extractor(self):
         assert _callers("normal_form_complex") == {
@@ -335,6 +336,21 @@ class TestOneMechanismPerConcept:
 
     def test_squares_by_pinned_extension(self):
         assert ("soa", "commutative_squares") in _callers("extensions")
+
+    def test_one_groupoid_cap_choice(self):
+        assert _callers("is_groupoid") == {
+            ("soa", "_cap"), ("orbits", "orbit_category_of")}
+        # in PullbackHomFamily only the cap choice reads self.dim_cap
+        family = next(c for c in ast.walk(_tree("soa"))
+                      if isinstance(c, ast.ClassDef)
+                      and c.name == "PullbackHomFamily")
+        readers = {fn.name for fn in family.body
+                   if isinstance(fn, ast.FunctionDef)
+                   for n in ast.walk(fn)
+                   if isinstance(n, ast.Attribute) and n.attr == "dim_cap"
+                   and isinstance(n.ctx, ast.Load)
+                   and getattr(n.value, "id", None) == "self"}
+        assert readers == {"_cap"}
 
 
 class TestModuleBoundaries:

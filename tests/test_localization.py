@@ -1,7 +1,6 @@
 import pytest
 
 from eqloc.cat import (
-    Diagram,
     DiagramMap,
     empty_diagram,
     hom_complex,
@@ -50,6 +49,7 @@ from eqloc.simplicial import (
     standard_simplex,
 )
 from eqloc.soa import verify_square
+from oracles import swapped_loops
 
 
 def d1_shape():
@@ -270,20 +270,11 @@ class TestFixedPointwise:
         # the trivial-orbit fixed points are empty: not local
         assert any(r.local.value == "no" for r in reports)
 
-    def swapped_loops(self):
-        """Z/2 acting on one vertex with two loops that it swaps."""
-        X = SimplicialSet([["v"], ["a", "b"]],
-                          {"a": (nondeg("v"), nondeg("v")),
-                           "b": (nondeg("v"), nondeg("v"))})
-        swap = SimplicialMap(X, X, {"v": nondeg("v"), "a": nondeg("b"),
-                                    "b": nondeg("a")})
-        return Diagram(z2_category(), {"*": X}, {"g1": swap})
-
     def test_swapped_loops_fail_at_the_free_orbit(self):
         """Z has no free orbit, yet its horns do: the missing filler shows
         only in hom(free orbit, Z) = Z, and the fixed points Z^{Z/2} (the
         vertex alone) are Kan.  Both modes give the same verdict."""
-        Z = self.swapped_loops()
+        Z = swapped_loops()
         assert orbit_category_of(Z, 0, 1).orbits == \
             orbit_category_of(trivial_z2_orbit(), 0, 1).orbits
         assert not is_kan(hom_complex(free_z2_orbit(), Z, 2).space, 2)

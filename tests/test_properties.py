@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 from eqloc.cat import (
     Diagram,
     DiagramMap,
+    SmallCategory,
     arrow_category,
     constant_diagram,
+    cotensor,
     empty_dmap_into,
     hom_D,
     identity_dmap,
@@ -24,6 +26,8 @@ from eqloc.cat import (
     pullback_D,
     terminal_category,
     terminal_dmap,
+    validate_category,
+    validate_diagram,
     wrap_smap,
     wrap_sset,
 )
@@ -53,6 +57,7 @@ from eqloc.localization import (
     is_S_equivalence,
     localize,
 )
+from eqloc.orbits import orbit_category_of, orbit_setup
 from eqloc.simplicial import (
     BudgetExceeded,
     Simplex,
@@ -84,6 +89,7 @@ from eqloc.soa import (
 )
 from oracles import (
     HorFFamilyOracle,
+    assign_at_cap_oracle,
     commutative_squares_oracle,
     face_oracle,
     naive_hom,
@@ -92,10 +98,12 @@ from oracles import (
     quotient_oracle,
     random_collapse_map,
     random_sset,
+    random_z2_diagram,
     rlp_oracle,
     setup_I_oracle,
     sset_doc_oracle,
     setup_J_oracle,
+    swapped_loops,
     validate_oracle,
     verify_map_oracle,
 )
@@ -216,7 +224,7 @@ class TestOrbitSetupFactorization:
     def test_sampled_orbit_maps_factor(self):
         """Maps from library orbits into diagram fixtures factor through the
         setup members (the factorization property)."""
-        from eqloc.orbits import factor_through_setup, orbit_setup
+        from eqloc.orbits import factor_through_setup
         targets = [z2_two_orbits(), free_z2_orbit()]
         sources = [free_z2_orbit(), trivial_z2_orbit()]
         checked = 0
@@ -292,6 +300,110 @@ class TestPullbackHomFamily:
                     assert (target, target.orbit) == \
                         (ref_target, ref_target.orbit)
                     assert connect == ref_connect
+
+
+def _two_object_groupoid_diagram():
+    """The swapped loops at two objects a and b, with mutually inverse
+    arrows f: a -> b and h: b -> a that both act by the swap."""
+    loops = swapped_loops()
+    D = SmallCategory(["a", "b"],
+                      [("ida", "a", "a"), ("idb", "b", "b"),
+                       ("f", "a", "b"), ("h", "b", "a")],
+                      {"a": "ida", "b": "idb"},
+                      {("h", "f"): "ida", ("f", "h"): "idb"})
+    S, swap = loops.at["*"], loops.act["g1"]
+    return Diagram(D, {"a": S, "b": S}, {"f": swap, "h": swap})
+
+
+def _groupoid_arrows():
+    """Arrows over groupoid shapes: the Z/2 fixtures, the swapped loops,
+    seeded random Z/2 diagrams and the two-object groupoid diagram."""
+    loops, pair = swapped_loops(), _two_object_groupoid_diagram()
+    rng = random.Random(161803)
+    randoms = [random_z2_diagram(rng) for _ in range(4)]
+    return [terminal_dmap(z2_two_orbits()), z2_collapse(),
+            terminal_dmap(loops), identity_dmap(loops),
+            terminal_dmap(pair), identity_dmap(pair),
+            *(terminal_dmap(R) for R in randoms)]
+
+
+def _groupoid_cap_cases():
+    """(id, instrumentation, dim_cap): I at n_cap 1, J at n_cap 2, Hor(F)
+    of empty -> point and of bd 1 -> Delta^1 at hor_n_cap 1, at dim_cap 1
+    and 2.  At dim_cap 2 Hor(F) of bd 1 -> Delta^1 stops at hor_n_cap 0:
+    the reference takes 3-11 s per swapped-loops arrow for its n = 1
+    member at cap 2."""
+    cases = []
+    for cap in (1, 2):
+        budget = Budget(stages=1, n_cap=1, dim_cap=cap)
+        cases += [(f"I-d{cap}", setup_I(budget), cap),
+                  (f"J-d{cap}", setup_J(Budget(stages=1, n_cap=2,
+                                               dim_cap=cap)), cap)]
+        for name, f, n in (("empty", empty_to_point_map(), 1),
+                           ("bd1", boundary_inclusion(1), 2 - cap)):
+            caps = LocalizationCaps(hor_n_cap=n, dim_cap=cap)
+            cases.append((f"HorF-{name}-n{n}-d{cap}",
+                          localization.hor_F_instrumentation(f, caps), cap))
+    return cases
+
+
+GROUPOID_CAP_CASES = _groupoid_cap_cases()
+
+
+class TestGroupoidCap:
+    """On a groupoid shape every orbit is discrete, so PullbackHomFamily
+    builds W at cap 0 and gets the squares of W built at dim_cap; any
+    other shape keeps dim_cap."""
+
+    @pytest.mark.parametrize("case", GROUPOID_CAP_CASES,
+                             ids=[c[0] for c in GROUPOID_CAP_CASES])
+    def test_squares_equal_those_at_dim_cap(self, case):
+        _, instr, cap = case
+        family, = instr.families.values()
+        for g in _groupoid_arrows():
+            assert g.source.shape.is_groupoid()
+            assert validate_diagram(g.source) == []
+            got = instr.assign(g)
+            want = assign_at_cap_oracle(family, g, cap)
+            assert [(s, s.member_id, s.meta, s.orbit.orbit, s.orbit.witness)
+                    for s in got] == \
+                [(s, s.member_id, s.meta, s.orbit.orbit, s.orbit.witness)
+                 for s in want]
+
+    def test_orbit_category_levels_equal_those_at_dim_cap(self):
+        """orbit_category_of reads the orbits of X^{Delta^n} at cap 0 and
+        records the dim_cap it was given."""
+        for g in _groupoid_arrows():
+            X = g.source
+            for n in (0, 1):
+                got, want = (
+                    [(o.orbit, o.witness) for o in orbit_setup(
+                        cotensor(X, standard_simplex(n), cap).diagram)]
+                    for cap in (0, 2))
+                assert got == want
+            assert orbit_category_of(X, 1, 2).dim_cap == 2
+
+    def test_other_shapes_keep_dim_cap(self):
+        """Over the arrow category and over a one-object monoid with an
+        idempotent e, an orbit of W holds an edge at cap 1.  I@0's W of
+        the identity of Y is Y."""
+        monoid = SmallCategory(["*"], [("id", "*", "*"), ("e", "*", "*")],
+                               {"*": "id"}, {("e", "e"): "e"})
+        edge = standard_simplex(1)
+        instr = setup_I(Budget(stages=1, n_cap=0, dim_cap=1))
+        family, = instr.families.values()
+        for Y in (arrow_orbit(edge),
+                  Diagram(monoid, {"*": edge},
+                          {"e": constant_map(edge, edge, "0")})):
+            assert validate_category(Y.shape) == []
+            assert validate_diagram(Y) == []
+            assert not Y.shape.is_groupoid()
+            g = identity_dmap(Y)
+            squares = instr.assign(g)
+            assert squares == assign_at_cap_oracle(family, g, 1)
+            assert any(sq.orbit.orbit.dim > 0 for sq in squares)
+            assert all(sq.orbit.orbit.dim == 0
+                       for sq in assign_at_cap_oracle(family, g, 0))
 
 
 def _random_arrow(rng):
