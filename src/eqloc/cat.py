@@ -221,7 +221,7 @@ def validate_category(D: SmallCategory):
             gf = D.comp.get((g, f))
             if gf is None:
                 problems.append(("missing-composite", g, f))
-            elif D.src[gf] != D.src[f] or D.tgt[gf] != D.tgt[g]:
+            elif D.src.get(gf) != D.src[f] or D.tgt.get(gf) != D.tgt[g]:
                 problems.append(("composite-typing", g, f))
     for h in D.arrows:
         for g in D.arrows:

@@ -27,7 +27,6 @@ from .documents import (
 )
 from .homotopy import (
     cone,
-    default_orbit_category,
     is_kan,
     is_null_homotopic,
     pi0,
@@ -41,7 +40,7 @@ from .localization import (
     is_S_local,
     localize,
 )
-from .orbits import orbit_category_of
+from .orbits import orbit_category_of, orbits_of
 from .soa import (
     Budget,
     find_lift,
@@ -285,10 +284,10 @@ def _loc_spec(args, ws) -> LocalizationSpec:
 
 def _fixed_points(Z, j, spec) -> list:
     """The fixed-point reports of Z over the orbits of the map j."""
-    E = default_orbit_category(j, spec.caps.dim_cap)
+    Ts = orbits_of(j.source, j.target, dim_cap=spec.caps.dim_cap)
     return [{"orbit": rep.orbit_index, "fibrant": rep.fibrant,
              "pi0": rep.components, "local": verdict_doc(rep.local)}
-            for rep in fixed_point_locality_report(Z, spec.f, E, spec.caps)]
+            for rep in fixed_point_locality_report(Z, spec.f, Ts, spec.caps)]
 
 
 def cmd_localize(args):
@@ -392,8 +391,8 @@ def cmd_proper_probe(args):
     along = ws.dmap(args.along)
     pi_cap = cap(args, "pi_cap", 0)
     hom_cap = cap(args, "hom_cap", 1)
-    E = default_orbit_category(weq, cap(args, "dim_cap", 1))
-    v = properness_probe(args.kind, weq, along, E, pi_cap, hom_cap)
+    Ts = orbits_of(weq.source, weq.target, dim_cap=cap(args, "dim_cap", 1))
+    v = properness_probe(args.kind, weq, along, Ts, pi_cap, hom_cap)
     emit(args, {"verdict": verdict_doc(v), "kind": args.kind},
          f"{args.kind} properness probe: {v.value}")
     return {"yes": 0, "no": 0, "inconclusive": 2}[v.value]

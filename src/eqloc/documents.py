@@ -122,11 +122,17 @@ def assignment_from_doc(doc):
 
 
 def category_from_doc(doc, name="?") -> SmallCategory:
+    """The validated category of a document, all of whose names are strings."""
     try:
         D = SmallCategory(doc["objects"],
                           [tuple(a) for a in doc["arrows"]],
                           doc["identities"],
                           {(g, f): gf for g, f, gf in doc.get("composition", [])})
+        names = (*D.objects, *D.arrows, *D.src.values(), *D.tgt.values(),
+                 *D.identity.values(), *D.comp.values(),
+                 *(n for pair in D.comp for n in pair))
+        if not all(isinstance(n, str) for n in names):
+            raise ValueError("object and arrow names must be strings")
     except Exception as exc:
         raise DocumentError(f"category {name!r}: {exc}") from exc
     return _valid("category", name, D, validate_category(D))
@@ -169,6 +175,8 @@ class Workspace:
             raise DocumentError(
                 f"{path}: syntax error at line {exc.lineno}, "
                 f"column {exc.colno}: {exc.msg}") from exc
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise DocumentError(f"{path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise DocumentError(f"{path}: the document is not a JSON object")
         if doc.get("schema") != SCHEMA:

@@ -27,7 +27,6 @@ from .cat import (
     wrap_sset,
 )
 from .glue import UnionFind
-from .orbits import OrbitCategory, orbit_category_of, orbit_category_union
 from .simplicial import (
     BudgetExceeded,
     SimplicialMap,
@@ -234,18 +233,10 @@ def sset_weq_probe(phi: SimplicialMap, pi_cap, budget: Budget) -> Verdict:
 # equivariant probes through orbit mapping complexes
 
 
-def default_orbit_category(f: DiagramMap, dim_cap=1):
-    """The level-0 orbits of the source and the target of f."""
-    return orbit_category_union(orbit_category_of(f.source, 0, dim_cap),
-                                orbit_category_of(f.target, 0, dim_cap))
-
-
-def is_fibration_equivariant(f: DiagramMap, orbits: OrbitCategory,
-                             n_cap, hom_cap) -> bool:
-    """Horn-RLP of hom(T, f) for every orbit T, at the caps."""
+def is_fibration_equivariant(f: DiagramMap, orbits, n_cap, hom_cap) -> bool:
+    """Horn-RLP of hom(T, f) for every orbit T of orbits, at the caps."""
     return all(lifts(phi, n, k)
-               for phi in (hom_complex_post(T, f, hom_cap)
-                           for T in orbits.orbits)
+               for phi in (hom_complex_post(T, f, hom_cap) for T in orbits)
                for n in range(1, n_cap + 1) for k in range(n + 1))
 
 
@@ -265,13 +256,12 @@ def weq_probe_all(phis, label, pi_cap, budget: Budget, caps) -> Verdict:
     return Verdict(worst, caps)
 
 
-def is_weq_equivariant(f: DiagramMap, orbits: OrbitCategory,
-                       pi_cap, hom_cap,
+def is_weq_equivariant(f: DiagramMap, orbits, pi_cap, hom_cap,
                        budget: Optional[Budget] = None) -> Verdict:
-    """Equivariant weak-equivalence probe through all orbit mapping complexes."""
+    """Equivariant weak-equivalence probe through hom(T, f), T in orbits."""
     budget = budget or Budget(stages=3, n_cap=pi_cap + 1, dim_cap=0)
-    return weq_probe_all((hom_complex_post(T, f, hom_cap)
-                          for T in orbits.orbits), "orbit", pi_cap, budget,
+    return weq_probe_all((hom_complex_post(T, f, hom_cap) for T in orbits),
+                         "orbit", pi_cap, budget,
                          ("pi_cap", pi_cap, "hom_cap", hom_cap))
 
 
@@ -389,8 +379,8 @@ def null_factorization(f: DiagramMap, H: DiagramMap):
 # properness probes
 
 
-def properness_probe(kind, weq: DiagramMap, along: DiagramMap,
-                     orbits: OrbitCategory, pi_cap, hom_cap) -> Verdict:
+def properness_probe(kind, weq: DiagramMap, along: DiagramMap, orbits,
+                     pi_cap, hom_cap) -> Verdict:
     """Instance-wise (left or right) properness check.
 
     kind "left": pushout of a weak equivalence along a cofibration; kind

@@ -40,7 +40,7 @@ from .homotopy import (
     sset_weq_probe,
     weq_probe_all,
 )
-from .orbits import OrbitCategory, isomorphisms
+from .orbits import isomorphisms
 from .simplicial import (
     SimplicialMap,
     SimplicialSet,
@@ -347,10 +347,9 @@ class OrbitLocalityReport(Record):
     local: Verdict
 
 
-def fixed_point_locality_report(Z: Diagram, f: SimplicialMap,
-                                orbits: OrbitCategory,
+def fixed_point_locality_report(Z: Diagram, f: SimplicialMap, orbits,
                                 caps: LocalizationCaps):
-    """Per-orbit f-locality of the fixed-point spaces hom(T, Z).
+    """Per-orbit f-locality of the fixed-point spaces hom(T, Z), T in orbits.
 
     For f: empty -> point the criterion is executed exactly: fibrant and
     contractible at the caps.  For general f the mapping-space criterion is
@@ -358,21 +357,29 @@ def fixed_point_locality_report(Z: Diagram, f: SimplicialMap,
     """
     empty_to_point = (f.source.dim == -1 and
                       isomorphic_to_point(f.target))
+    at = ("probe_n_cap", caps.probe_n_cap, "pi_cap", caps.pi_cap)
+    kan_cap = caps.pi_cap + 1
     reports = []
-    for idx, T in enumerate(orbits.orbits):
+    for idx, T in enumerate(orbits):
         M = hom_complex(T, Z, caps.hom_cap).space
         fib = is_kan(M, caps.probe_n_cap)
         comps = len(pi0(M))
         trivial = None
         if empty_to_point:
-            if fib:
+            # pi_n needs M Kan up to n + 1, which may lie above probe_n_cap
+            kan = fib and (not caps.pi_cap or kan_cap <= caps.probe_n_cap
+                           or is_kan(M, kan_cap))
+            if kan:
                 trivial = all(
                     len(pi_n(M, cls[0], n, kan_checked=True)) == 1
                     for cls in pi0(M) for n in range(1, caps.pi_cap + 1))
-            ok = fib and comps == 1 and (trivial is None or trivial)
-            local = Verdict(YES if ok else NO,
-                            ("probe_n_cap", caps.probe_n_cap,
-                             "pi_cap", caps.pi_cap))
+            ok = kan and comps == 1 and (trivial is None or trivial)
+            local = Verdict(YES if ok else NO, at)
+            if fib and not kan:
+                # a horn of dimension <= hom_cap has all its fillers in M
+                local = Verdict(NO if kan_cap <= caps.hom_cap else INCONCLUSIVE,
+                                at, f"fixed points not Kan at {kan_cap}, "
+                                f"hom_cap {caps.hom_cap}")
         else:
             wrapped = wrap_sset(M)
             restriction = cotensor_restriction(wrapped, f, caps.hom_cap)

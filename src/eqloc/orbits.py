@@ -137,15 +137,10 @@ class OrbitCategory:
     that produced orbit i.
     """
 
-    def __init__(self, orbits, homs, witnesses, level_cap, dim_cap):
+    def __init__(self, orbits, homs, witnesses):
         self.orbits = tuple(orbits)
         self.homs = homs
         self.witnesses = witnesses
-        self.level_cap = level_cap
-        self.dim_cap = dim_cap
-
-    def hom(self, i, j):
-        return self.homs[(i, j)]
 
     def __len__(self):
         return len(self.orbits)
@@ -198,48 +193,48 @@ def diagram_isomorphic(T1: Diagram, T2: Diagram) -> Optional[DiagramMap]:
     return next(isomorphisms(T1, T2), None)
 
 
-def _deduplicated(found, level_cap, dim_cap) -> OrbitCategory:
-    """The orbit category of the (orbit, witnesses) pairs of found, in
-    discovery order: an orbit isomorphic to one kept before it is merged
-    into that one, which gains its witnesses."""
+def _first_copies(found):
+    """The orbits of the (orbit, witness) pairs of found up to isomorphism,
+    in discovery order, and the witnesses of each: an orbit isomorphic to
+    one kept before it is dropped, and that one gains its witness."""
     kept = []
     witnesses = []
-    for T, ws in found:
+    for T, w in found:
         i = next((i for i, K in enumerate(kept)
                   if diagram_isomorphic(T, K) is not None), None)
         if i is None:
             kept.append(T)
-            witnesses.append(list(ws))
+            witnesses.append([w])
         else:
-            witnesses[i] += ws
-    homs = {(i, j): tuple(hom_D(Ti, Tj))
-            for i, Ti in enumerate(kept) for j, Tj in enumerate(kept)}
-    return OrbitCategory(kept, homs, witnesses, level_cap, dim_cap)
+            witnesses[i].append(w)
+    return kept, witnesses
+
+
+def _level_orbits(X: Diagram, level_cap, dim_cap):
+    """(orbit, (n, vertex)) over every vertex of colim X^{Delta^n}, n <=
+    level_cap, the levels truncated at dim_cap, or at 0 on a groupoid shape,
+    whose orbits are discrete (soa.PullbackHomFamily proves it), so that the
+    cap cannot change them."""
+    cap = 0 if X.shape.is_groupoid() else dim_cap
+    for n in range(level_cap + 1):
+        for o in orbit_setup(cotensor(X, standard_simplex(n), cap).diagram):
+            yield o.orbit, (n, o.witness)
 
 
 def orbit_category_of(X: Diagram, level_cap=1, dim_cap=2) -> OrbitCategory:
-    """Orbits of X over vertices of colim of the cotensor levels n <= level_cap.
-
-    The cotensor levels are truncated at dim_cap, or at 0 on a groupoid
-    shape, whose orbits are discrete (soa.PullbackHomFamily proves it), so
-    that the cap cannot change them; both caps as given are recorded on the
-    result.  Orbits are deduplicated up to isomorphism, ties broken by
-    discovery order.
-    """
-    cap = 0 if X.shape.is_groupoid() else dim_cap
-    found = ((o.orbit, [(n, o.witness)]) for n in range(level_cap + 1)
-             for o in orbit_setup(cotensor(X, standard_simplex(n),
-                                           cap).diagram))
-    return _deduplicated(found, level_cap, dim_cap)
+    """Orbits of X over vertices of colim of the cotensor levels n <= level_cap,
+    up to isomorphism, with the hom sets between them."""
+    kept, witnesses = _first_copies(_level_orbits(X, level_cap, dim_cap))
+    homs = {(i, j): tuple(hom_D(Ti, Tj))
+            for i, Ti in enumerate(kept) for j, Tj in enumerate(kept)}
+    return OrbitCategory(kept, homs, witnesses)
 
 
-def orbit_category_union(*cats) -> OrbitCategory:
-    """Merge orbit categories, deduplicating orbits up to isomorphism; a
-    merged copy's witnesses join those of the orbit kept."""
-    found = ((T, cat.witnesses[i]) for cat in cats
-             for i, T in enumerate(cat.orbits))
-    return _deduplicated(found, max(c.level_cap for c in cats),
-                         max(c.dim_cap for c in cats))
+def orbits_of(*diagrams, dim_cap=1) -> tuple:
+    """The level-0 orbits of the diagrams up to isomorphism, in discovery
+    order: the orbits T over which every equivariant probe reads hom(T, -)."""
+    return tuple(_first_copies(found for X in diagrams
+                               for found in _level_orbits(X, 0, dim_cap))[0])
 
 
 def orbit_point_diagram(X: Diagram, E: OrbitCategory, dim_cap) -> Diagram:

@@ -37,7 +37,7 @@ from eqloc.localization import (
     horns_of,
     localize,
 )
-from eqloc.orbits import orbit_category_of, orbit_category_union
+from eqloc.orbits import orbits_of
 from eqloc.simplicial import (
     SimplicialMap,
     SimplicialSet,
@@ -248,10 +248,9 @@ class TestAcceptance:
         r = localize(z2_two_orbits(), spec)
         ok = r.trace.n_stages <= 3 and r.trace.stopped_by == "stabilization"
         from eqloc.cat import hom_complex
-        E = orbit_category_union(orbit_category_of(free_z2_orbit(), 0, 1),
-                                 orbit_category_of(trivial_z2_orbit(), 0, 1))
+        orbits = orbits_of(free_z2_orbit(), trivial_z2_orbit())
         details = [f"{r.trace.n_stages} stages"]
-        for i, T in enumerate(E.orbits):
+        for i, T in enumerate(orbits):
             M = hom_complex(T, r.local_object, caps.hom_cap).space
             comps = len(pi0(M))
             kan = is_kan(M, 2)

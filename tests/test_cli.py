@@ -1,6 +1,8 @@
+import copy
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -8,7 +10,7 @@ import pytest
 
 import eqloc
 from eqloc.cli import main
-from eqloc.documents import DocumentError, Workspace
+from eqloc.documents import SECTIONS, DocumentError, Workspace
 from eqloc.localization import LocalizationCaps
 from eqloc.soa import Budget
 
@@ -125,6 +127,15 @@ ONE_POINT = {"P": {"shape": "1", "at": {"*": "point"}}}
 MALFORMED_ENTRIES = {
     "category-not-an-object": ("categories", "category 'C'", {
         "categories": {"C": 5}}),
+    "category-object-a-list": ("categories", "category 'x'", {
+        "categories": {"x": {"objects": [[], "a"],
+                             "arrows": [["ida", "a", "a"]],
+                             "identities": {"a": "ida"}}}}),
+    "composite-not-an-arrow": ("categories", "category 'x'", {
+        "categories": {"x": {"objects": ["a"],
+                             "arrows": [["ida", "a", "a"], ["g", "a", "a"]],
+                             "identities": {"a": "ida"},
+                             "composition": [["g", "g", "zz"]]}}}),
     "sset-not-an-object": ("simplicial_sets", "simplicial set 'S'", {
         "simplicial_sets": {"S": ["a"]}}),
     "image-not-a-pair": ("maps", "map 'f'", {"maps": {"f": {
@@ -307,9 +318,77 @@ class TestMalformedDocuments:
             {"schema": "eqloc/1", section: []}))
         assert f"error: {path}: section {section!r} is not an object" in err
 
+    def test_deep_document_names_the_path(self, tmp_path, capsys):
+        path, err = self._parse(tmp_path, capsys,
+                                "[" * 200000 + "]" * 200000)
+        assert err.startswith(f"error: {path}: maximum recursion depth")
+
     def test_load_doc_rejects_a_list(self):
         with pytest.raises(DocumentError, match="<doc>: the document"):
             Workspace().load_doc([1])
+
+
+# one valid entry per section: Z/2 swapping the two edges of a circle
+SWEEP_BASE = {
+    "categories": {"C": {
+        "objects": ["*"], "arrows": [["e", "*", "*"], ["g", "*", "*"]],
+        "identities": {"*": "e"}, "composition": [["g", "g", "e"]]}},
+    "simplicial_sets": {"L": {
+        "cells": [["p", "q"], ["a", "b"]],
+        "faces": {"a": [[[], "q"], [[], "p"]], "b": [[[], "p"], [[], "q"]]}}},
+    "maps": {"swap": {"source": "L", "target": "L", "assignment": {
+        "p": [[], "q"], "q": [[], "p"], "a": [[], "b"], "b": [[], "a"]}}},
+    "diagrams": {"X": {"shape": "C", "at": {"*": "L"}, "act": {"g": "swap"}}},
+    "diagram_maps": {"h": {"source": "X", "target": "X",
+                           "components": {"*": "swap"}}},
+    "localization_specs": {"s": {"shape": "C",
+                                 "fixedpointwise": "empty-to-point"}},
+}
+
+SWEEP_LEAVES = [None, True, 0, 1, -1, 2.5, "", "*", "e", "g", "p", "a",
+                "L", "C", "X", "swap", "id", "point", "empty-to-point"]
+
+
+def _random_json(rng, depth):
+    """A random JSON value nested at most depth deep, its strings mostly
+    names the sweep document uses."""
+    kind = rng.randrange(4) if depth else 0
+    if kind < 2:
+        return rng.choice(SWEEP_LEAVES)
+    items = [_random_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 2:
+        return items
+    return {str(rng.choice(SWEEP_LEAVES)): v for v in items}
+
+
+def _slots(parent, key):
+    """(container, key) of the value parent[key] and of every value below."""
+    yield parent, key
+    value = parent[key]
+    if isinstance(value, (dict, list)):
+        for k in (value if isinstance(value, dict) else range(len(value))):
+            yield from _slots(value, k)
+
+
+class TestMalformedSweep:
+    def test_only_document_errors_escape(self):
+        """Seeded documents, each with one field of one SWEEP_BASE entry
+        turned into random JSON of depth <= 3, load or raise
+        DocumentError."""
+        Workspace().load_doc(SWEEP_BASE)
+        for seed in range(2400):
+            rng = random.Random(seed)
+            doc = copy.deepcopy(SWEEP_BASE)
+            section = doc[SECTIONS[seed % len(SECTIONS)]]
+            parent, key = rng.choice(list(_slots(section, next(iter(section)))))
+            parent[key] = _random_json(rng, 3)
+            try:
+                Workspace().load_doc(doc)
+            except DocumentError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"seed {seed}: {type(exc).__name__}: {exc} "
+                            f"in {json.dumps(doc)}")
 
 
 class TestCommands:
@@ -389,6 +468,30 @@ class TestCommands:
                              "--probe-n-cap", "1")
         assert code == 0
         assert "no" in out
+
+    @pytest.mark.parametrize("hom_cap, local", [
+        ("2", ("no", "fixed points not Kan at 2, hom_cap 2")),
+        ("1", ("inconclusive", "fixed points not Kan at 2, hom_cap 1")),
+    ])
+    def test_fixed_point_pi_1_needs_kan_at_2(self, hom_cap, local, tmp_path,
+                                            capsys):
+        """The boundary of Delta^2 is a circle: Kan at 1, not at 2, so its
+        pi_1 is not read, and at hom_cap 2 the missing 2-filler is exact."""
+        faces = {"0.1": [[[], "1"], [[], "0"]], "0.2": [[[], "2"], [[], "0"]],
+                 "1.2": [[[], "2"], [[], "1"]]}
+        p = tmp_path / "bd2.json"
+        p.write_text(json.dumps({"schema": "eqloc/1", "simplicial_sets": {
+            "bd2": {"cells": [["0", "1", "2"], ["1.2", "0.2", "0.1"]],
+                    "faces": faces}}}))
+        out_path = str(tmp_path / "loc.json")
+        code, out, err = run(capsys, "locality", "-w", str(p), "-d", "bd2",
+                             "--fixedpointwise-f", "empty-to-point",
+                             "--probe-n-cap", "1", "--pi-cap", "1",
+                             "--hom-cap", hom_cap, "--out", out_path)
+        [fixed] = json.loads(pathlib.Path(out_path).read_text())[
+            "fixed_points"]
+        assert (fixed["fibrant"], fixed["pi0"]) == (True, 1)
+        assert (fixed["local"]["value"], fixed["local"]["reason"]) == local
 
     def test_pi0(self, capsys):
         code, out, err = run(capsys, "pi", "-w", Z2, "--complex", "three",
@@ -483,8 +586,10 @@ class TestCommands:
         ("parse", "-w", "{tmp}/missing.json"),
         ("parse", "-w", "{tmp}"),
         ("colim", "-w", Z2, "-d", "both", "--out", "{tmp}/no/such/x.json"),
+        ("parse", "-w", "{tmp}/latin1.json"),
     ])
     def test_file_error_exits_1_naming_the_path(self, argv, tmp_path, capsys):
+        (tmp_path / "latin1.json").write_bytes(b'{"schema": "eqloc/1\xff"}')
         argv = [a.format(tmp=tmp_path) for a in argv]
         code, out, err = run(capsys, *argv)
         assert code == 1

@@ -22,7 +22,6 @@ from eqloc.homotopy import (
     Budget,
     cone,
     cylinder,
-    default_orbit_category,
     fibrant_replace,
     homotopy_report,
     is_fibration_equivariant,
@@ -36,7 +35,7 @@ from eqloc.homotopy import (
     properness_probe,
     sset_weq_probe,
 )
-from eqloc.orbits import orbit_category_of, orbit_category_union
+from eqloc.orbits import orbits_of
 from eqloc.simplicial import (
     SimplicialMap,
     SimplicialSet,
@@ -187,25 +186,20 @@ class TestSsetProbes:
 class TestEquivariantProbes:
     def test_identity_is_weq(self):
         X = z2_two_orbits()
-        E = default_orbit_category(identity_dmap(X))
-        v = is_weq_equivariant(identity_dmap(X), E, 0, 1)
+        v = is_weq_equivariant(identity_dmap(X), orbits_of(X, X), 0, 1)
         assert v.value == "yes"
 
     def test_collapse_not_weq(self):
         # fixed points go from empty to a point: detected at the trivial orbit
         f = z2_collapse()
-        E = default_orbit_category(f)
-        v = is_weq_equivariant(f, E, 0, 1)
+        v = is_weq_equivariant(f, orbits_of(f.source, f.target), 0, 1)
         assert v.value == "no"
 
     def test_fibration_projection(self):
         X = trivial_z2_orbit()
         t = tensor(X, truncated_nerve_z2(2))
         p = tensor_projection(X, truncated_nerve_z2(2))
-        E = orbit_category_union(
-            orbit_category_of(t.diagram, 0, 1),
-            orbit_category_of(X, 0, 1))
-        assert is_fibration_equivariant(p, E, 1, 1)
+        assert is_fibration_equivariant(p, orbits_of(t.diagram, X), 1, 1)
 
 
 class TestCylinderCone:
@@ -277,9 +271,8 @@ class TestNullHomotopy:
 class TestProperness:
     def test_pushout_of_identity(self):
         X = z2_two_orbits()
-        E = default_orbit_category(identity_dmap(X))
         v = properness_probe("left", identity_dmap(X), identity_dmap(X),
-                             E, 0, 1)
+                             orbits_of(X, X), 0, 1)
         assert v.value == "yes"
 
     def test_left_properness_z2(self):
@@ -291,19 +284,13 @@ class TestProperness:
             point(), standard_simplex(1), {"0": ((), "0")})})
         co = coproduct_D([P, free_z2_orbit()])
         along = co.injections[0]
-        E = orbit_category_union(
-            orbit_category_of(P, 0, 1),
-            orbit_category_of(B, 0, 1),
-            orbit_category_of(co.diagram, 0, 1))
-        v = properness_probe("left", weq, along, E, 0, 1)
+        v = properness_probe("left", weq, along,
+                             orbits_of(P, B, co.diagram), 0, 1)
         assert v.value == "yes"
 
     def test_right_properness(self):
         X = z2_two_orbits()
         t = tensor(X, standard_simplex(1))
         p = tensor_projection(X, standard_simplex(1))
-        E = orbit_category_union(
-            orbit_category_of(t.diagram, 0, 1),
-            orbit_category_of(X, 0, 1))
-        v = properness_probe("right", p, p, E, 0, 1)
+        v = properness_probe("right", p, p, orbits_of(t.diagram, X), 0, 1)
         assert v.value == "yes"

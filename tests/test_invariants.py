@@ -301,8 +301,9 @@ class TestOneMechanismPerConcept:
     weak-equivalence probes from homotopy.weq_probe_all, every horn or
     sphere lifting question of a simplicial map from homotopy.lifts, every
     isomorphism of diagrams from orbits.isomorphisms, the commutative
-    squares of a member from soa.extensions, and the cap of an orbit setup
-    from one groupoid test in each of its two builders."""
+    squares of a member from soa.extensions, the cap of an orbit setup
+    from one groupoid test in each of its two builders, and every list of
+    orbits up to isomorphism from one first-copy dedup in orbits."""
 
     def test_one_normal_form_extractor(self):
         assert _callers("normal_form_complex") == {
@@ -339,7 +340,7 @@ class TestOneMechanismPerConcept:
 
     def test_one_groupoid_cap_choice(self):
         assert _callers("is_groupoid") == {
-            ("soa", "_cap"), ("orbits", "orbit_category_of")}
+            ("soa", "_cap"), ("orbits", "_level_orbits")}
         # in PullbackHomFamily only the cap choice reads self.dim_cap
         family = next(c for c in ast.walk(_tree("soa"))
                       if isinstance(c, ast.ClassDef)
@@ -351,6 +352,21 @@ class TestOneMechanismPerConcept:
                    and isinstance(n.ctx, ast.Load)
                    and getattr(n.value, "id", None) == "self"}
         assert readers == {"_cap"}
+
+    def test_one_orbit_dedup(self):
+        assert _callers("diagram_isomorphic") == {("orbits", "_first_copies")}
+        assert _callers("_first_copies") == {
+            ("orbits", "orbit_category_of"), ("orbits", "orbits_of")}
+
+    def test_probes_take_orbit_lists(self):
+        """The probes walk a sequence of orbits; none builds or reads an
+        orbit category."""
+        imported = {(module, alias.name)
+                    for module in ("homotopy", "localization")
+                    for n in ast.walk(_tree(module))
+                    if isinstance(n, ast.ImportFrom) and n.module == "orbits"
+                    for alias in n.names}
+        assert imported == {("localization", "isomorphisms")}
 
 
 class TestModuleBoundaries:

@@ -38,7 +38,7 @@ from eqloc.localization import (
     localize,
     validate_spec,
 )
-from eqloc.orbits import orbit_category_of, orbit_category_union
+from eqloc.orbits import orbit_category_of, orbits_of
 from eqloc.simplicial import (
     SimplicialMap,
     SimplicialSet,
@@ -266,7 +266,7 @@ class TestFixedPointwise:
         spec = self.fp_spec()
         E = orbit_category_of(free_z2_orbit(), 0, 1)
         reports = fixed_point_locality_report(free_z2_orbit(), spec.f,
-                                              E, spec.caps)
+                                              E.orbits, spec.caps)
         # the trivial-orbit fixed points are empty: not local
         assert any(r.local.value == "no" for r in reports)
 
@@ -293,10 +293,9 @@ class TestFixedPointwise:
         spec = self.fp_spec()
         X = free_z2_orbit()
         r = localize(X, spec)
-        E = orbit_category_union(orbit_category_of(X, 0, 1),
-                                 orbit_category_of(trivial_z2_orbit(), 0, 1))
-        reports = fixed_point_locality_report(r.local_object, spec.f,
-                                              E, spec.caps)
+        reports = fixed_point_locality_report(
+            r.local_object, spec.f, orbits_of(X, trivial_z2_orbit()),
+            spec.caps)
         for rep in reports:
             assert rep.components == 1
             assert rep.fibrant

@@ -26,10 +26,10 @@ from eqloc.orbits import (
     isomorphisms,
     is_orbit,
     orbit_category_of,
-    orbit_category_union,
     orbit_naturality,
     orbit_point_diagram,
     orbit_setup,
+    orbits_of,
 )
 from eqloc.simplicial import (
     SimplicialSet,
@@ -138,6 +138,8 @@ class TestOrbitCategory:
     def test_trivial_diagram_one_orbit(self):
         E = orbit_category_of(trivial_z2_orbit(), level_cap=1, dim_cap=1)
         assert len(E) == 1
+        # the level-1 copy merges into the level-0 orbit, with its witness
+        assert E.witnesses == [[(0, "q0_0"), (1, "q0_0")]]
 
     def test_over_terminal_shape_cap0(self):
         X = wrap_sset(boundary(2))
@@ -170,23 +172,16 @@ class TestOrbitCategory:
         cat, lookup = E.as_category()
         assert validate_category(cat) == []
 
-    def test_union(self):
-        E1 = orbit_category_of(free_z2_orbit(), level_cap=0, dim_cap=1)
-        E2 = orbit_category_of(trivial_z2_orbit(), level_cap=0, dim_cap=1)
-        E = orbit_category_union(E1, E2)
-        assert len(E) == 2
-
-    def test_union_keeps_the_witnesses_of_merged_copies(self):
-        E1 = orbit_category_of(z2_two_orbits(), level_cap=0, dim_cap=1)
-        E2 = orbit_category_of(free_z2_orbit(), level_cap=0, dim_cap=1)
-        assert E1.witnesses == [[(0, "q0_0")], [(0, "q0_1")]]
-        assert E2.witnesses == [[(0, "q0_0")]]
-        E = orbit_category_union(E1, E2)
-        # the free orbit of E2 merges into orbit 0 of E1, the free one
-        assert diagram_isomorphic(E2.orbits[0], E1.orbits[0]) is not None
-        assert E.witnesses == [[(0, "q0_0"), (0, "q0_0")], [(0, "q0_1")]]
-        assert E.orbits == E1.orbits
-        assert E.homs == E1.homs
+    def test_orbits_of_keeps_first_copies(self):
+        E = orbit_category_of(z2_two_orbits(), level_cap=0, dim_cap=1)
+        assert E.witnesses == [[(0, "q0_0")], [(0, "q0_1")]]
+        # the free orbit of free_z2_orbit() is a copy of orbit 0 of E
+        assert orbits_of(z2_two_orbits(), free_z2_orbit()) == E.orbits
+        Ts = orbits_of(free_z2_orbit(), trivial_z2_orbit())
+        assert isinstance(Ts, tuple) and len(Ts) == 2
+        assert diagram_isomorphic(Ts[0], free_z2_orbit()) is not None
+        assert diagram_isomorphic(Ts[1], trivial_z2_orbit()) is not None
+        assert orbits_of() == ()
 
 
 class TestOrbitPointDiagram:

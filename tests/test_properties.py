@@ -49,7 +49,7 @@ from eqloc.documents import (
     sset_from_doc,
 )
 from eqloc.glue import product, pushout, quotient
-from eqloc.homotopy import default_orbit_category, is_weq_equivariant, pi0
+from eqloc.homotopy import is_weq_equivariant, pi0
 from eqloc.localization import (
     LocalizationCaps,
     LocalizationSpec,
@@ -57,7 +57,7 @@ from eqloc.localization import (
     is_S_equivalence,
     localize,
 )
-from eqloc.orbits import orbit_category_of, orbit_setup
+from eqloc.orbits import orbit_setup, orbits_of
 from eqloc.simplicial import (
     BudgetExceeded,
     Simplex,
@@ -192,8 +192,8 @@ class TestFactorizationPostconditions:
         f = terminal_dmap(z2_two_orbits())
         r = small_object_argument(f, instr)
         assert r.stopped_by == "stabilization"
-        E = default_orbit_category(r.delta, 1)
-        assert is_fibration_equivariant(r.delta, E, 2, 2)
+        Ts = orbits_of(r.delta.source, r.delta.target, dim_cap=1)
+        assert is_fibration_equivariant(r.delta, Ts, 2, 2)
 
 
 class TestTwoOutOfThree:
@@ -212,8 +212,8 @@ class TestTwoOutOfThree:
         v1 = is_S_equivalence(fold, spec, [Y])
         # the induced map between localizations, through initiality
         Lg = extend_to_local(fold.then(rY.j), rX)
-        E = default_orbit_category(Lg, 1)
-        v2 = is_weq_equivariant(Lg, E, 0, 2)
+        Ts = orbits_of(Lg.source, Lg.target, dim_cap=1)
+        v2 = is_weq_equivariant(Lg, Ts, 0, 2)
         decisive = {"yes", "no"}
         if v1.value in decisive and v2.value in decisive:
             assert v1.value == v2.value
@@ -371,8 +371,7 @@ class TestGroupoidCap:
                  for s in want]
 
     def test_orbit_category_levels_equal_those_at_dim_cap(self):
-        """orbit_category_of reads the orbits of X^{Delta^n} at cap 0 and
-        records the dim_cap it was given."""
+        """orbit_category_of reads the orbits of X^{Delta^n} at cap 0."""
         for g in _groupoid_arrows():
             X = g.source
             for n in (0, 1):
@@ -381,7 +380,6 @@ class TestGroupoidCap:
                         cotensor(X, standard_simplex(n), cap).diagram)]
                     for cap in (0, 2))
                 assert got == want
-            assert orbit_category_of(X, 1, 2).dim_cap == 2
 
     def test_other_shapes_keep_dim_cap(self):
         """Over the arrow category and over a one-object monoid with an

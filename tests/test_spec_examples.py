@@ -24,7 +24,7 @@ from eqloc.fixtures import (
     z2_collapse,
     z2_two_orbits,
 )
-from eqloc.homotopy import default_orbit_category, is_weq_equivariant
+from eqloc.homotopy import is_weq_equivariant
 from eqloc.localization import (
     LocalizationCaps,
     LocalizationSpec,
@@ -34,6 +34,7 @@ from eqloc.localization import (
     is_S_local,
     localize,
 )
+from eqloc.orbits import orbits_of
 from eqloc.simplicial import (
     SimplicialMap,
     SimplicialSet,
@@ -168,8 +169,8 @@ class TestTruncationVerdicts:
         # the circle's mapping space never stabilizes under horn filling, so
         # a pi_1-level probe with a small budget must answer inconclusive
         f = terminal_dmap(wrap_sset(circle()))
-        E = default_orbit_category(f, 1)
-        v = is_weq_equivariant(f, E, pi_cap=1, hom_cap=2,
+        orbits = orbits_of(f.source, f.target, dim_cap=1)
+        v = is_weq_equivariant(f, orbits, pi_cap=1, hom_cap=2,
                                budget=Budget(stages=2, n_cap=2, dim_cap=0))
         assert v.value == "inconclusive"
 
@@ -259,7 +260,7 @@ class TestGeneralFixedPointwise:
         # the point diagram has point fixed-point spaces: f-local decisively
         Z = point_diagram(z2_category())
         E = orbit_category_of(Z, 0, 1)
-        reports = fixed_point_locality_report(Z, spec.f, E, spec.caps)
+        reports = fixed_point_locality_report(Z, spec.f, E.orbits, spec.caps)
         assert all(rep.local.value == "yes" for rep in reports)
 
     def test_locality_report_detects_failure(self):
@@ -273,5 +274,5 @@ class TestGeneralFixedPointwise:
         Z = coproduct_D([point_diagram(z2_category()),
                          point_diagram(z2_category())]).diagram
         E = orbit_category_of(point_diagram(z2_category()), 0, 1)
-        reports = fixed_point_locality_report(Z, spec.f, E, spec.caps)
+        reports = fixed_point_locality_report(Z, spec.f, E.orbits, spec.caps)
         assert any(rep.local.value == "no" for rep in reports)
