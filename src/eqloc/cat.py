@@ -209,7 +209,8 @@ class SmallCategory(Keyed):
 
 
 def validate_category(D: SmallCategory):
-    problems = []
+    problems = [("unknown-arrow", m) for m in dict.fromkeys(
+        m for pair in D.comp for m in pair) if m not in D.src]
     for d in D.objects:
         e = D.identity.get(d)
         if e is None or D.src.get(e) != d or D.tgt.get(e) != d:
@@ -535,14 +536,6 @@ class CoproductD:
         self.diagram = diagram
         self.injections = injections
 
-    def mediate(self, legs, target: Diagram) -> DiagramMap:
-        """The map out of the coproduct that is legs[k] on summand k."""
-        comps = {d: glue.copairing(self.diagram.at[d],
-                                   [leg.components[d] for leg in legs],
-                                   target.at[d])
-                 for d in self.diagram.shape.objects}
-        return DiagramMap(self.diagram, target, comps)
-
 
 def coproduct_D(diagrams) -> CoproductD:
     D = diagrams[0].shape
@@ -560,36 +553,40 @@ def coproduct_D(diagrams) -> CoproductD:
 
 
 class PushoutD:
-    def __init__(self, diagram, from_left, from_right, pos):
+    def __init__(self, diagram, legs, pos):
         self.diagram = diagram
-        self.from_left = from_left
-        self.from_right = from_right
+        self.legs = legs  # legs[0] from X, legs[1 + i] from B_i
         self.pos = pos  # object -> glue.Pushout
 
-    def mediate(self, p: DiagramMap, q: DiagramMap) -> DiagramMap:
-        comps = {d: self.pos[d].mediate(p.components[d], q.components[d])
+    def mediate(self, maps) -> DiagramMap:
+        """The map out of the pushout that is maps[k] on legs[k]."""
+        comps = {d: self.pos[d].mediate([m.components[d] for m in maps])
                  for d in self.diagram.shape.objects}
-        return DiagramMap(self.diagram, p.target, comps)
+        return DiagramMap(self.diagram, maps[0].target, comps)
 
 
-def pushout_D(f: DiagramMap, g: DiagramMap) -> PushoutD:
-    """Pointwise pushout of f: A -> X along g: A -> B, with induced actions."""
-    if f.source != g.source:
-        raise ValueError("pushout_D needs maps with a common source")
-    D = f.source.shape
-    X, B = f.target, g.target
-    pos = {d: glue.pushout(f.components[d], g.components[d])
+def pushout_D(spans) -> PushoutD:
+    """Pointwise pushout of the spans (f_i: A_i -> X, g_i: A_i -> B_i), all
+    f_i into one X, with induced actions."""
+    X = spans[0][0].target
+    if any(f.source != g.source or f.target != X for f, g in spans):
+        raise ValueError("pushout_D needs spans of maps with a common "
+                         "source, all into one diagram")
+    D = X.shape
+    ends = [X] + [g.target for _, g in spans]
+    pos = {d: glue.pushout([(f.components[d], g.components[d])
+                            for f, g in spans])
            for d in D.objects}
     at = {d: pos[d].space for d in D.objects}
     act = {}
     for m in D.arrows:
         a, b = D.src[m], D.tgt[m]
-        act[m] = pos[a].mediate(X.act[m].then(pos[b].from_left),
-                                B.act[m].then(pos[b].from_right))
+        act[m] = pos[a].mediate([E.act[m].then(leg)
+                                 for E, leg in zip(ends, pos[b].legs)])
     diagram = Diagram(D, at, act)
-    from_left = DiagramMap(X, diagram, {d: pos[d].from_left for d in D.objects})
-    from_right = DiagramMap(B, diagram, {d: pos[d].from_right for d in D.objects})
-    return PushoutD(diagram, from_left, from_right, pos)
+    legs = [DiagramMap(E, diagram, {d: pos[d].legs[k] for d in D.objects})
+            for k, E in enumerate(ends)]
+    return PushoutD(diagram, legs, pos)
 
 
 class LimitD:

@@ -101,15 +101,6 @@ def coproduct_map(source, target, maps) -> SimplicialMap:
     return SimplicialMap(source, target, assignment)
 
 
-def copairing(space, legs, target) -> SimplicialMap:
-    """The map out of the coproduct `space` that is legs[k] on summand k.
-    A coproduct's cells come level by level, summand by summand, so the
-    images are read in that order."""
-    return SimplicialMap(space, target, images=tuple(
-        leg(nondeg(c)) for n in range(space.dim + 1)
-        for leg in legs for c in leg.source.cells(n)))
-
-
 # ---------------------------------------------------------------------------
 # normal forms
 
@@ -225,32 +216,35 @@ def mediate(co: Coproduct, q: Quotient, legs, target) -> SimplicialMap:
 
 
 class Pushout:
-    """X <- A -> B glued; legs from X and B and the mediator factory."""
+    """X with every B_i glued in along A_i; legs[0] from X, legs[1 + i] from
+    B_i, and the mediator factory."""
 
-    def __init__(self, space, from_left, from_right, _coproduct, _quotient):
+    def __init__(self, space, legs, _coproduct, _quotient):
         self.space = space
-        self.from_left = from_left
-        self.from_right = from_right
+        self.legs = legs
         self._co = _coproduct
         self._q = _quotient
 
-    def mediate(self, p: SimplicialMap, q: SimplicialMap) -> SimplicialMap:
-        """The unique map out of the pushout agreeing with a commuting cocone."""
-        return mediate(self._co, self._q, (p, q), p.target)
+    def mediate(self, maps) -> SimplicialMap:
+        """The unique map out of the pushout that is maps[k] on legs[k], for
+        a commuting cocone."""
+        return mediate(self._co, self._q, maps, maps[0].target)
 
 
-def pushout(f: SimplicialMap, g: SimplicialMap) -> Pushout:
-    """The pushout X sqcup_A B of f: A -> X and g: A -> B."""
-    if f.source != g.source:
-        raise ValueError("pushout needs maps with a common source")
-    co = coproduct([f.target, g.target])
-    in_x, in_b = co.injections
+def pushout(spans) -> Pushout:
+    """The pushout of the spans (f_i: A_i -> X, g_i: A_i -> B_i), all f_i
+    into one X: X with every B_i glued in along A_i."""
+    X = spans[0][0].target
+    if any(f.source != g.source or f.target != X for f, g in spans):
+        raise ValueError("pushout needs spans of maps with a common source, "
+                         "all into one space")
+    co = coproduct([X] + [g.target for _, g in spans])
+    in_x = co.injections[0]
     pairs = [(in_x(f(nondeg(a))), in_b(g(nondeg(a))))
+             for (f, g), in_b in zip(spans, co.injections[1:])
              for a in f.source.all_cells()]
     q = quotient(co.space, pairs)
-    return Pushout(q.space,
-                   in_x.then(q.projection),
-                   in_b.then(q.projection),
+    return Pushout(q.space, [inj.then(q.projection) for inj in co.injections],
                    co, q)
 
 

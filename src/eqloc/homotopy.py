@@ -301,10 +301,10 @@ class Cone(Record):
 def cone(A: Diagram) -> Cone:
     """CA = pt glued to the cylinder of A along its 1-end."""
     cyl = cylinder(A)
-    po = pushout_D(terminal_dmap(A), cyl.i1)
+    po = pushout_D([(terminal_dmap(A), cyl.i1)])
     return Cone(space=po.diagram,
-                inclusion=cyl.i0.then(po.from_right),
-                apex=po.from_left,
+                inclusion=cyl.i0.then(po.legs[1]),
+                apex=po.legs[0],
                 _pushout=po, _cylinder=cyl)
 
 
@@ -369,7 +369,7 @@ def null_factorization(f: DiagramMap, H: DiagramMap):
                  if end == terminal_dmap(A).then(v)), None)
     if iota is None:
         raise ValueError("H does not end at a vertex")
-    m = cn._pushout.mediate(iota, H)
+    m = cn._pushout.mediate([iota, H])
     if cn.inclusion.then(m) != f:
         raise ValueError("cone factorization does not restrict to f")
     return cn, m
@@ -393,8 +393,8 @@ def properness_probe(kind, weq: DiagramMap, along: DiagramMap, orbits,
                              "common source")
         if not is_cofibration(along):
             return Verdict(NO, (), "leg is not a levelwise injection")
-        po = pushout_D(weq, along)
-        probe = po.from_right  # cobase change of the weak equivalence
+        po = pushout_D([(weq, along)])
+        probe = po.legs[1]  # cobase change of the weak equivalence
     elif kind == "right":
         if weq.target != along.target:
             raise ValueError("right properness probe needs maps with a "

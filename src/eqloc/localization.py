@@ -148,9 +148,10 @@ def horns_of(generators, n_cap):
             incl = boundary_inclusion(n)
             a_incl = tensor_map(identity_dmap(A), incl)
             f_bd = tensor_map(f, identity_map(boundary(n)))
-            po = pushout_D(a_incl, f_bd)
-            arrow = po.mediate(tensor_map(f, identity_map(standard_simplex(n))),
-                               tensor_map(identity_dmap(B), incl))
+            po = pushout_D([(a_incl, f_bd)])
+            arrow = po.mediate([
+                tensor_map(f, identity_map(standard_simplex(n))),
+                tensor_map(identity_dmap(B), incl)])
             out.append(Horn(arrow=arrow, generator_index=idx, n=n))
     return tuple(out)
 
@@ -284,8 +285,7 @@ def extend_to_local(g: DiagramMap, result: LocalizationResult) -> DiagramMap:
     """
     if g.source != result.j.source:
         raise ValueError("extend_to_local needs g out of the source of j")
-    P = g.target
-    t = terminal_dmap(P)
+    t = terminal_dmap(g.target)
     h = g
     for stage in result.trace.stages:
         lifts = []
@@ -296,7 +296,7 @@ def extend_to_local(g: DiagramMap, result: LocalizationResult) -> DiagramMap:
             if lift is None:
                 raise ObstructedLift(sq)
             lifts.append(lift)
-        h = stage.pushout.mediate(h, stage.tops_coproduct.mediate(lifts, P))
+        h = stage.pushout.mediate([h, *lifts])
     if result.j.then(h) != g:
         raise ValueError("extension does not restrict to g along j")
     return h
@@ -353,19 +353,27 @@ def fixed_point_locality_report(Z: Diagram, f: SimplicialMap, orbits,
 
     For f: empty -> point the criterion is executed exactly: fibrant and
     contractible at the caps.  For general f the mapping-space criterion is
-    evaluated with inconclusive verdicts where truncation bites.
+    evaluated with inconclusive verdicts where truncation bites.  Fibrancy
+    is checked up to probe_n_cap but no higher than hom_cap, since M has no
+    cells of its own above hom_cap and a horn there may lack fillers only
+    because the truncation cut them off; a pass that stops below
+    probe_n_cap is inconclusive.
     """
     empty_to_point = (f.source.dim == -1 and
                       isomorphic_to_point(f.target))
     at = ("probe_n_cap", caps.probe_n_cap, "pi_cap", caps.pi_cap)
     kan_cap = caps.pi_cap + 1
+    fib_cap = min(caps.probe_n_cap, caps.hom_cap)
     reports = []
     for idx, T in enumerate(orbits):
         M = hom_complex(T, Z, caps.hom_cap).space
-        fib = is_kan(M, caps.probe_n_cap)
+        fib = is_kan(M, fib_cap)
         comps = len(pi0(M))
         trivial = None
-        if empty_to_point:
+        if fib and fib_cap < caps.probe_n_cap:
+            local = Verdict(INCONCLUSIVE, at, f"fixed points Kan up to "
+                            f"hom_cap {caps.hom_cap} only")
+        elif empty_to_point:
             # pi_n needs M Kan up to n + 1, which may lie above probe_n_cap
             kan = fib and (not caps.pi_cap or kan_cap <= caps.probe_n_cap
                            or is_kan(M, kan_cap))

@@ -3,9 +3,10 @@ generalized small object argument with full traces and functorial action.
 
 An instrumentation is a union of named families, each assigning to every
 arrow a finite set of attachment squares, functorially in the arrow; each
-square names its family in meta[0].  The argument iterates: attach the
-squares by a pushout of the coproduct of their tops, stop when every assigned
-square already lifts.  Transfinite stages are replaced by a stage budget.
+square names its family in meta[0].  The argument iterates: glue in the
+target of every attached square's top along its source, all in one pushout
+of the squares' spans, and stop when every assigned square already lifts.
+Transfinite stages are replaced by a stage budget.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import functools
 from typing import Callable, Optional
 
 from .cat import (
-    CoproductD,
     Diagram,
     DiagramMap,
     Record,
@@ -22,7 +22,6 @@ from .cat import (
     colim,
     colim_map,
     constant_diagram,
-    coproduct_D,
     cotensor,
     cotensor_map,
     cotensor_restriction,
@@ -34,7 +33,6 @@ from .cat import (
     pushout_D,
     tensor_map,
 )
-from .glue import coproduct_map
 from .orbits import OrbitMap, orbit_naturality, orbit_setup
 from .simplicial import (
     SimplicialMap,
@@ -185,7 +183,7 @@ class CornerMember(Record, frozen=True):
 
 def _glue(po, maps):
     """The map out of T (x) K that is maps[i] on the i-th X-corner."""
-    return maps[0] if po is None else po.mediate(*maps)
+    return maps[0] if po is None else po.mediate(maps)
 
 
 class PullbackHomFamily:
@@ -250,8 +248,8 @@ class PullbackHomFamily:
     def _pushout(self, m: CornerMember, T: Diagram):
         """T (x) K as the pushout of the corners, None for one corner."""
         if m.span:
-            return pushout_D(*(tensor_map(identity_dmap(T), s)
-                               for s in m.span))
+            return pushout_D([tuple(tensor_map(identity_dmap(T), s)
+                                    for s in m.span)])
         return None
 
     def _square(self, g: DiagramMap, m: CornerMember, o: OrbitMap, lim,
@@ -294,8 +292,7 @@ class PullbackHomFamily:
         moved = [tensor_map(F, identity_map(leg.source))
                  for _, leg in m.corners]
         if po2 is not None:
-            moved = [moved[0].then(po2.from_left),
-                     moved[1].then(po2.from_right)]
+            moved = [mv.then(leg) for mv, leg in zip(moved, po2.legs)]
         connect = (_glue(self._pushout(m, sq.orbit.orbit), moved),
                    tensor_map(F, identity_map(m.corners[0][1].target)))
         return target, connect
@@ -401,22 +398,14 @@ def rlp_check(i: DiagramMap, p: DiagramMap) -> RlpReport:
 # the generalized small object argument
 
 
-def _coproduct_arrow(coA: CoproductD, coB: CoproductD, maps) -> DiagramMap:
-    A, B = coA.diagram, coB.diagram
-    comps = {d: coproduct_map(A.at[d], B.at[d],
-                              [m.components[d] for m in maps])
-             for d in A.shape.objects}
-    return DiagramMap(A, B, comps)
-
-
 class Stage(Record):
     squares: tuple          # all assigned squares, canonical order
     attached: tuple         # indices of squares glued at this stage
     stage_map: DiagramMap   # i_beta: Z_beta -> Z_{beta+1}
     rho: DiagramMap         # Z_{beta+1} -> Y
+    # Z_beta with the attached squares' tops glued in; legs[1 + k] is the
+    # leg from the top of the k-th attached square
     pushout: object = field(repr=False, default=None)
-    # the coproduct of the targets of the attached squares' tops
-    tops_coproduct: object = field(repr=False, default=None)
 
 
 class FactorizationResult(Record):
@@ -447,7 +436,6 @@ def small_object_argument(f: DiagramMap, instr: Instrumentation,
     exactly for every run, including budget-stopped ones.
     """
     max_stages = instr.budget.stages if stages is None else stages
-    Z = f.source
     rho = f
     records = []
     stopped = "budget"
@@ -461,20 +449,11 @@ def small_object_argument(f: DiagramMap, instr: Instrumentation,
             stopped = "stabilization"
             break
         attach = tuple(range(len(squares))) if strict else tuple(unsolved)
-        tops = [squares[i].top for i in attach]
-        coA = coproduct_D([t.source for t in tops])
-        coB = coproduct_D([t.target for t in tops])
-        top_sum = _coproduct_arrow(coA, coB, tops)
-        left_sum = coA.mediate([squares[i].left for i in attach], Z)
-        right_sum = coB.mediate([squares[i].right for i in attach], rho.target)
-        po = pushout_D(left_sum, top_sum)
-        stage_map = po.from_left
-        rho_next = po.mediate(rho, right_sum)
+        attached = [squares[i] for i in attach]
+        po = pushout_D([(sq.left, sq.top) for sq in attached])
+        rho = po.mediate([rho, *(sq.right for sq in attached)])
         records.append(Stage(squares=squares, attached=attach,
-                             stage_map=stage_map, rho=rho_next,
-                             pushout=po, tops_coproduct=coB))
-        Z = po.diagram
-        rho = rho_next
+                             stage_map=po.legs[0], rho=rho, pushout=po))
 
     gamma = identity_dmap(f.source)
     for rec in records:
@@ -505,20 +484,16 @@ def soa_functorial(g: ArrowSquare, r1: FactorizationResult,
     rho1, rho2 = r1.arrow, r2.arrow
     for s1, s2 in zip(r1.stages, r2.stages):
         g_beta = ArrowSquare(source=rho1, target=rho2, upper=xi, lower=g.lower)
-        coB1, coB2 = s1.tops_coproduct, s2.tops_coproduct
-        po2 = s2.pushout
+        legs2 = s2.pushout.legs
         # route each attached square of run 1 to its transported counterpart
-        b_maps = []
-        for pos, idx in enumerate(s1.attached):
-            sq = s1.squares[idx]
-            tsq, (cA, cB) = instr.transport(g_beta, sq)
+        maps = [xi.then(legs2[0])]
+        for idx in s1.attached:
+            tsq, (_, cB) = instr.transport(g_beta, s1.squares[idx])
             j = s2.squares.index(tsq)
             if j not in s2.attached:
                 raise ValueError("transported square was not attached")
-            b_maps.append(cB.then(coB2.injections[s2.attached.index(j)]))
-        to_b2 = coB1.mediate(b_maps, coB2.diagram)
-        xi = s1.pushout.mediate(xi.then(po2.from_left),
-                                to_b2.then(po2.from_right))
+            maps.append(cB.then(legs2[1 + s2.attached.index(j)]))
+        xi = s1.pushout.mediate(maps)
         rho1, rho2 = s1.rho, s2.rho
     # the two functoriality squares commute
     if r1.gamma.then(xi) != g.upper.then(r2.gamma):

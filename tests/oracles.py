@@ -9,7 +9,8 @@ composing every face and degeneracy from the coface and codegeneracy maps
 per lookup, complex documents from fresh lists, and the orbit setups of I, J and Hor(F) by one class per
 family, each building its own W, or by one function building W at a given
 cap whatever the shape; maps out of a coproduct by the summand cell names
-"<k>:<cell>".
+"<k>:<cell>"; and each stage of the small object argument by coproducts of
+the tops, copairings and one pushout of a single span.
 """
 
 import itertools
@@ -20,6 +21,7 @@ from eqloc.cat import (
     Diagram,
     DiagramMap,
     adjoint_to_tensor,
+    coproduct_D,
     cotensor,
     cotensor_map,
     cotensor_restriction,
@@ -34,7 +36,7 @@ from eqloc.cat import (
 )
 from eqloc.glue import (UnionFind, induced_tuple_map, product, pushout,
                         quotient)
-from eqloc.soa import Square
+from eqloc.soa import ArrowSquare, Square, find_lift
 from eqloc.orbits import orbit_naturality, orbit_setup
 from eqloc.simplicial import (
     Simplex,
@@ -311,6 +313,94 @@ def coproduct_mediate_oracle(co, legs, target):
     return DiagramMap(co.diagram, target, comps)
 
 
+def coproduct_sum_oracle(coA, coB, maps):
+    """The sum of maps between coproduct diagrams, by the cell names: the
+    cell "<k>:<c>" of coA goes to the image of c under maps[k], renamed into
+    summand k of coB."""
+    comps = {}
+    for d in coA.diagram.shape.objects:
+        assignment = {}
+        for k, m in enumerate(maps):
+            for c in m.source.at[d].all_cells():
+                img = m.components[d](nondeg(c))
+                assignment[f"{k}:{c}"] = Simplex(img.word, f"{k}:{img.cell}")
+        comps[d] = SimplicialMap(coA.diagram.at[d], coB.diagram.at[d],
+                                 assignment)
+    return DiagramMap(coA.diagram, coB.diagram, comps)
+
+
+class StageOracle:
+    def __init__(self, pushout, tops, stage_map, rho):
+        self.pushout = pushout    # the pushout of the one summed span
+        self.tops = tops          # the coproduct of the tops' targets
+        self.stage_map = stage_map
+        self.rho = rho
+
+
+def stage_pushout_oracle(attached, rho):
+    """One stage of the small object argument glued through coproducts: the
+    coproducts of the attached squares' top sources and top targets, the sum
+    of the tops, the copairings of the lefts into Z = rho.source and of the
+    rights into rho.target, and one pushout of the summed left along the
+    summed top."""
+    tops = [sq.top for sq in attached]
+    coA = coproduct_D([t.source for t in tops])
+    coB = coproduct_D([t.target for t in tops])
+    left_sum = coproduct_mediate_oracle(coA, [sq.left for sq in attached],
+                                        rho.source)
+    right_sum = coproduct_mediate_oracle(coB, [sq.right for sq in attached],
+                                         rho.target)
+    po = pushout_D([(left_sum, coproduct_sum_oracle(coA, coB, tops))])
+    return StageOracle(po, coB, po.legs[0], po.mediate([rho, right_sum]))
+
+
+def _stage_oracles(result):
+    """stage_pushout_oracle of every stage of a trace, from its arrow on."""
+    out = []
+    rho = result.arrow
+    for stage in result.stages:
+        out.append(stage_pushout_oracle(
+            [stage.squares[i] for i in stage.attached], rho))
+        rho = stage.rho
+    return out
+
+
+def soa_functorial_oracle(g, r1, r2, instr):
+    """The map of soa_functorial through the stage oracles: the transported
+    tops' targets are copaired into the second run's coproduct of tops, and
+    one mediator of the summed span assembles each stage."""
+    xi = g.upper
+    rho1, rho2 = r1.arrow, r2.arrow
+    for s1, s2, o1, o2 in zip(r1.stages, r2.stages, _stage_oracles(r1),
+                              _stage_oracles(r2)):
+        g_beta = ArrowSquare(source=rho1, target=rho2, upper=xi,
+                             lower=g.lower)
+        b_maps = []
+        for idx in s1.attached:
+            tsq, (_, cB) = instr.transport(g_beta, s1.squares[idx])
+            k = s2.attached.index(s2.squares.index(tsq))
+            b_maps.append(cB.then(o2.tops.injections[k]))
+        to_b2 = coproduct_mediate_oracle(o1.tops, b_maps, o2.tops.diagram)
+        xi = o1.pushout.mediate([xi.then(o2.pushout.legs[0]),
+                                 to_b2.then(o2.pushout.legs[1])])
+        rho1, rho2 = s1.rho, s2.rho
+    return xi
+
+
+def extend_to_local_oracle(g, result):
+    """The extension of extend_to_local through the stage oracles: each
+    stage's lifts are copaired out of the coproduct of tops and one
+    mediator of the summed span extends g over the stage."""
+    P = g.target
+    h = g
+    for stage, o in zip(result.trace.stages, _stage_oracles(result.trace)):
+        lifts = [find_lift(sq.top, terminal_dmap(P), sq.left.then(h),
+                           terminal_dmap(sq.top.target))
+                 for sq in (stage.squares[i] for i in stage.attached)]
+        h = o.pushout.mediate([h, coproduct_mediate_oracle(o.tops, lifts, P)])
+    return h
+
+
 def adjoint_to_tensor_oracle(phi, cot):
     """phi: T -> X^K as a map tensor(T, K) -> X, by whole maps.
 
@@ -436,12 +526,12 @@ def random_sset(rng: random.Random, max_cells=10) -> SimplicialSet:
             a, b = rng.choice(verts), rng.choice(verts)
             attach = SimplicialMap(boundary(1), X,
                                    {"0": nondeg(a), "1": nondeg(b)})
-            X = pushout(attach, boundary_inclusion(1)).space
+            X = pushout([(attach, boundary_inclusion(1))]).space
         elif op == "cell2":
             maps = hom_set(boundary(2), X)
             if maps:
                 attach = rng.choice(maps)
-                X = pushout(attach, boundary_inclusion(2)).space
+                X = pushout([(attach, boundary_inclusion(2))]).space
         elif op == "merge" and len(X.cells(0)) >= 2:
             verts = list(X.cells(0))
             a, b = rng.sample(verts, 2)
@@ -472,8 +562,9 @@ def random_z2_diagram(rng: random.Random, max_edges=2):
     A = SimplicialSet([glued], {})
     incl = SimplicialMap(A, K, {v: nondeg(v) for v in glued})
     free = free_z2_orbit()
-    return pushout_D(tensor_map(identity_dmap(free), incl),
-                     tensor_map(terminal_dmap(free), identity_map(A))).diagram
+    return pushout_D([(tensor_map(identity_dmap(free), incl),
+                       tensor_map(terminal_dmap(free), identity_map(A)))]
+                     ).diagram
 
 
 def random_collapse_map(rng: random.Random, X) -> SimplicialMap:
@@ -636,9 +727,9 @@ class HorFFamilyOracle:
         pAB, maps = _corners_oracle(self.f, n)
         t_bA_dA = tensor_map(identity_dmap(T), maps["bA_dA"])
         t_bA_bB = tensor_map(identity_dmap(T), maps["bA_bB"])
-        po = pushout_D(t_bA_dA, t_bA_bB)
-        arrow = po.mediate(tensor_map(identity_dmap(T), maps["dA_dB"]),
-                           tensor_map(identity_dmap(T), maps["bB_dB"]))
+        po = pushout_D([(t_bA_dA, t_bA_bB)])
+        arrow = po.mediate([tensor_map(identity_dmap(T), maps["dA_dB"]),
+                            tensor_map(identity_dmap(T), maps["bB_dB"])])
         return po, arrow
 
     def _square(self, g, n, o, lim, cotensors):
@@ -646,7 +737,7 @@ class HorFFamilyOracle:
             adjoint_to_tensor(o.into.then(proj), cot)
             for proj, cot in zip(lim.projections, cotensors))
         po, arrow = self._member(o.orbit, n)
-        return Square(top=arrow, left=po.mediate(adj_dA, adj_bB),
+        return Square(top=arrow, left=po.mediate([adj_dA, adj_bB]),
                       right=adj_dB, bottom=g, member_id=f"HorF@{n}",
                       meta=("HorF", n, o.witness), orbit=o), po
 
@@ -675,8 +766,8 @@ class HorFFamilyOracle:
         F, o2 = orbit_naturality(g_tilde, sq.orbit)
         target, po2 = self._square(gsq.target, n, o2, lim2, cotensors2)
         po1, _ = self._member(sq.orbit.orbit, n)
-        connect_dom = po1.mediate(
-            tensor_map(F, identity_map(pAB["dA"].space)).then(po2.from_left),
-            tensor_map(F, identity_map(pAB["bB"].space)).then(po2.from_right))
+        connect_dom = po1.mediate([
+            tensor_map(F, identity_map(pAB["dA"].space)).then(po2.legs[0]),
+            tensor_map(F, identity_map(pAB["bB"].space)).then(po2.legs[1])])
         connect_cod = tensor_map(F, identity_map(pAB["dB"].space))
         return target, (connect_dom, connect_cod)

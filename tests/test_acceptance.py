@@ -115,10 +115,10 @@ class TestAcceptance:
         attach = DiagramMap(t_bd.diagram, X_a, comps)
         from eqloc.cat import pushout_D, validate_dmap
         assert validate_dmap(attach) == []
-        po = pushout_D(attach, incl)
+        po = pushout_D([(attach, incl)])
         X_a1 = po.diagram
         from eqloc.simplicial import is_injective
-        assert all(is_injective(po.from_right.components[d])
+        assert all(is_injective(po.legs[1].components[d])
                    for d in T.shape.objects), "lower edge must be injective"
         diff = {0: 0, 1: 1, 2: 2}  # |Delta^1_n| - |bd Delta^1_n|
         ok = True

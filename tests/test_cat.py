@@ -492,7 +492,7 @@ class TestMemoKeys:
 class TestPointwise:
     def test_pushout_D(self):
         A = free_z2_orbit()
-        po = pushout_D(identity_dmap(A), identity_dmap(A))
+        po = pushout_D([(identity_dmap(A), identity_dmap(A))])
         assert validate_diagram(po.diagram) == []
         assert isomorphic(po.diagram.at["*"], A.at["*"]) is not None
 

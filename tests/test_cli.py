@@ -136,6 +136,11 @@ MALFORMED_ENTRIES = {
                              "arrows": [["ida", "a", "a"], ["g", "a", "a"]],
                              "identities": {"a": "ida"},
                              "composition": [["g", "g", "zz"]]}}}),
+    "composition-of-non-arrows": ("categories", "category 'x'", {
+        "categories": {"x": {"objects": ["a"],
+                             "arrows": [["ida", "a", "a"]],
+                             "identities": {"a": "ida"},
+                             "composition": [["zz", "ida", "ida"]]}}}),
     "sset-not-an-object": ("simplicial_sets", "simplicial set 'S'", {
         "simplicial_sets": {"S": ["a"]}}),
     "image-not-a-pair": ("maps", "map 'f'", {"maps": {"f": {
@@ -492,6 +497,27 @@ class TestCommands:
             "fixed_points"]
         assert (fixed["fibrant"], fixed["pi0"]) == (True, 1)
         assert (fixed["local"]["value"], fixed["local"]["reason"]) == local
+
+    @pytest.mark.parametrize("hom_cap, local", [
+        ("2", ("yes", "")),
+        ("1", ("inconclusive", "fixed points Kan up to hom_cap 1 only")),
+    ])
+    def test_fixed_points_kan_no_higher_than_hom_cap(self, hom_cap, local,
+                                                     tmp_path, capsys):
+        """Above hom_cap the truncated fixed points lack fillers that the
+        full complex has, so with probe_n_cap 2 over hom_cap 1 every orbit
+        is Kan only up to 1 and inconclusive, never a decisive no."""
+        out_path = str(tmp_path / "loc.json")
+        code, out, err = run(capsys, "localize", "-w", Z2, "-d", "both",
+                             "--fixedpointwise-f", "empty-to-point",
+                             "--hom-cap", hom_cap, "--out", out_path)
+        assert code == 0
+        assert "locality: yes" in out
+        fixed = json.loads(pathlib.Path(out_path).read_text())["fixed_points"]
+        assert [(r["orbit"], r["fibrant"], r["pi0"]) for r in fixed] == \
+            [(0, True, 1), (1, True, 1)]
+        assert {(r["local"]["value"], r["local"]["reason"])
+                for r in fixed} == {local}
 
     def test_pi0(self, capsys):
         code, out, err = run(capsys, "pi", "-w", Z2, "--complex", "three",

@@ -73,7 +73,7 @@ class TestPushout:
         # pushout of X <- X -> B along the identity is B
         X = standard_simplex(1)
         f = identity_map(X)
-        po = pushout(f, f)
+        po = pushout([(f, f)])
         assert isomorphic(po.space, X) is not None
 
     def test_circle(self):
@@ -81,17 +81,16 @@ class TestPushout:
         B = boundary(1)
         collapse = constant_map(B, point(), "0")
         incl = boundary_inclusion(1)
-        po = pushout(collapse, incl)
+        po = pushout([(collapse, incl)])
         assert cell_counts(po.space) == [1, 1]
         assert validate(po.space) == []
-        assert verify_map(po.from_left) == []
-        assert verify_map(po.from_right) == []
+        assert all(verify_map(leg) == [] for leg in po.legs)
 
     def test_wedge_of_two_circles(self):
         B = boundary(1)
         collapse = constant_map(B, point(), "0")
         incl = boundary_inclusion(1)
-        circle = pushout(collapse, incl).space
+        circle = pushout([(collapse, incl)]).space
         # glue two circles at the basepoint
         co = coproduct([circle, circle])
         pts = coproduct([point()])
@@ -107,20 +106,20 @@ class TestPushout:
         B = boundary(1)
         collapse = constant_map(B, point(), "0")
         incl = boundary_inclusion(1)
-        po = pushout(collapse, incl)
+        po = pushout([(collapse, incl)])
         W = standard_simplex(1)
         cocones = [(p, q) for p in hom_set(point(), W)
                    for q in hom_set(standard_simplex(1), W)
                    if collapse.then(p) == incl.then(q)]
         assert cocones
         for p, q in cocones:
-            m = po.mediate(p, q)
+            m = po.mediate([p, q])
             assert verify_map(m) == []
-            assert po.from_left.then(m) == p
-            assert po.from_right.then(m) == q
+            assert po.legs[0].then(m) == p
+            assert po.legs[1].then(m) == q
             others = [h for h in hom_set(po.space, W)
-                      if po.from_left.then(h) == p
-                      and po.from_right.then(h) == q]
+                      if po.legs[0].then(h) == p
+                      and po.legs[1].then(h) == q]
             assert others == [m]
 
 

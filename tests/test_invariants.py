@@ -39,13 +39,20 @@ CHECKS = [
     ("pair dimensions differ", lambda: quotient(
         standard_simplex(1), [(nondeg("0"), nondeg("0.1"))])),
     ("common source", lambda: pushout(
-        identity_map(point()), identity_map(standard_simplex(1)))),
+        [(identity_map(point()), identity_map(standard_simplex(1)))])),
+    ("all into one space", lambda: pushout(
+        [(identity_map(point()), identity_map(point())),
+         (identity_map(standard_simplex(1)), identity_map(standard_simplex(1)))])),
     ("not admissible", lambda: product(point(), point()).locate(
         (Simplex((0, 1), "0"), Simplex((0, 1), "0")))),
     ("common target", lambda: pullback(
         identity_map(point()), identity_map(standard_simplex(1)))),
     ("common source", lambda: pushout_D(
-        identity_dmap(free_z2_orbit()), identity_dmap(trivial_z2_orbit()))),
+        [(identity_dmap(free_z2_orbit()), identity_dmap(trivial_z2_orbit()))])),
+    ("all into one diagram", lambda: pushout_D(
+        [(identity_dmap(free_z2_orbit()), identity_dmap(free_z2_orbit())),
+         (identity_dmap(trivial_z2_orbit()),
+          identity_dmap(trivial_z2_orbit()))])),
     ("common target", lambda: pullback_D(
         identity_dmap(free_z2_orbit()), identity_dmap(trivial_z2_orbit()))),
     ("orbit of the source", lambda: orbit_naturality(
@@ -303,7 +310,8 @@ class TestOneMechanismPerConcept:
     isomorphism of diagrams from orbits.isomorphisms, the commutative
     squares of a member from soa.extensions, the cap of an orbit setup
     from one groupoid test in each of its two builders, and every list of
-    orbits up to isomorphism from one first-copy dedup in orbits."""
+    orbits up to isomorphism from one first-copy dedup in orbits, and the
+    cells of a stage from one n-ary pushout of its squares' spans."""
 
     def test_one_normal_form_extractor(self):
         assert _callers("normal_form_complex") == {
@@ -357,6 +365,28 @@ class TestOneMechanismPerConcept:
         assert _callers("diagram_isomorphic") == {("orbits", "_first_copies")}
         assert _callers("_first_copies") == {
             ("orbits", "orbit_category_of"), ("orbits", "orbits_of")}
+
+    def test_one_pushout_per_stage(self):
+        """Inside soa, pushout_D is called only by small_object_argument,
+        one pushout of every attached square's span, and by
+        PullbackHomFamily._pushout; soa builds no coproduct."""
+        calls = {(name, owner) for name in ("pushout_D", "coproduct_D")
+                 for module, owner in _callers(name) if module == "soa"}
+        assert calls == {("pushout_D", "small_object_argument"),
+                         ("pushout_D", "_pushout")}
+
+    def test_no_coproduct_of_tops(self):
+        """Stages keep no coproduct of tops and nothing copairs out of one:
+        every map out of a pushout goes through its legs."""
+        gone = {"copairing", "tops_coproduct", "_coproduct_arrow",
+                "from_left", "from_right"}
+        found = {(module, name) for module in MODULES
+                 for tree in [_tree(module)]
+                 for name in {*_names(tree), *(
+                     n.name for n in ast.walk(tree)
+                     if isinstance(n, (ast.FunctionDef, ast.ClassDef)))}
+                 if name in gone}
+        assert found == set(), found
 
     def test_probes_take_orbit_lists(self):
         """The probes walk a sequence of orbits; none builds or reads an

@@ -197,8 +197,8 @@ class TestExtendToLocal:
         # L X glued to itself along X: the two copies of L X extend the
         # same map, and no cylinder joins them
         r = localize(two_points_diagram(), empty_to_point_spec())
-        po = pushout_D(r.j, r.j)
-        rep = extension_uniqueness(r.j.then(po.from_left), r)
+        po = pushout_D([(r.j, r.j)])
+        rep = extension_uniqueness(r.j.then(po.legs[0]), r)
         assert len(rep.lifts) == 2 and not rep.truncated
         assert rep.all_homotopic is False
 

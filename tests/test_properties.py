@@ -127,12 +127,35 @@ class TestWordAlgebra:
         assert normalize_word(w) == w
 
 
+def _check_pushout_universal(spans):
+    """Every cocone of the spans into Delta^1 has exactly one mediator out
+    of their pushout; returns the number of cocones checked."""
+    W = standard_simplex(1)
+    po = pushout(spans)
+    assert validate(po.space) == []
+    X = spans[0][0].target
+    checked = 0
+    for maps in itertools.product(hom_set(X, W), *(hom_set(g.target, W)
+                                                   for _, g in spans)):
+        if any(f.then(maps[0]) != g.then(q)
+               for (f, g), q in zip(spans, maps[1:])):
+            continue
+        m = po.mediate(maps)
+        assert verify_map(m) == []
+        assert tuple(leg.then(m) for leg in po.legs) == maps
+        mediators = [h for h in hom_set(po.space, W)
+                     if tuple(leg.then(h) for leg in po.legs) == maps]
+        assert mediators == [m]
+        checked += 1
+    return checked
+
+
 class TestRandomizedUniversalProperties:
     def test_pushout_universal_on_random_instances(self):
         """Mediators out of random pushouts exist uniquely for every cocone
-        into a small test object."""
+        into a small test object: first a point glued to a vertex, then
+        1-3 spans, each gluing a point or an edge to a vertex."""
         rng = random.Random(271828)
-        W = standard_simplex(1)
         checked = 0
         for _ in range(12):
             X = random_sset(rng, max_cells=6)
@@ -140,22 +163,20 @@ class TestRandomizedUniversalProperties:
                 continue
             v = rng.choice(list(X.cells(0)))
             f = SimplicialMap(point(), X, {"0": ((), v)})
-            g = identity_map(point())
-            po = pushout(f, g)
-            assert validate(po.space) == []
-            for p in hom_set(X, W):
-                for q in hom_set(point(), W):
-                    if f.then(p) != g.then(q):
-                        continue
-                    m = po.mediate(p, q)
-                    assert verify_map(m) == []
-                    assert po.from_left.then(m) == p
-                    assert po.from_right.then(m) == q
-                    mediators = [h for h in hom_set(po.space, W)
-                                 if po.from_left.then(h) == p
-                                 and po.from_right.then(h) == q]
-                    assert mediators == [m]
-                    checked += 1
+            checked += _check_pushout_universal([(f, identity_map(point()))])
+        for _ in range(12):
+            X = random_sset(rng, max_cells=6)
+            if not X.cells(0):
+                continue
+            spans = []
+            for _ in range(rng.randint(1, 3)):
+                B = rng.choice([point(), standard_simplex(1)])
+                spans.append((
+                    SimplicialMap(point(), X,
+                                  {"0": ((), rng.choice(X.cells(0)))}),
+                    SimplicialMap(point(), B,
+                                  {"0": ((), rng.choice(B.cells(0)))})))
+            checked += _check_pushout_universal(spans)
         assert checked > 0
 
     def test_quotient_projection_valid_on_random_instances(self):
@@ -923,7 +944,7 @@ RECORDS = {
     "RlpReport": (soa.RlpReport,
                   ["holds", "n_squares", "lifts", "counterexample"], {}),
     "Stage": (soa.Stage, ["squares", "attached", "stage_map", "rho"],
-              {"pushout": None, "tops_coproduct": None}),
+              {"pushout": None}),
     "FactorizationResult": (soa.FactorizationResult,
                             ["arrow", "gamma", "delta", "stages",
                              "stopped_by", "strict", "instrumentation",
@@ -1026,7 +1047,7 @@ class TestRecordContract:
             "Budget(stages=2, n_cap=2, dim_cap=1)"
         hidden = {"Cone": ["_pushout", "_cylinder"], "Horn": [],
                   "OrbitMap": ["pullback"], "Square": ["orbit"],
-                  "Stage": ["pushout", "tops_coproduct"]}
+                  "Stage": ["pushout"]}
         for name, fields in hidden.items():
             cls, values = _record_values(name)
             text = repr(cls(**values))

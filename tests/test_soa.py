@@ -3,8 +3,6 @@ import pathlib
 import pytest
 
 from eqloc.cat import (
-    CoproductD,
-    coproduct_D,
     empty_diagram,
     empty_dmap_into,
     identity_dmap,
@@ -57,7 +55,11 @@ from eqloc.soa import (
     verify_pullback_over_colim,
     verify_square,
 )
-from oracles import coproduct_mediate_oracle
+from oracles import (
+    extend_to_local_oracle,
+    soa_functorial_oracle,
+    stage_pushout_oracle,
+)
 
 Z2 = str(pathlib.Path(__file__).parent / "data" / "z2_example.json")
 
@@ -429,54 +431,70 @@ class TestRetract:
         assert incl.then(w.section) == w.factorization.gamma
 
 
-def _spy_mediate(monkeypatch):
-    """Record every CoproductD.mediate call as (co, legs, target, result)."""
-    calls = []
-    mediate = CoproductD.mediate
-
-    def spy(co, legs, target):
-        out = mediate(co, legs, target)
-        calls.append((co, list(legs), target, out))
-        return out
-    monkeypatch.setattr(CoproductD, "mediate", spy)
-    return calls
-
-
 class TestCoproductMediate:
-    """CoproductD.mediate reads a coproduct's cells by position; the oracle
-    assigns them by glue.coproduct's cell names "<k>:<cell>"."""
+    """Every stage is one n-ary pushout of its attached squares' spans; the
+    oracle glues the same stage through the coproducts of the tops, their
+    copairings and one pushout of the summed span, with the mediators out
+    of the coproducts assigned by glue.coproduct's cell names "<k>:<cell>".
+    Both must give the same spaces and maps, cell names included."""
 
-    def _agree(self, calls):
-        assert calls
-        for co, legs, target, out in calls:
-            assert out == coproduct_mediate_oracle(co, legs, target)
+    def _stages_agree(self, r):
+        assert r.n_stages > 0
+        rho = r.arrow
+        for stage in r.stages:
+            o = stage_pushout_oracle(
+                [stage.squares[i] for i in stage.attached], rho)
+            assert stage.pushout.diagram == o.pushout.diagram
+            assert stage.stage_map == o.stage_map
+            assert stage.rho == o.rho
+            rho = stage.rho
 
-    def _stages_agree(self, calls, r):
-        """Each stage mediates its lefts, then its rights out of the stored
-        coproduct of tops."""
-        assert len(calls) == 2 * r.n_stages
-        self._agree(calls)
-        for stage, lefts, rights in zip(r.stages, calls[::2], calls[1::2]):
-            attached = [stage.squares[i] for i in stage.attached]
-            assert lefts[1] == [sq.left for sq in attached]
-            assert rights[0] is stage.tops_coproduct
-            assert rights[1] == [sq.right for sq in attached]
-
-    def test_every_stage_of_criterion_1(self, monkeypatch):
-        calls = _spy_mediate(monkeypatch)
+    def test_every_stage_of_criterion_1(self):
         r = small_object_argument(terminal_dmap(interval_plus_point()),
                                   setup_I(Budget(stages=4, n_cap=3,
                                                  dim_cap=0)))
-        assert r.n_stages > 0
-        self._stages_agree(calls, r)
+        self._stages_agree(r)
 
-    def test_strict_run_on_z2_example(self, monkeypatch):
+    def test_strict_run_on_z2_example(self):
         f = terminal_dmap(Workspace().load(Z2).diagram("both"))
         instr = setup_I(Budget(stages=2, n_cap=1, dim_cap=1))
-        calls = _spy_mediate(monkeypatch)
         r = small_object_argument(f, instr, strict=True)
         assert [len(s.attached) for s in r.stages] == [6, 11]
-        self._stages_agree(calls, r)
+        self._stages_agree(r)
+        ident = ArrowSquare(f, f, identity_dmap(f.source),
+                            identity_dmap(f.target))
+        xi = soa_functorial(ident, r, r, instr)
+        assert xi == soa_functorial_oracle(ident, r, r, instr)
+
+    def test_functorial_xi_on_strict_runs(self):
+        """soa_functorial mediates once per stage through the legs of the
+        transported squares' tops; the oracle copairs through the
+        coproduct of tops first.  The swap of two points over the point
+        runs two stages; the collapse of their targets attaches two
+        squares on one side and one on the other."""
+        instr = setup_I(Budget(stages=2, n_cap=1, dim_cap=1))
+        f = terminal_dmap(wrap_sset(two_points()))
+        swap = wrap_smap(SimplicialMap(two_points(), two_points(),
+                                       {"u": ((), "v"), "v": ((), "u")}))
+        g = ArrowSquare(f, f, swap, identity_dmap(f.target))
+        r = small_object_argument(f, instr, strict=True)
+        assert [len(s.attached) for s in r.stages] == [5, 10]
+        self._stages_agree(r)
+        xi = soa_functorial(g, r, r, instr)
+        assert xi != identity_dmap(r.gamma.target)
+        assert xi == soa_functorial_oracle(g, r, r, instr)
+        f1 = empty_dmap_into(wrap_sset(two_points()))
+        f2 = empty_dmap_into(wrap_sset(point()))
+        g = ArrowSquare(f1, f2, identity_dmap(f1.source), wrap_smap(
+            constant_map(two_points(), point(), "0")))
+        r1 = small_object_argument(f1, instr, strict=True)
+        r2 = small_object_argument(f2, instr, strict=True)
+        assert [len(s.attached) for s in r1.stages] == [2]
+        assert [len(s.attached) for s in r2.stages] == [1]
+        self._stages_agree(r1)
+        self._stages_agree(r2)
+        xi = soa_functorial(g, r1, r2, instr)
+        assert xi == soa_functorial_oracle(g, r1, r2, instr)
 
     def test_extension_lifts_on_relocalize_fixtures(self):
         spec = LocalizationSpec(
@@ -485,16 +503,6 @@ class TestCoproductMediate:
             caps=LocalizationCaps())
         for X in (two_points_diagram(), interval_plus_point()):
             r = localize(X, spec)
-            with pytest.MonkeyPatch.context() as mp:
-                calls = _spy_mediate(mp)
-                extend_to_local(terminal_dmap(X), r)
-            assert len(calls) == r.trace.n_stages
-            self._agree(calls)
-
-    def test_injections_mediate_to_the_identity(self):
-        for parts in ([free_z2_orbit()], [free_z2_orbit(), z2_two_orbits()],
-                      [wrap_sset(point()), wrap_sset(standard_simplex(2)),
-                       wrap_sset(two_points())]):
-            co = coproduct_D(parts)
-            assert co.mediate(co.injections, co.diagram) == \
-                identity_dmap(co.diagram)
+            self._stages_agree(r.trace)
+            g = terminal_dmap(X)
+            assert extend_to_local(g, r) == extend_to_local_oracle(g, r)

@@ -128,7 +128,7 @@ class TestDegenerateSetups:
     def test_pushout_of_empty_is_coproduct(self):
         X, B = free_z2_orbit(), z2_two_orbits()
         E = empty_diagram(z2_category())
-        po = pushout_D(empty_dmap_into(X), empty_dmap_into(B))
+        po = pushout_D([(empty_dmap_into(X), empty_dmap_into(B))])
         co = coproduct_D([X, B])
         from eqloc.orbits import diagram_isomorphic
         assert diagram_isomorphic(po.diagram, co.diagram) is not None
