@@ -209,7 +209,10 @@ class SmallCategory(Keyed):
 
 
 def validate_category(D: SmallCategory):
-    problems = [("unknown-arrow", m) for m in dict.fromkeys(
+    problems = [(f"duplicate-{kind}", name)
+                for kind, names in (("object", D.objects), ("arrow", D.arrows))
+                for name in dict.fromkeys(names) if names.count(name) > 1]
+    problems += [("unknown-arrow", m) for m in dict.fromkeys(
         m for pair in D.comp for m in pair) if m not in D.src]
     for d in D.objects:
         e = D.identity.get(d)
@@ -490,41 +493,21 @@ def free_diagram(D: SmallCategory, d) -> Diagram:
 # colimits
 
 
-class Colim:
-    def __init__(self, space, cocone, _co, _q, shape):
-        self.space = space
-        self.cocone = cocone  # object -> SimplicialMap into the colimit
-        self._co = _co
-        self._q = _q
-        self._shape = shape
-
-    def mediate(self, legs, target) -> SimplicialMap:
-        """The unique map out of the colimit agreeing with a commuting cocone."""
-        return glue.mediate(self._co, self._q,
-                            [legs[d] for d in self._shape.objects], target)
-
-
-def colim(X: Diagram) -> Colim:
-    """Levelwise colimit: coequalizer of the morphism actions on the coproduct."""
+def colim(X: Diagram) -> glue.Glued:
+    """Levelwise colimit: the coproduct of the values with every cell glued
+    to its image under each non-identity arrow; legs in shape.objects order."""
     D = X.shape
-    co = glue.coproduct([X.at[d] for d in D.objects])
-    inj = {d: co.injections[i] for i, d in enumerate(D.objects)}
-    pairs = []
-    for m in D.non_identities():
-        a, b = D.src[m], D.tgt[m]
-        for c in X.at[a].all_cells():
-            pairs.append((inj[a](nondeg(c)), inj[b](X.act[m](nondeg(c)))))
-    q = glue.quotient(co.space, pairs)
-    return Colim(q.space, {d: inj[d].then(q.projection) for d in D.objects},
-                 co, q, D)
+    k = {d: i for i, d in enumerate(D.objects)}
+    return glue.Glued([X.at[d] for d in D.objects], [
+        ((k[D.src[m]], nondeg(c)), (k[D.tgt[m]], X.act[m](nondeg(c))))
+        for m in D.non_identities() for c in X.at[D.src[m]].all_cells()])
 
 
 def colim_map(f: DiagramMap) -> SimplicialMap:
     """The induced map of colimits."""
     cx, cy = colim(f.source), colim(f.target)
-    legs = {d: f.components[d].then(cy.cocone[d])
-            for d in f.source.shape.objects}
-    return cx.mediate(legs, cy.space)
+    return cx.mediate([f.components[d].then(leg)
+                       for d, leg in zip(f.source.shape.objects, cy.legs)])
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +526,9 @@ def coproduct_D(diagrams) -> CoproductD:
     at = {d: cos[d].space for d in D.objects}
     act = {}
     for m in D.arrows:
-        act[m] = glue.coproduct_map(at[D.src[m]], at[D.tgt[m]],
-                                    [X.act[m] for X in diagrams])
+        inj = cos[D.tgt[m]].injections
+        act[m] = cos[D.src[m]].mediate([X.act[m].then(i)
+                                        for X, i in zip(diagrams, inj)])
     diagram = Diagram(D, at, act)
     injections = [DiagramMap(X, diagram,
                              {d: cos[d].injections[i] for d in D.objects})
@@ -556,7 +540,7 @@ class PushoutD:
     def __init__(self, diagram, legs, pos):
         self.diagram = diagram
         self.legs = legs  # legs[0] from X, legs[1 + i] from B_i
-        self.pos = pos  # object -> glue.Pushout
+        self.pos = pos  # object -> glue.Glued, the pushout at that object
 
     def mediate(self, maps) -> DiagramMap:
         """The map out of the pushout that is maps[k] on legs[k]."""
@@ -599,8 +583,7 @@ class LimitD:
 
     def mediate(self, maps) -> DiagramMap:
         src = maps[0].source
-        comps = {d: self.tcs[d].mediate([m.components[d] for m in maps],
-                                        source=src.at[d])
+        comps = {d: self.tcs[d].mediate([m.components[d] for m in maps])
                  for d in src.shape.objects}
         return DiagramMap(src, self.diagram, comps)
 

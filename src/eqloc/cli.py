@@ -132,8 +132,8 @@ def cmd_colim(args):
     report = {
         "colim": sset_doc(c.space),
         "cocone": {d: {cell: [list(s.word), s.cell]
-                       for cell, s in sorted(c.cocone[d].assignment.items())}
-                   for d in X.shape.objects},
+                       for cell, s in sorted(leg.assignment.items())}
+                   for d, leg in zip(X.shape.objects, c.legs)},
     }
     counts = [len(level) for level in c.space.levels]
     emit(args, report, f"colim cells per dimension: {counts}")
@@ -257,7 +257,10 @@ def _loc_spec(args, ws) -> LocalizationSpec:
             fields[key] = checked_cap(where, key, value, fields)
         caps = LocalizationCaps(**fields)
         fixed = "fixedpointwise" in doc
-        names = doc["fixedpointwise"] if fixed else doc.get("generators", [])
+        if fixed == ("generators" in doc):
+            raise DocumentError(f"{where} must name exactly one of "
+                                "generators and fixedpointwise")
+        names = doc["fixedpointwise" if fixed else "generators"]
     elif args.fixedpointwise_f or args.generators:
         fixed = bool(args.fixedpointwise_f)
         where = "--fixedpointwise-f" if fixed else "--generators"

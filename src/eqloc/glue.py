@@ -61,6 +61,17 @@ class Coproduct:
         self.injections = injections
         self.summand_of = summand_of  # cell -> (summand index, original cell)
 
+    def image(self, maps, s: Simplex) -> Simplex:
+        """s under the map that is maps[k] on summand k."""
+        k, orig = self.summand_of[s.cell]
+        return maps[k](Simplex(s.word, orig))
+
+    def mediate(self, maps) -> SimplicialMap:
+        """The one map out of the coproduct that is maps[k] on
+        injections[k], into maps[0].target."""
+        return SimplicialMap(self.space, maps[0].target, images=tuple(
+            self.image(maps, nondeg(c)) for c in self.space.all_cells()))
+
 
 def coproduct(spaces) -> Coproduct:
     """Disjoint union; cells are renamed "<i>:<name>" per summand."""
@@ -88,17 +99,6 @@ def coproduct(spaces) -> Coproduct:
     injections = [SimplicialMap(X, space, images=tuple(ren.values()))
                   for X, ren in zip(spaces, renamed)]
     return Coproduct(space, injections, summand_of)
-
-
-def coproduct_map(source, target, maps) -> SimplicialMap:
-    """The sum of maps between coproducts: the cell "<k>:<c>" of source
-    goes to the image of c under maps[k], in summand k of target."""
-    assignment = {}
-    for k, m in enumerate(maps):
-        for c in m.source.all_cells():
-            img = m(nondeg(c))
-            assignment[f"{k}:{c}"] = Simplex(img.word, f"{k}:{img.cell}")
-    return SimplicialMap(source, target, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -200,52 +200,43 @@ def quotient(Z: SimplicialSet, pairs) -> Quotient:
     return Quotient(space, projection, rep_of)
 
 
-def mediate(co: Coproduct, q: Quotient, legs, target) -> SimplicialMap:
-    """The map out of a quotient of a coproduct that is legs[i] on summand i;
-    the legs must agree on the identified simplices."""
-    images = []
-    for cell in q.space.all_cells():
-        rep = q.rep_of[cell]
-        i, orig = co.summand_of[rep.cell]
-        images.append(legs[i](Simplex(rep.word, orig)))
-    return SimplicialMap(q.space, target, images=tuple(images))
-
-
 # ---------------------------------------------------------------------------
-# pushouts
+# glued spaces: pushouts and colimits
 
 
-class Pushout:
-    """X with every B_i glued in along A_i; legs[0] from X, legs[1 + i] from
-    B_i, and the mediator factory."""
+class Glued:
+    """The coproduct of spaces with the two simplices of every pair
+    identified: legs[k] from spaces[k], and the one mediator out of it."""
 
-    def __init__(self, space, legs, _coproduct, _quotient):
-        self.space = space
-        self.legs = legs
-        self._co = _coproduct
-        self._q = _quotient
+    def __init__(self, spaces, pairs):
+        """pairs are ((k, s), (l, t)) for a simplex s of spaces[k] and t of
+        spaces[l]."""
+        self._co = co = coproduct(spaces)
+        inj = co.injections
+        self._q = q = quotient(co.space, [(inj[k](s), inj[l](t))
+                                          for (k, s), (l, t) in pairs])
+        self.space = q.space
+        self.legs = [i.then(q.projection) for i in inj]
 
     def mediate(self, maps) -> SimplicialMap:
-        """The unique map out of the pushout that is maps[k] on legs[k], for
-        a commuting cocone."""
-        return mediate(self._co, self._q, maps, maps[0].target)
+        """The one map out of the glued space that is maps[k] on legs[k],
+        into maps[0].target; the maps must agree on every pair."""
+        rep_of = self._q.rep_of
+        return SimplicialMap(self.space, maps[0].target, images=tuple(
+            self._co.image(maps, rep_of[c]) for c in self.space.all_cells()))
 
 
-def pushout(spans) -> Pushout:
+def pushout(spans) -> Glued:
     """The pushout of the spans (f_i: A_i -> X, g_i: A_i -> B_i), all f_i
-    into one X: X with every B_i glued in along A_i."""
+    into one X: X with every B_i glued in along A_i, legs[1 + i] from B_i."""
     X = spans[0][0].target
     if any(f.source != g.source or f.target != X for f, g in spans):
         raise ValueError("pushout needs spans of maps with a common source, "
                          "all into one space")
-    co = coproduct([X] + [g.target for _, g in spans])
-    in_x = co.injections[0]
-    pairs = [(in_x(f(nondeg(a))), in_b(g(nondeg(a))))
-             for (f, g), in_b in zip(spans, co.injections[1:])
-             for a in f.source.all_cells()]
-    q = quotient(co.space, pairs)
-    return Pushout(q.space, [inj.then(q.projection) for inj in co.injections],
-                   co, q)
+    return Glued([X] + [g.target for _, g in spans],
+                 [((0, f(nondeg(a))), (1 + i, g(nondeg(a))))
+                  for i, (f, g) in enumerate(spans)
+                  for a in f.source.all_cells()])
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +274,9 @@ class TupleComplex:
         return SimplicialMap(self.space, self.factors[i], images=tuple(
             self.coords[c][i] for c in self.space.all_cells()))
 
-    def mediate(self, maps, source=None) -> SimplicialMap:
+    def mediate(self, maps) -> SimplicialMap:
         """The unique map into the limit induced by a compatible cone."""
-        src = source if source is not None else maps[0].source
+        src = maps[0].source
         return SimplicialMap(src, self.space, images=tuple(
             self.locate(tuple(m(nondeg(c)) for m in maps))
             for c in src.all_cells()))

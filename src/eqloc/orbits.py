@@ -71,7 +71,7 @@ def orbit_setup(X: Diagram):
     co = colim(X)
     D = X.shape
     constC = constant_diagram(D, co.space)
-    q = DiagramMap(X, constC, {d: co.cocone[d] for d in D.objects})
+    q = DiagramMap(X, constC, dict(zip(D.objects, co.legs)))
     P = point_diagram(D)
     out = []
     for v in co.space.cells(0):

@@ -531,32 +531,23 @@ def retract_witness(f: DiagramMap,
 # trace verification
 
 
-def stage_pullback_squares(result: FactorizationResult):
-    """The colimit comparison squares of every stage map of a trace."""
-    out = []
-    Z = result.arrow.source
-    for rec in result.stages:
-        out.append((Z, rec.stage_map))
-        Z = rec.stage_map.target
-    return out
-
-
-def verify_pullback_over_colim(Z: Diagram, stage_map: DiagramMap) -> bool:
-    """Check that (Z, Z', colim Z, colim Z') is a pullback square.
+def verify_pullback_over_colim(stage_map: DiagramMap) -> bool:
+    """Check that (Z, Z', colim Z, colim Z') is a pullback square, for the
+    stage map Z -> Z'.
 
     The canonical comparison map from Z into the fiber product must be an
     isomorphism in every component.
     """
-    Znext = stage_map.target
+    Z, Znext = stage_map.source, stage_map.target
     cZ, cN = colim(Z), colim(Znext)
     m = colim_map(stage_map)
     D = Z.shape
     constN = constant_diagram(D, cN.space)
     constZ = constant_diagram(D, cZ.space)
-    q_next = DiagramMap(Znext, constN, {d: cN.cocone[d] for d in D.objects})
+    q_next = DiagramMap(Znext, constN, dict(zip(D.objects, cN.legs)))
     incl = DiagramMap(constZ, constN, {d: m for d in D.objects})
     pb = pullback_D(q_next, incl)
-    q_z = DiagramMap(Z, constZ, {d: cZ.cocone[d] for d in D.objects})
+    q_z = DiagramMap(Z, constZ, dict(zip(D.objects, cZ.legs)))
     comparison = pb.mediate([stage_map, q_z])
     return all(is_isomorphism(comparison.components[d]) is not None
                for d in D.objects)

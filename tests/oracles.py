@@ -313,20 +313,25 @@ def coproduct_mediate_oracle(co, legs, target):
     return DiagramMap(co.diagram, target, comps)
 
 
+def coproduct_map_oracle(source, target, maps):
+    """The sum of maps between coproducts, by the cell names: the cell
+    "<k>:<c>" of source goes to the image of c under maps[k], renamed into
+    summand k of target."""
+    assignment = {}
+    for k, m in enumerate(maps):
+        for c in m.source.all_cells():
+            img = m(nondeg(c))
+            assignment[f"{k}:{c}"] = Simplex(img.word, f"{k}:{img.cell}")
+    return SimplicialMap(source, target, assignment)
+
+
 def coproduct_sum_oracle(coA, coB, maps):
-    """The sum of maps between coproduct diagrams, by the cell names: the
-    cell "<k>:<c>" of coA goes to the image of c under maps[k], renamed into
-    summand k of coB."""
-    comps = {}
-    for d in coA.diagram.shape.objects:
-        assignment = {}
-        for k, m in enumerate(maps):
-            for c in m.source.at[d].all_cells():
-                img = m.components[d](nondeg(c))
-                assignment[f"{k}:{c}"] = Simplex(img.word, f"{k}:{img.cell}")
-        comps[d] = SimplicialMap(coA.diagram.at[d], coB.diagram.at[d],
-                                 assignment)
-    return DiagramMap(coA.diagram, coB.diagram, comps)
+    """The sum of maps between coproduct diagrams, objectwise by
+    coproduct_map_oracle."""
+    return DiagramMap(coA.diagram, coB.diagram, {
+        d: coproduct_map_oracle(coA.diagram.at[d], coB.diagram.at[d],
+                                [m.components[d] for m in maps])
+        for d in coA.diagram.shape.objects})
 
 
 class StageOracle:

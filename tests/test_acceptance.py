@@ -57,7 +57,6 @@ from eqloc.soa import (
     setup_from_set,
     small_object_argument,
     soa_functorial,
-    stage_pullback_squares,
     verify_pullback_over_colim,
 )
 from eqloc.cat import empty_dmap_into
@@ -156,9 +155,9 @@ class TestAcceptance:
         n_squares = 0
         ok = True
         for tr in traces:
-            for Z, stage_map in stage_pullback_squares(tr):
+            for stage in tr.stages:
                 n_squares += 1
-                ok = ok and verify_pullback_over_colim(Z, stage_map)
+                ok = ok and verify_pullback_over_colim(stage.stage_map)
         report("criterion 3: pullback over colimit", ok,
                f"{n_squares} stage squares across {len(traces)} traces")
 

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -64,8 +65,10 @@ from eqloc.simplicial import (
 )
 from oracles import (
     adjoint_to_tensor_oracle,
+    coproduct_map_oracle,
     cotensor_oracle,
     hom_complex_oracle,
+    random_z2_diagram,
 )
 
 
@@ -164,17 +167,18 @@ class TestColim:
         X = free_z2_orbit()
         c = colim(X)
         g = X.act["g1"]
-        assert g.then(c.cocone["*"]) == c.cocone["*"]
+        (leg,) = c.legs
+        assert g.then(leg) == leg
 
     def test_mediator_universal(self):
         from eqloc.simplicial import constant_map
         X = free_z2_orbit()
         c = colim(X)
         W = point()
-        legs = {"*": constant_map(X.at["*"], W, "0")}
-        m = c.mediate(legs, W)
-        assert verify_map(m) == []
-        assert c.cocone["*"].then(m) == legs["*"]
+        legs = [constant_map(X.at["*"], W, "0")]
+        m = c.mediate(legs)
+        assert verify_map(m) == [] and m.target == W
+        assert c.legs[0].then(m) == legs[0]
 
     def test_colim_map(self):
         f = z2_collapse()
@@ -507,7 +511,7 @@ class TestPointwise:
         X = free_z2_orbit()
         c = colim(X)
         constC = constant_diagram(X.shape, c.space)
-        qmap = DiagramMap(X, constC, {"*": c.cocone["*"]})
+        qmap = DiagramMap(X, constC, {"*": c.legs[0]})
         vertex = c.space.cells(0)[0]
         P = point_diagram(X.shape)
         from eqloc.simplicial import constant_map
@@ -523,6 +527,22 @@ class TestPointwise:
         assert len(co.diagram.at["*"].cells(0)) == 3
         for inj in co.injections:
             assert validate_dmap(inj) == []
+
+    def test_coproduct_D_actions_match_oracle(self):
+        """Each action of a coproduct of diagrams is the sum of the
+        summands' actions, renamed cell by cell."""
+        rng = random.Random(57721)
+        cases = [[free_z2_orbit(), trivial_z2_orbit()],
+                 [z2_two_orbits(), free_z2_orbit(), trivial_z2_orbit()]]
+        cases += [[random_z2_diagram(rng) for _ in range(rng.randint(1, 3))]
+                  for _ in range(6)]
+        for diagrams in cases:
+            co = coproduct_D(diagrams).diagram
+            D = co.shape
+            for m in D.arrows:
+                assert co.act[m] == coproduct_map_oracle(
+                    co.at[D.src[m]], co.at[D.tgt[m]],
+                    [X.act[m] for X in diagrams])
 
 
 MISMATCHED_ENDS = """

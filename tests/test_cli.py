@@ -141,6 +141,17 @@ MALFORMED_ENTRIES = {
                              "arrows": [["ida", "a", "a"]],
                              "identities": {"a": "ida"},
                              "composition": [["zz", "ida", "ida"]]}}}),
+    "duplicate-object": ("categories", "category 'c'", {
+        "categories": {"c": {"objects": ["a", "a"],
+                             "arrows": [["ida", "a", "a"]],
+                             "identities": {"a": "ida"}}},
+        "simplicial_sets": {"two": {"cells": [["p", "q"]]}},
+        "diagrams": {"X": {"shape": "c", "at": {"a": "two"}, "act": {}}}}),
+    "duplicate-arrow": ("categories", "category 'x'", {
+        "categories": {"x": {"objects": ["a", "b"],
+                             "arrows": [["ida", "a", "a"], ["idb", "b", "b"],
+                                        ["f", "a", "b"], ["f", "b", "a"]],
+                             "identities": {"a": "ida", "b": "idb"}}}}),
     "sset-not-an-object": ("simplicial_sets", "simplicial set 'S'", {
         "simplicial_sets": {"S": ["a"]}}),
     "image-not-a-pair": ("maps", "map 'f'", {"maps": {"f": {
@@ -803,6 +814,9 @@ MALFORMED_SPECS = {
     "fixedpointwise-not-a-name": {"fixedpointwise": ["empty-to-point"]},
     "fixedpointwise-unknown": {"fixedpointwise": "nope"},
     "generator-unknown": {"generators": ["nope"]},
+    "neither-generators-nor-fixedpointwise": {"generatorz": ["swap"]},
+    "both-generators-and-fixedpointwise": {
+        "fixedpointwise": "empty-to-point", "generators": ["nope"]},
 }
 
 

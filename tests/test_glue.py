@@ -159,7 +159,7 @@ class TestProduct:
         W = standard_simplex(1)
         for f in hom_set(W, X):
             for g in hom_set(W, Y):
-                m = tc.mediate((f, g), source=W)
+                m = tc.mediate((f, g))
                 assert verify_map(m) == []
                 assert m.then(tc.projection(0)) == f
                 assert m.then(tc.projection(1)) == g

@@ -310,8 +310,9 @@ class TestOneMechanismPerConcept:
     isomorphism of diagrams from orbits.isomorphisms, the commutative
     squares of a member from soa.extensions, the cap of an orbit setup
     from one groupoid test in each of its two builders, and every list of
-    orbits up to isomorphism from one first-copy dedup in orbits, and the
-    cells of a stage from one n-ary pushout of its squares' spans."""
+    orbits up to isomorphism from one first-copy dedup in orbits, the
+    cells of a stage from one n-ary pushout of its squares' spans, and every
+    pushout and colimit from one glued space, glue.Glued."""
 
     def test_one_normal_form_extractor(self):
         assert _callers("normal_form_complex") == {
@@ -386,6 +387,27 @@ class TestOneMechanismPerConcept:
                      n.name for n in ast.walk(tree)
                      if isinstance(n, (ast.FunctionDef, ast.ClassDef)))}
                  if name in gone}
+        assert found == set(), found
+
+    def test_one_glued_space(self):
+        """Only glue.Glued quotients a coproduct, and cat, whose colimits
+        are glued spaces, calls no quotient itself."""
+        assert _callers("quotient") == {("glue", "__init__")}
+        glued = next(c for c in ast.walk(_tree("glue"))
+                     if isinstance(c, ast.ClassDef) and c.name == "Glued")
+        assert any(isinstance(n, ast.Call)
+                   and getattr(n.func, "id", None) == "quotient"
+                   for n in ast.walk(glued))
+        assert "quotient" not in set(_names(_tree("cat")))
+
+    def test_no_second_glued_type(self):
+        """No module keeps a colimit holder, a free mediator or a sum of maps
+        between coproducts beside the glued space and Coproduct.mediate."""
+        found = {(module, n.name) for module in MODULES
+                 for n in _tree(module).body
+                 if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                 and n.name in {"Colim", "Pushout", "coproduct_map",
+                                "mediate"}}
         assert found == set(), found
 
     def test_probes_take_orbit_lists(self):

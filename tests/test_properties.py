@@ -16,6 +16,7 @@ from eqloc.cat import (
     DiagramMap,
     SmallCategory,
     arrow_category,
+    colim,
     constant_diagram,
     cotensor,
     empty_dmap_into,
@@ -127,34 +128,49 @@ class TestWordAlgebra:
         assert normalize_word(w) == w
 
 
-def _check_pushout_universal(spans):
-    """Every cocone of the spans into Delta^1 has exactly one mediator out
-    of their pushout; returns the number of cocones checked."""
+def _check_glued_universal(glued, ends, commutes):
+    """Every cocone into Delta^1, one map per end kept by commutes, has
+    exactly one mediator out of the glued space; returns the number of
+    cocones checked."""
     W = standard_simplex(1)
-    po = pushout(spans)
-    assert validate(po.space) == []
-    X = spans[0][0].target
+    assert validate(glued.space) == []
     checked = 0
-    for maps in itertools.product(hom_set(X, W), *(hom_set(g.target, W)
-                                                   for _, g in spans)):
-        if any(f.then(maps[0]) != g.then(q)
-               for (f, g), q in zip(spans, maps[1:])):
+    for maps in itertools.product(*(hom_set(E, W) for E in ends)):
+        if not commutes(maps):
             continue
-        m = po.mediate(maps)
+        m = glued.mediate(maps)
         assert verify_map(m) == []
-        assert tuple(leg.then(m) for leg in po.legs) == maps
-        mediators = [h for h in hom_set(po.space, W)
-                     if tuple(leg.then(h) for leg in po.legs) == maps]
+        assert tuple(leg.then(m) for leg in glued.legs) == maps
+        mediators = [h for h in hom_set(glued.space, W)
+                     if tuple(leg.then(h) for leg in glued.legs) == maps]
         assert mediators == [m]
         checked += 1
     return checked
+
+
+def _check_pushout_universal(spans):
+    X = spans[0][0].target
+    return _check_glued_universal(
+        pushout(spans), [X] + [g.target for _, g in spans],
+        lambda maps: all(f.then(maps[0]) == g.then(q)
+                         for (f, g), q in zip(spans, maps[1:])))
+
+
+def _check_colim_universal(X):
+    D = X.shape
+    k = {d: i for i, d in enumerate(D.objects)}
+    return _check_glued_universal(
+        colim(X), [X.at[d] for d in D.objects],
+        lambda maps: all(X.act[m].then(maps[k[D.tgt[m]]]) == maps[k[D.src[m]]]
+                         for m in D.arrows))
 
 
 class TestRandomizedUniversalProperties:
     def test_pushout_universal_on_random_instances(self):
         """Mediators out of random pushouts exist uniquely for every cocone
         into a small test object: first a point glued to a vertex, then
-        1-3 spans, each gluing a point or an edge to a vertex."""
+        1-3 spans, each gluing a point or an edge to a vertex, then the
+        colimits of seeded random Z/2 diagrams."""
         rng = random.Random(271828)
         checked = 0
         for _ in range(12):
@@ -178,6 +194,9 @@ class TestRandomizedUniversalProperties:
                                   {"0": ((), rng.choice(B.cells(0)))})))
             checked += _check_pushout_universal(spans)
         assert checked > 0
+        # colimits of seeded Z/2 diagrams: the same glued type, one leg
+        assert sum(_check_colim_universal(random_z2_diagram(rng))
+                   for _ in range(6)) > 0
 
     def test_quotient_projection_valid_on_random_instances(self):
         rng = random.Random(314159)

@@ -51,7 +51,6 @@ from eqloc.soa import (
     setup_union,
     small_object_argument,
     soa_functorial,
-    stage_pullback_squares,
     verify_pullback_over_colim,
     verify_square,
 )
@@ -317,8 +316,8 @@ class TestSmallObjectArgument:
         f = terminal_dmap(free_z2_orbit())
         r = small_object_argument(f, instr)
         assert r.n_stages >= 1
-        for Z, stage_map in stage_pullback_squares(r):
-            assert verify_pullback_over_colim(Z, stage_map)
+        for stage in r.stages:
+            assert verify_pullback_over_colim(stage.stage_map)
 
 
 class TestFunctorial:
