@@ -237,12 +237,19 @@ def _loc_caps(args) -> LocalizationCaps:
 
 
 def _loc_spec(args, ws) -> LocalizationSpec:
-    """The spec named by --spec, else the one the --fixedpointwise-f or
-    --generators flag gives; a malformed entry is a DocumentError naming
-    its source."""
+    """The spec that the one given of --spec, --fixedpointwise-f and
+    --generators names; a malformed entry, or more than one of the three
+    flags, is a DocumentError naming its source."""
     caps = _loc_caps(args)
     shape = ws.diagram(args.diagram).shape
-    if getattr(args, "spec", None):
+    given = [flag for flag, value in (("--spec", args.spec),
+                                      ("--generators", args.generators),
+                                      ("--fixedpointwise-f",
+                                       args.fixedpointwise_f)) if value]
+    if len(given) > 1:
+        raise DocumentError(f"{' and '.join(given)} cannot be given "
+                            "together")
+    if args.spec:
         where = f"spec {args.spec!r}"
         doc = ws.spec_docs.get(args.spec)
         if doc is None:

@@ -1,5 +1,7 @@
 """Equivariant weak-equivalence and fibration probes, Kan machinery,
-combinatorial homotopy groups at a cap, cylinders, cones and null homotopies.
+combinatorial homotopy groups at a cap, cylinders, cones and null homotopies,
+and the fixed points that present hom(T, Z) for an orbit T over a groupoid
+shape.
 
 Weak-equivalence checking is a semi-decision: verdicts are three-valued and
 every report names the caps it was computed at.
@@ -230,13 +232,89 @@ def sset_weq_probe(phi: SimplicialMap, pi_cap, budget: Budget) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# equivariant probes through orbit mapping complexes
+# equivariant probes through orbit mapping complexes, read as fixed points
+# on groupoid shapes
+
+
+def _fixed(Z: Diagram, c, H, cap) -> SimplicialSet:
+    """The cap-skeleton of Z(c)^H: the cells of Z(c) up to the cap that
+    every arrow in H fixes, with their own face tuples."""
+    X = Z.at[c]
+    acts = [Z.act[g] for g in H]
+    levels = [[x for x in X.cells(n)
+               if all(a(nondeg(x)) == nondeg(x) for a in acts)]
+              for n in range(cap + 1)]
+    return SimplicialSet(levels, {x: X.cell_faces(x)
+                                  for cells in levels[1:] for x in cells})
+
+
+def _orbit_type(T: Diagram):
+    """(c, H): the first object c where the orbit T is non-empty, and the
+    stabilizer H in Aut(c) of T's first vertex t there."""
+    c = next(d for d in T.shape.objects if T.at[d].cells(0))
+    t = nondeg(T.at[c].cells(0)[0])
+    return c, [g for g in T.shape.hom(c, c) if T.act[g](t) == t]
+
+
+def fixed_points(Z: Diagram, T: Diagram, cap) -> SimplicialSet:
+    """hom(T, Z) up to the cap for an orbit T over a groupoid shape, read
+    off Z's action as the cap-skeleton of Z(c)^H, (c, H) = _orbit_type(T).
+
+    This is Elmendorf's (Systems of fixed point sets, 1983).  T is discrete
+    (soa.PullbackHomFamily), and every vertex of T(d) is m.t for an arrow
+    m: c -> d, since over a groupoid the zigzags presenting colim T compose
+    to one arrow.  So a map T (x) Delta^n -> Z is fixed by the image z of
+    (t, iota_n), an n-simplex of Z(c) that H fixes, and each such z extends
+    by m.t |-> m.z, well defined as m.t = m'.t puts m'^-1 m in H.  An
+    automorphism sends s_w x to s_w (g.x) and commutes with faces, so a
+    simplex is fixed when its cell is, and the fixed cells with their own
+    faces are a subcomplex.
+    """
+    c, H = _orbit_type(T)
+    return _fixed(Z, c, H, cap)
+
+
+def fixed_points_post(T: Diagram, f: DiagramMap, cap) -> SimplicialMap:
+    """hom(T, f) for an orbit T over a groupoid shape: f at c restricted
+    to `fixed_points`, whose fixed cells f sends to fixed simplices."""
+    c, H = _orbit_type(T)
+    source = _fixed(f.source, c, H, cap)
+    return SimplicialMap(source, _fixed(f.target, c, H, cap),
+                         images=tuple(f.components[c](nondeg(x))
+                                      for x in source.all_cells()))
+
+
+def fixed_point_spaces(Z: Diagram, cap) -> tuple:
+    """The distinct cap-skeleta Z(c)^H over a groupoid shape, c over the
+    objects and H over the intersections of the cell stabilizers in
+    Aut(c), Aut(c) included: any other subgroup fixes the cells that the
+    intersection of the stabilizers containing it fixes."""
+    D = Z.shape
+    spaces = {}
+    for c in D.objects:
+        auts = frozenset(D.hom(c, c))
+        subgroups = {auts}
+        for x in Z.at[c].all_cells():
+            stab = frozenset(g for g in auts
+                             if Z.act[g](nondeg(x)) == nondeg(x))
+            subgroups |= {stab & H for H in subgroups}
+        for H in sorted(subgroups, key=sorted):
+            spaces.setdefault(_fixed(Z, c, H, cap))
+    return tuple(spaces)
+
+
+def _orbit_hom_post(T: Diagram, f: DiagramMap, hom_cap) -> SimplicialMap:
+    """hom(T, f) for an orbit T up to hom_cap: `fixed_points_post` on a
+    groupoid shape, else postcomposition on the mapping complexes."""
+    if f.source.shape.is_groupoid():
+        return fixed_points_post(T, f, hom_cap)
+    return hom_complex_post(T, f, hom_cap)
 
 
 def is_fibration_equivariant(f: DiagramMap, orbits, n_cap, hom_cap) -> bool:
     """Horn-RLP of hom(T, f) for every orbit T of orbits, at the caps."""
     return all(lifts(phi, n, k)
-               for phi in (hom_complex_post(T, f, hom_cap) for T in orbits)
+               for phi in (_orbit_hom_post(T, f, hom_cap) for T in orbits)
                for n in range(1, n_cap + 1) for k in range(n + 1))
 
 
@@ -260,7 +338,7 @@ def is_weq_equivariant(f: DiagramMap, orbits, pi_cap, hom_cap,
                        budget: Optional[Budget] = None) -> Verdict:
     """Equivariant weak-equivalence probe through hom(T, f), T in orbits."""
     budget = budget or Budget(stages=3, n_cap=pi_cap + 1, dim_cap=0)
-    return weq_probe_all((hom_complex_post(T, f, hom_cap) for T in orbits),
+    return weq_probe_all((_orbit_hom_post(T, f, hom_cap) for T in orbits),
                          "orbit", pi_cap, budget,
                          ("pi_cap", pi_cap, "hom_cap", hom_cap))
 

@@ -34,7 +34,10 @@ from .homotopy import (
     YES,
     Verdict,
     cylinder,
+    fixed_point_spaces,
+    fixed_points,
     is_kan,
+    lifts,
     pi0,
     pi_n,
     sset_weq_probe,
@@ -43,12 +46,13 @@ from .homotopy import (
 from .orbits import isomorphisms
 from .simplicial import (
     SimplicialMap,
-    SimplicialSet,
     boundary,
     boundary_inclusion,
+    constant_map,
     identity_map,
     is_injective,
     is_isomorphism,
+    point,
     standard_simplex,
 )
 from .soa import (
@@ -243,12 +247,41 @@ def localize(X: Diagram, spec: LocalizationSpec) -> LocalizationResult:
 
 
 def is_S_local(Z: Diagram, spec: LocalizationSpec) -> Verdict:
-    """Right lifting of Z -> point against every assigned J- and horn-square."""
-    instr = class_K(spec, probe=True)
-    t = terminal_dmap(Z)
+    """Right lifting of Z -> point against every assigned J- and horn-square;
+    the verdict names the first member, in class_K(spec, probe=True)'s
+    order, with a square that does not lift.
+
+    On a groupoid shape with f isomorphic to empty -> point no square is
+    built.  By adjunction (Hovey, Model Categories, ch. 4) a square at
+    T (x) (j: K -> L) is a map lambda: K -> Z(c), with T = G/Stab(lambda),
+    and it lifts when lambda extends over L in Z(c)^Stab(lambda)
+    (homotopy.fixed_points).  For J@n_k, j is the horn of Delta^n at k; for
+    HorF@n the corner Delta^n x empty u bd n x point -> Delta^n x point is
+    bd n -> Delta^n.  So a member fails exactly when homotopy.lifts(Z(c)^H
+    -> point, n, k), k None for HorF, fails for some H in
+    homotopy.fixed_point_spaces: Stab(lambda) is the intersection of the
+    stabilizers of the cells lambda reaches, and a horn lambda of Z(c)^H
+    with no filler there has none in the subcomplex Z(c)^Stab(lambda),
+    as Stab(lambda) contains H.  Other shapes, set mode and other f
+    search a lift of each assigned square.
+    """
     caps = ("hor_n_cap", spec.caps.hor_n_cap,
             "probe_n_cap", spec.caps.probe_n_cap,
             "dim_cap", spec.caps.dim_cap)
+    if (spec.mode == "fixedpointwise" and Z.shape.is_groupoid()
+            and is_empty_to_point(spec.f)):
+        n_cap, h_cap = spec.caps.probe_n_cap, spec.caps.hor_n_cap
+        to_point = [constant_map(M, point(), "0") for M in
+                    fixed_point_spaces(Z, max(n_cap, h_cap))]
+        members = [(f"J@{n}_{k}", n, k)
+                   for n in range(1, n_cap + 1) for k in range(n + 1)]
+        members += [(f"HorF@{n}", n, None) for n in range(h_cap + 1)]
+        for member_id, n, k in members:
+            if not all(lifts(p, n, k) for p in to_point):
+                return Verdict(NO, caps, f"no lift for {member_id}")
+        return Verdict(YES, caps)
+    instr = class_K(spec, probe=True)
+    t = terminal_dmap(Z)
     for sq in instr.assign(t):
         if find_lift(sq.top, t, sq.left, sq.right) is None:
             return Verdict(NO, caps, f"no lift for {sq.member_id}")
@@ -351,6 +384,10 @@ def fixed_point_locality_report(Z: Diagram, f: SimplicialMap, orbits,
                                 caps: LocalizationCaps):
     """Per-orbit f-locality of the fixed-point spaces hom(T, Z), T in orbits.
 
+    On a groupoid shape hom(T, Z) is read as homotopy.fixed_points(Z, T,
+    hom_cap), which is isomorphic to the hom_complex(T, Z, hom_cap) that
+    every other shape reads.
+
     For f: empty -> point the criterion is executed exactly: fibrant and
     contractible at the caps.  For general f the mapping-space criterion is
     evaluated with inconclusive verdicts where truncation bites.  Fibrancy
@@ -359,14 +396,15 @@ def fixed_point_locality_report(Z: Diagram, f: SimplicialMap, orbits,
     because the truncation cut them off; a pass that stops below
     probe_n_cap is inconclusive.
     """
-    empty_to_point = (f.source.dim == -1 and
-                      isomorphic_to_point(f.target))
+    empty_to_point = is_empty_to_point(f)
+    groupoid = Z.shape.is_groupoid()
     at = ("probe_n_cap", caps.probe_n_cap, "pi_cap", caps.pi_cap)
     kan_cap = caps.pi_cap + 1
     fib_cap = min(caps.probe_n_cap, caps.hom_cap)
     reports = []
     for idx, T in enumerate(orbits):
-        M = hom_complex(T, Z, caps.hom_cap).space
+        M = (fixed_points(Z, T, caps.hom_cap) if groupoid
+             else hom_complex(T, Z, caps.hom_cap).space)
         fib = is_kan(M, fib_cap)
         comps = len(pi0(M))
         trivial = None
@@ -403,8 +441,10 @@ def fixed_point_locality_report(Z: Diagram, f: SimplicialMap, orbits,
     return reports
 
 
-def isomorphic_to_point(X: SimplicialSet) -> bool:
-    return X.dim == 0 and len(X.cells(0)) == 1
+def is_empty_to_point(f: SimplicialMap) -> bool:
+    """Whether f is isomorphic to empty -> point."""
+    return (f.source.dim == -1 and f.target.dim == 0
+            and len(f.target.cells(0)) == 1)
 
 
 def arrow_isomorphic(f: DiagramMap, g: DiagramMap) -> bool:

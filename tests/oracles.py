@@ -9,8 +9,10 @@ composing every face and degeneracy from the coface and codegeneracy maps
 per lookup, complex documents from fresh lists, and the orbit setups of I, J and Hor(F) by one class per
 family, each building its own W, or by one function building W at a given
 cap whatever the shape; maps out of a coproduct by the summand cell names
-"<k>:<cell>"; and each stage of the small object argument by coproducts of
-the tops, copairings and one pushout of a single span.
+"<k>:<cell>"; each stage of the small object argument by coproducts of
+the tops, copairings and one pushout of a single span; and the locality
+probe and the fixed-point report by squares and mapping complexes on every
+shape.
 """
 
 import itertools
@@ -555,6 +557,20 @@ def swapped_loops():
     return Diagram(z2_category(), {"*": X}, {"g1": swap})
 
 
+def two_object_swapped_loops():
+    """The swapped loops at two objects a and b, with mutually inverse
+    arrows f: a -> b and h: b -> a that both act by the swap."""
+    from eqloc.cat import SmallCategory
+    loops = swapped_loops()
+    D = SmallCategory(["a", "b"],
+                      [("ida", "a", "a"), ("idb", "b", "b"),
+                       ("f", "a", "b"), ("h", "b", "a")],
+                      {"a": "ida", "b": "idb"},
+                      {("h", "f"): "ida", ("f", "h"): "idb"})
+    S, swap = loops.at["*"], loops.act["g1"]
+    return Diagram(D, {"a": S, "b": S}, {"f": swap, "h": swap})
+
+
 def random_z2_diagram(rng: random.Random, max_edges=2):
     """A random Z/2-diagram: two swapped copies of a random graph K glued
     along some of its vertices, which the involution then fixes."""
@@ -776,3 +792,69 @@ class HorFFamilyOracle:
             tensor_map(F, identity_map(pAB["bB"].space)).then(po2.legs[1])])
         connect_cod = tensor_map(F, identity_map(pAB["dB"].space))
         return target, (connect_dom, connect_cod)
+
+
+# ---------------------------------------------------------------------------
+# locality probes by squares and mapping complexes
+
+
+def is_S_local_oracle(Z, spec):
+    """is_S_local by squares on every shape: a lift of Z -> point searched
+    for every square that class_K(spec, probe=True) assigns."""
+    from eqloc.homotopy import NO, YES, Verdict
+    from eqloc.localization import class_K
+    instr = class_K(spec, probe=True)
+    t = terminal_dmap(Z)
+    caps = ("hor_n_cap", spec.caps.hor_n_cap,
+            "probe_n_cap", spec.caps.probe_n_cap,
+            "dim_cap", spec.caps.dim_cap)
+    for sq in instr.assign(t):
+        if find_lift(sq.top, t, sq.left, sq.right) is None:
+            return Verdict(NO, caps, f"no lift for {sq.member_id}")
+    return Verdict(YES, caps)
+
+
+def fixed_point_locality_report_oracle(Z, f, orbits, caps):
+    """fixed_point_locality_report reading hom(T, Z) as
+    hom_complex(T, Z, hom_cap) on every shape."""
+    from eqloc.cat import hom_complex, wrap_sset
+    from eqloc.homotopy import (INCONCLUSIVE, NO, YES, Verdict, is_kan, pi0,
+                                pi_n, sset_weq_probe)
+    from eqloc.localization import OrbitLocalityReport, is_empty_to_point
+    from eqloc.soa import Budget
+    at = ("probe_n_cap", caps.probe_n_cap, "pi_cap", caps.pi_cap)
+    kan_cap = caps.pi_cap + 1
+    fib_cap = min(caps.probe_n_cap, caps.hom_cap)
+    reports = []
+    for idx, T in enumerate(orbits):
+        M = hom_complex(T, Z, caps.hom_cap).space
+        fib = is_kan(M, fib_cap)
+        comps = len(pi0(M))
+        trivial = None
+        if fib and fib_cap < caps.probe_n_cap:
+            local = Verdict(INCONCLUSIVE, at, f"fixed points Kan up to "
+                            f"hom_cap {caps.hom_cap} only")
+        elif is_empty_to_point(f):
+            kan = fib and (not caps.pi_cap or kan_cap <= caps.probe_n_cap
+                           or is_kan(M, kan_cap))
+            if kan:
+                trivial = all(
+                    len(pi_n(M, cls[0], n, kan_checked=True)) == 1
+                    for cls in pi0(M) for n in range(1, caps.pi_cap + 1))
+            ok = kan and comps == 1 and (trivial is None or trivial)
+            local = Verdict(YES if ok else NO, at)
+            if fib and not kan:
+                local = Verdict(NO if kan_cap <= caps.hom_cap else INCONCLUSIVE,
+                                at, f"fixed points not Kan at {kan_cap}, "
+                                f"hom_cap {caps.hom_cap}")
+        else:
+            restriction = cotensor_restriction(wrap_sset(M), f, caps.hom_cap)
+            v = sset_weq_probe(restriction.components["*"], caps.pi_cap,
+                               Budget(stages=caps.stages,
+                                      n_cap=caps.pi_cap + 1, dim_cap=0))
+            local = v if fib else Verdict(
+                INCONCLUSIVE, v.caps, "fixed points not fibrant at caps")
+        reports.append(OrbitLocalityReport(
+            orbit_index=idx, fibrant=fib, components=comps,
+            trivial_pi=trivial, local=local))
+    return reports

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import pathlib
@@ -740,6 +741,26 @@ class TestGroupoidRuns:
         assert "locality: yes" in out.stdout
 
 
+class TestBenchmarkReport:
+    """The localize run of the benchmark's fixedpoint workload writes the
+    report whose sha256 perfbench/expected.json records."""
+
+    def test_fixedpoint_report_digest(self, tmp_path, monkeypatch, capsys):
+        root = DATA.parents[1]
+        monkeypatch.chdir(root)
+        monkeypatch.delenv("EQLOC_CAPS", raising=False)
+        report = tmp_path / "fixedpoint_report.json"
+        code, out, err = run(capsys, "localize", "-w",
+                             "tests/data/z2_example.json", "-d", "both",
+                             "--fixedpointwise-f", "empty-to-point",
+                             "--out", str(report))
+        assert code == 0, err
+        expected = json.loads((root / "perfbench" / "expected.json")
+                              .read_text(encoding="utf-8"))["fixedpoint"]
+        text = report.read_text(encoding="utf-8")
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
 # the bad value of each kind, as a flag or EQLOC_CAPS gives it and as a
 # spec's JSON gives it
 BAD_CAPS = {
@@ -848,6 +869,31 @@ class TestMalformedSpecs:
                              "--generators", "swap,nope")
         assert code == 1
         assert err == "error: --generators: unknown map 'nope'\n"
+
+    def test_flag_of_the_other_mode_is_refused(self, capsys):
+        code, out, err = run(capsys, "locality", "-w", Z2, "-d", "both",
+                             "--fixedpointwise-f", "empty-to-point",
+                             "--generators", "nope")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: --generators and --fixedpointwise-f cannot "
+                       "be given together\n")
+
+    def test_flag_beside_a_spec_is_refused(self, tmp_path, capsys):
+        doc = {"schema": "eqloc/1", "localization_specs": {
+            "V": {"fixedpointwise": "empty-to-point"}}}
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "locality", "-w", Z2, "-w", str(p),
+                             "-d", "both", "--spec", "V")
+        assert code == 0 and out.startswith("locality: no")
+        code, out, err = run(capsys, "locality", "-w", Z2, "-w", str(p),
+                             "-d", "both", "--spec", "V",
+                             "--generators", "nope")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: --spec and --generators cannot be given "
+                       "together\n")
 
     def test_generator_of_another_shape_is_named(self, capsys):
         # empty-to-point lives over the terminal category, both over Z/2

@@ -7,6 +7,7 @@ from eqloc.cat import (
     point_diagram,
     tensor,
     tensor_projection,
+    terminal_dmap,
     wrap_smap,
     wrap_sset,
 )
@@ -194,6 +195,14 @@ class TestEquivariantProbes:
         f = z2_collapse()
         v = is_weq_equivariant(f, orbits_of(f.source, f.target), 0, 1)
         assert v.value == "no"
+
+    def test_pi_n_failure_names_a_vertex_of_the_diagram(self):
+        # over a groupoid hom(T, X) is X(c)^H itself, cells and names
+        X = wrap_sset(truncated_nerve_z2(2))
+        f = terminal_dmap(X)
+        v = is_weq_equivariant(f, orbits_of(X, f.target), 1, 2)
+        assert (v.value, v.reason) == (
+            "no", f"orbit 0: pi_1 not bijective at {X.at['*'].cells(0)[0]}")
 
     def test_fibration_projection(self):
         X = trivial_z2_orbit()

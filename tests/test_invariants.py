@@ -309,7 +309,10 @@ class TestOneMechanismPerConcept:
     sphere lifting question of a simplicial map from homotopy.lifts, every
     isomorphism of diagrams from orbits.isomorphisms, the commutative
     squares of a member from soa.extensions, the cap of an orbit setup
-    from one groupoid test in each of its two builders, and every list of
+    from one groupoid test in each of its two builders, the reading of
+    hom(T, -) as fixed points from one groupoid test in each of its three
+    callers (the locality probe, the fixed-point report and the
+    equivariant probes' hom(T, f)), and every list of
     orbits up to isomorphism from one first-copy dedup in orbits, the
     cells of a stage from one n-ary pushout of its squares' spans, and every
     pushout and colimit from one glued space, glue.Glued."""
@@ -334,7 +337,8 @@ class TestOneMechanismPerConcept:
         assert _callers("_fillers") == {
             ("homotopy", "lifts"), ("homotopy", "sphere_simplices")}
         assert _callers("lifts") == {
-            ("homotopy", "is_kan"), ("homotopy", "is_fibration_equivariant")}
+            ("homotopy", "is_kan"), ("homotopy", "is_fibration_equivariant"),
+            ("localization", "is_S_local")}
         # outside the hom search, only the filler lookup reads the index
         assert {c for c in _callers("_boundary_index")
                 if c[0] != "simplicial"} == {("homotopy", "_fillers")}
@@ -349,7 +353,9 @@ class TestOneMechanismPerConcept:
 
     def test_one_groupoid_cap_choice(self):
         assert _callers("is_groupoid") == {
-            ("soa", "_cap"), ("orbits", "_level_orbits")}
+            ("soa", "_cap"), ("orbits", "_level_orbits"),
+            ("homotopy", "_orbit_hom_post"), ("localization", "is_S_local"),
+            ("localization", "fixed_point_locality_report")}
         # in PullbackHomFamily only the cap choice reads self.dim_cap
         family = next(c for c in ast.walk(_tree("soa"))
                       if isinstance(c, ast.ClassDef)

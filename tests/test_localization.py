@@ -1,9 +1,15 @@
+import random
+
 import pytest
 
 from eqloc.cat import (
+    Diagram,
     DiagramMap,
+    SmallCategory,
+    arrow_category,
     empty_diagram,
     hom_complex,
+    hom_complex_post,
     identity_dmap,
     point_diagram,
     pushout_D,
@@ -14,14 +20,24 @@ from eqloc.cat import (
     wrap_sset,
 )
 from eqloc.fixtures import (
+    arrow_orbit,
     empty_to_point_map,
     free_z2_orbit,
     trivial_z2_orbit,
     two_points_diagram,
     z2_category,
+    z2_collapse,
     z2_two_orbits,
 )
-from eqloc.homotopy import is_kan, pi0
+from eqloc.homotopy import (
+    fixed_points,
+    is_fibration_equivariant,
+    is_kan,
+    is_weq_equivariant,
+    lifts,
+    pi0,
+    weq_probe_all,
+)
 from eqloc.localization import (
     LocalizationCaps,
     LocalizationSpec,
@@ -44,12 +60,19 @@ from eqloc.simplicial import (
     SimplicialSet,
     boundary_inclusion,
     constant_map,
+    isomorphic,
     nondeg,
     point,
     standard_simplex,
 )
-from eqloc.soa import verify_square
-from oracles import swapped_loops
+from eqloc.soa import Budget, verify_square
+from oracles import (
+    fixed_point_locality_report_oracle,
+    is_S_local_oracle,
+    random_z2_diagram,
+    swapped_loops,
+    two_object_swapped_loops,
+)
 
 
 def d1_shape():
@@ -300,3 +323,148 @@ class TestFixedPointwise:
             assert rep.components == 1
             assert rep.fibrant
             assert rep.local.value == "yes"
+
+
+def _two_components(Xa, Xb):
+    """Xa and Xb over the discrete groupoid on two objects."""
+    D = SmallCategory(["a", "b"], [("ida", "a", "a"), ("idb", "b", "b")],
+                      {"a": "ida", "b": "idb"}, {})
+    return Diagram(D, {"a": Xa, "b": Xb}, {})
+
+
+def _fixed_point_cases():
+    """Diagrams over groupoid shapes: the Z/2 fixtures, the swapped loops
+    at one object and at two, two diagrams over two components, and 40
+    seeded random Z/2 diagrams."""
+    rng = random.Random(271828)
+    return [free_z2_orbit(), trivial_z2_orbit(), z2_two_orbits(),
+            swapped_loops(), two_object_swapped_loops(),
+            _two_components(point(), SimplicialSet([], {})),
+            _two_components(swapped_loops().at["*"], point()),
+            *(random_z2_diagram(rng) for _ in range(40))]
+
+
+def _orbits_of_both_types(Z):
+    """The orbits of Z, with the free and trivial orbits over Z/2."""
+    if Z.shape == z2_category():
+        return orbits_of(Z, z2_two_orbits())
+    return orbits_of(Z)
+
+
+class TestFixedPointReading:
+    """On a groupoid shape the locality probe and the fixed-point report
+    read hom(T, Z) as homotopy.fixed_points and build no mapping complex; their
+    answers are those of the square probe and of the hom_complex report in
+    tests/oracles.py."""
+
+    def test_probe_matches_square_oracle(self):
+        seen = set()
+        for Z in _fixed_point_cases():
+            for dim_cap in (0, 1, 2):
+                for probe_n_cap in (1, 2):
+                    spec = LocalizationSpec(
+                        Z.shape, fixedpointwise=empty_to_point_map(),
+                        caps=LocalizationCaps(dim_cap=dim_cap,
+                                              probe_n_cap=probe_n_cap))
+                    v = is_S_local(Z, spec)
+                    assert v == is_S_local_oracle(Z, spec)
+                    seen.add(v.reason or v.value)
+        assert seen == {"yes", "no lift for J@2_0", "no lift for HorF@0",
+                        "no lift for HorF@1", "no lift for HorF@2"}
+
+    def test_probe_matches_square_oracle_on_local_objects(self):
+        spec = LocalizationSpec(z2_category(),
+                                fixedpointwise=empty_to_point_map())
+        for X in (free_z2_orbit(), z2_two_orbits()):
+            Z = localize(X, spec).local_object
+            for probe_n_cap in (1, 2):
+                probe = LocalizationSpec(
+                    Z.shape, fixedpointwise=empty_to_point_map(),
+                    caps=LocalizationCaps(probe_n_cap=probe_n_cap))
+                v = is_S_local(Z, probe)
+                assert v == is_S_local_oracle(Z, probe)
+                assert v.value == "yes"
+
+    def test_report_matches_hom_complex_oracle(self):
+        vertex = SimplicialMap(point(), standard_simplex(1), {"0": nondeg("0")})
+        for Z in _fixed_point_cases():
+            Ts = _orbits_of_both_types(Z)
+            for f, pi_caps in ((empty_to_point_map(), (0, 1, 2)),
+                               (boundary_inclusion(1), (0,)), (vertex, (0,))):
+                for pi_cap in pi_caps:
+                    for probe_n_cap in (1, 2):
+                        for hom_cap in (1, 2):
+                            caps = LocalizationCaps(
+                                probe_n_cap=probe_n_cap, pi_cap=pi_cap,
+                                hom_cap=hom_cap)
+                            assert fixed_point_locality_report(
+                                Z, f, Ts, caps) == \
+                                fixed_point_locality_report_oracle(
+                                    Z, f, Ts, caps)
+
+    def test_fixed_points_present_the_mapping_complex(self):
+        for Z in _fixed_point_cases():
+            for T in _orbits_of_both_types(Z):
+                for cap in (0, 1, 2):
+                    assert isomorphic(fixed_points(Z, T, cap),
+                                      hom_complex(T, Z, cap).space) \
+                        is not None
+
+    def test_equivariant_probes_match_hom_complex(self):
+        maps = [z2_collapse(), identity_dmap(swapped_loops()),
+                *(terminal_dmap(Z) for Z in _fixed_point_cases()[:27])]
+        budget = Budget(stages=3, n_cap=1, dim_cap=0)
+        for f in maps:
+            Ts = _orbits_of_both_types(f.source)
+            for hom_cap in (1, 2):
+                posts = [hom_complex_post(T, f, hom_cap) for T in Ts]
+                assert is_fibration_equivariant(f, Ts, 2, hom_cap) == all(
+                    lifts(phi, n, k) for phi in posts
+                    for n in (1, 2) for k in range(n + 1))
+                assert is_weq_equivariant(f, Ts, 0, hom_cap) == \
+                    weq_probe_all(posts, "orbit", 0, budget,
+                                  ("pi_cap", 0, "hom_cap", hom_cap))
+
+    def test_groupoid_runs_build_no_mapping_complex(self, monkeypatch):
+        import eqloc.cat
+        import eqloc.localization
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mapping complex or square probe built")
+        for module, name in ((eqloc.localization, "hom_complex"),
+                             (eqloc.localization, "class_K"),
+                             (eqloc.cat, "hom_complex"),
+                             (eqloc.cat, "hom_complex_post")):
+            monkeypatch.setattr(module, name, refuse)
+        spec = LocalizationSpec(z2_category(),
+                                fixedpointwise=empty_to_point_map())
+        for Z in (z2_two_orbits(), swapped_loops(),
+                  two_object_swapped_loops()):
+            is_S_local(Z, LocalizationSpec(
+                Z.shape, fixedpointwise=empty_to_point_map()))
+            fixed_point_locality_report(Z, spec.f, _orbits_of_both_types(Z),
+                                        spec.caps)
+
+    def test_arrow_shape_keeps_the_square_probe(self, monkeypatch):
+        import eqloc.localization
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+        for name in ("class_K", "hom_complex"):
+            monkeypatch.setattr(eqloc.localization, name,
+                                counted(getattr(eqloc.localization, name)))
+        Z = arrow_orbit(SimplicialSet([["u", "v"]], {}))
+        spec = LocalizationSpec(arrow_category(),
+                                fixedpointwise=empty_to_point_map())
+        assert not arrow_category().is_groupoid()
+        Ts = orbits_of(Z)
+        v = is_S_local(Z, spec)
+        reports = fixed_point_locality_report(Z, spec.f, Ts, spec.caps)
+        assert calls == ["class_K"] + ["hom_complex"] * len(Ts)
+        assert v == is_S_local_oracle(Z, spec)
+        assert reports == fixed_point_locality_report_oracle(
+            Z, spec.f, Ts, spec.caps)

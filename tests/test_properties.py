@@ -105,6 +105,7 @@ from oracles import (
     sset_doc_oracle,
     setup_J_oracle,
     swapped_loops,
+    two_object_swapped_loops,
     validate_oracle,
     verify_map_oracle,
 )
@@ -342,23 +343,10 @@ class TestPullbackHomFamily:
                     assert connect == ref_connect
 
 
-def _two_object_groupoid_diagram():
-    """The swapped loops at two objects a and b, with mutually inverse
-    arrows f: a -> b and h: b -> a that both act by the swap."""
-    loops = swapped_loops()
-    D = SmallCategory(["a", "b"],
-                      [("ida", "a", "a"), ("idb", "b", "b"),
-                       ("f", "a", "b"), ("h", "b", "a")],
-                      {"a": "ida", "b": "idb"},
-                      {("h", "f"): "ida", ("f", "h"): "idb"})
-    S, swap = loops.at["*"], loops.act["g1"]
-    return Diagram(D, {"a": S, "b": S}, {"f": swap, "h": swap})
-
-
 def _groupoid_arrows():
     """Arrows over groupoid shapes: the Z/2 fixtures, the swapped loops,
     seeded random Z/2 diagrams and the two-object groupoid diagram."""
-    loops, pair = swapped_loops(), _two_object_groupoid_diagram()
+    loops, pair = swapped_loops(), two_object_swapped_loops()
     rng = random.Random(161803)
     randoms = [random_z2_diagram(rng) for _ in range(4)]
     return [terminal_dmap(z2_two_orbits()), z2_collapse(),
