@@ -1,7 +1,8 @@
 """Equivariant weak-equivalence and fibration probes, Kan machinery,
-combinatorial homotopy groups at a cap, cylinders, cones and null homotopies,
-and the fixed points that present hom(T, Z) for an orbit T over a groupoid
-shape.
+combinatorial homotopy groups at a cap, cylinders, cones and null homotopies.
+The fill test `lifts` and the fixed points that present hom(T, Z) for an
+orbit T over a groupoid shape live in soa, which the small object argument
+reads them from.
 
 Weak-equivalence checking is a semi-decision: verdicts are three-valued and
 every report names the caps it was computed at.
@@ -33,11 +34,8 @@ from .simplicial import (
     BudgetExceeded,
     SimplicialMap,
     SimplicialSet,
-    boundary,
     constant_map,
     degenerate_at,
-    hom_set,
-    horn,
     is_injective,
     nondeg,
     point,
@@ -46,8 +44,11 @@ from .simplicial import (
 from .soa import (
     Budget,
     extensions,
+    fixed_points_post,
+    lifts,
     setup_J,
     small_object_argument,
+    sphere_simplices,
 )
 
 
@@ -71,39 +72,6 @@ INCONCLUSIVE = "inconclusive"
 # Kan conditions and homotopy groups of simplicial sets
 
 
-def _fillers(X: SimplicialSet, n, faces, k=None, missing=()):
-    """The n-simplices of X with faces d_0 .. d_n (none when n = 0), in
-    canonical order.  With k given, d_k is free: each candidate for it
-    with the boundary missing gives one full boundary to look up."""
-    if k is None:
-        return X._boundary_index(n).get(tuple(faces), ())
-    return (s for cand in X._boundary_index(n - 1).get(missing, ())
-            for s in X._boundary_index(n).get(
-                (*faces[:k], cand, *faces[k + 1:]), ()))
-
-
-def lifts(p: SimplicialMap, n, k=None) -> bool:
-    """Whether p: X -> Y lifts against the horn Lambda^n_k -> Delta^n, or
-    against the sphere boundary(n) -> Delta^n when k is None: over every
-    n-simplex of Y that fills the image of a horn (sphere) of X, some filler
-    of that horn (sphere) in X."""
-    X, Y = p.source, p.target
-    names = [".".join(str(v) for v in range(n + 1) if v != i)
-             for i in range(n + 1)] if n else []
-    for a in hom_set(boundary(n) if k is None else horn(n, k), X):
-        faces = [None if i == k else a(nondeg(c)) for i, c in enumerate(names)]
-        below = [None if s is None else p(s) for s in faces]
-        # the boundary of the free face d_k, which the other faces fix by
-        # the simplicial identities; p carries it to the one below
-        missing = () if k is None or n < 2 else tuple(
-            X.face(faces[j], k - 1) if j < k else X.face(faces[j + 1], k)
-            for j in range(n))
-        if not all(any(p(l) == b for l in _fillers(X, n, faces, k, missing))
-                   for b in _fillers(Y, n, below, k, tuple(map(p, missing)))):
-            return False
-    return True
-
-
 def is_kan(X: SimplicialSet, n_cap) -> bool:
     """Right lifting of X -> point against all horns of dimension <= n_cap.
     This certifies fibrancy only up to the cap; callers flag truncation."""
@@ -122,11 +90,6 @@ def pi0(X: SimplicialSet):
         faces = X.cell_faces(e)
         uf.union(faces[0].cell, faces[1].cell)
     return tuple(tuple(sorted(c)) for c in uf.classes(X.cells(0)).values())
-
-
-def sphere_simplices(X: SimplicialSet, basepoint, n):
-    """n-simplices whose every face is the degenerate basepoint."""
-    return list(_fillers(X, n, [degenerate_at(X, basepoint, n - 1)] * (n + 1)))
 
 
 def pi_n(X: SimplicialSet, basepoint, n, kan_checked=False):
@@ -233,74 +196,7 @@ def sset_weq_probe(phi: SimplicialMap, pi_cap, budget: Budget) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # equivariant probes through orbit mapping complexes, read as fixed points
-# on groupoid shapes
-
-
-def _fixed(Z: Diagram, c, H, cap) -> SimplicialSet:
-    """The cap-skeleton of Z(c)^H: the cells of Z(c) up to the cap that
-    every arrow in H fixes, with their own face tuples."""
-    X = Z.at[c]
-    acts = [Z.act[g] for g in H]
-    levels = [[x for x in X.cells(n)
-               if all(a(nondeg(x)) == nondeg(x) for a in acts)]
-              for n in range(cap + 1)]
-    return SimplicialSet(levels, {x: X.cell_faces(x)
-                                  for cells in levels[1:] for x in cells})
-
-
-def _orbit_type(T: Diagram):
-    """(c, H): the first object c where the orbit T is non-empty, and the
-    stabilizer H in Aut(c) of T's first vertex t there."""
-    c = next(d for d in T.shape.objects if T.at[d].cells(0))
-    t = nondeg(T.at[c].cells(0)[0])
-    return c, [g for g in T.shape.hom(c, c) if T.act[g](t) == t]
-
-
-def fixed_points(Z: Diagram, T: Diagram, cap) -> SimplicialSet:
-    """hom(T, Z) up to the cap for an orbit T over a groupoid shape, read
-    off Z's action as the cap-skeleton of Z(c)^H, (c, H) = _orbit_type(T).
-
-    This is Elmendorf's (Systems of fixed point sets, 1983).  T is discrete
-    (soa.PullbackHomFamily), and every vertex of T(d) is m.t for an arrow
-    m: c -> d, since over a groupoid the zigzags presenting colim T compose
-    to one arrow.  So a map T (x) Delta^n -> Z is fixed by the image z of
-    (t, iota_n), an n-simplex of Z(c) that H fixes, and each such z extends
-    by m.t |-> m.z, well defined as m.t = m'.t puts m'^-1 m in H.  An
-    automorphism sends s_w x to s_w (g.x) and commutes with faces, so a
-    simplex is fixed when its cell is, and the fixed cells with their own
-    faces are a subcomplex.
-    """
-    c, H = _orbit_type(T)
-    return _fixed(Z, c, H, cap)
-
-
-def fixed_points_post(T: Diagram, f: DiagramMap, cap) -> SimplicialMap:
-    """hom(T, f) for an orbit T over a groupoid shape: f at c restricted
-    to `fixed_points`, whose fixed cells f sends to fixed simplices."""
-    c, H = _orbit_type(T)
-    source = _fixed(f.source, c, H, cap)
-    return SimplicialMap(source, _fixed(f.target, c, H, cap),
-                         images=tuple(f.components[c](nondeg(x))
-                                      for x in source.all_cells()))
-
-
-def fixed_point_spaces(Z: Diagram, cap) -> tuple:
-    """The distinct cap-skeleta Z(c)^H over a groupoid shape, c over the
-    objects and H over the intersections of the cell stabilizers in
-    Aut(c), Aut(c) included: any other subgroup fixes the cells that the
-    intersection of the stabilizers containing it fixes."""
-    D = Z.shape
-    spaces = {}
-    for c in D.objects:
-        auts = frozenset(D.hom(c, c))
-        subgroups = {auts}
-        for x in Z.at[c].all_cells():
-            stab = frozenset(g for g in auts
-                             if Z.act[g](nondeg(x)) == nondeg(x))
-            subgroups |= {stab & H for H in subgroups}
-        for H in sorted(subgroups, key=sorted):
-            spaces.setdefault(_fixed(Z, c, H, cap))
-    return tuple(spaces)
+# (soa.fixed_points_post) on groupoid shapes
 
 
 def _orbit_hom_post(T: Diagram, f: DiagramMap, hom_cap) -> SimplicialMap:

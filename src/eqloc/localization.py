@@ -34,10 +34,7 @@ from .homotopy import (
     YES,
     Verdict,
     cylinder,
-    fixed_point_spaces,
-    fixed_points,
     is_kan,
-    lifts,
     pi0,
     pi_n,
     sset_weq_probe,
@@ -48,11 +45,9 @@ from .simplicial import (
     SimplicialMap,
     boundary,
     boundary_inclusion,
-    constant_map,
     identity_map,
     is_injective,
     is_isomorphism,
-    point,
     standard_simplex,
 )
 from .soa import (
@@ -63,6 +58,8 @@ from .soa import (
     PullbackHomFamily,
     extensions,
     find_lift,
+    first_unlifted,
+    fixed_points,
     setup_J,
     setup_from_set,
     setup_union,
@@ -247,45 +244,20 @@ def localize(X: Diagram, spec: LocalizationSpec) -> LocalizationResult:
 
 
 def is_S_local(Z: Diagram, spec: LocalizationSpec) -> Verdict:
-    """Right lifting of Z -> point against every assigned J- and horn-square;
-    the verdict names the first member, in class_K(spec, probe=True)'s
-    order, with a square that does not lift.
-
-    On a groupoid shape with f isomorphic to empty -> point no square is
-    built.  By adjunction (Hovey, Model Categories, ch. 4) a square at
-    T (x) (j: K -> L) is a map lambda: K -> Z(c), with T = G/Stab(lambda),
-    and it lifts when lambda extends over L in Z(c)^Stab(lambda)
-    (homotopy.fixed_points).  For J@n_k, j is the horn of Delta^n at k; for
-    HorF@n the corner Delta^n x empty u bd n x point -> Delta^n x point is
-    bd n -> Delta^n.  So a member fails exactly when homotopy.lifts(Z(c)^H
-    -> point, n, k), k None for HorF, fails for some H in
-    homotopy.fixed_point_spaces: Stab(lambda) is the intersection of the
-    stabilizers of the cells lambda reaches, and a horn lambda of Z(c)^H
-    with no filler there has none in the subcomplex Z(c)^Stab(lambda),
-    as Stab(lambda) contains H.  Other shapes, set mode and other f
-    search a lift of each assigned square.
+    """Right lifting of Z -> point against every square that
+    class_K(spec, probe=True) assigns, decided by soa.first_unlifted: the
+    verdict names the first member, in that order, with a square that does
+    not lift.  On a groupoid shape the pullback-hom families, J and HorF,
+    are read off the fixed points of Z with no square built; the set
+    family Hor searches a lift of each of its squares.
     """
     caps = ("hor_n_cap", spec.caps.hor_n_cap,
             "probe_n_cap", spec.caps.probe_n_cap,
             "dim_cap", spec.caps.dim_cap)
-    if (spec.mode == "fixedpointwise" and Z.shape.is_groupoid()
-            and is_empty_to_point(spec.f)):
-        n_cap, h_cap = spec.caps.probe_n_cap, spec.caps.hor_n_cap
-        to_point = [constant_map(M, point(), "0") for M in
-                    fixed_point_spaces(Z, max(n_cap, h_cap))]
-        members = [(f"J@{n}_{k}", n, k)
-                   for n in range(1, n_cap + 1) for k in range(n + 1)]
-        members += [(f"HorF@{n}", n, None) for n in range(h_cap + 1)]
-        for member_id, n, k in members:
-            if not all(lifts(p, n, k) for p in to_point):
-                return Verdict(NO, caps, f"no lift for {member_id}")
+    member = first_unlifted(terminal_dmap(Z), class_K(spec, probe=True))
+    if member is None:
         return Verdict(YES, caps)
-    instr = class_K(spec, probe=True)
-    t = terminal_dmap(Z)
-    for sq in instr.assign(t):
-        if find_lift(sq.top, t, sq.left, sq.right) is None:
-            return Verdict(NO, caps, f"no lift for {sq.member_id}")
-    return Verdict(YES, caps)
+    return Verdict(NO, caps, f"no lift for {member}")
 
 
 def is_S_equivalence(g: DiagramMap, spec: LocalizationSpec,
@@ -384,7 +356,7 @@ def fixed_point_locality_report(Z: Diagram, f: SimplicialMap, orbits,
                                 caps: LocalizationCaps):
     """Per-orbit f-locality of the fixed-point spaces hom(T, Z), T in orbits.
 
-    On a groupoid shape hom(T, Z) is read as homotopy.fixed_points(Z, T,
+    On a groupoid shape hom(T, Z) is read as soa.fixed_points(Z, T,
     hom_cap), which is isomorphic to the hom_complex(T, Z, hom_cap) that
     every other shape reads.
 

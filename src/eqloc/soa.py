@@ -1,12 +1,16 @@
-"""Factorization setups, instrumented classes, lifting search, and the
-generalized small object argument with full traces and functorial action.
+"""Factorization setups, instrumented classes, lifting search, the fill
+test by adjunction, and the generalized small object argument with full
+traces and functorial action.
 
 An instrumentation is a union of named families, each assigning to every
 arrow a finite set of attachment squares, functorially in the arrow; each
 square names its family in meta[0].  The argument iterates: glue in the
 target of every attached square's top along its source, all in one pushout
 of the squares' spans, and stop when every assigned square already lifts.
-Transfinite stages are replaced by a stage budget.
+That stop is decided by `first_unlifted` before any square is assigned: on
+a groupoid shape a pullback-hom family is read off the fixed points of the
+arrow, so the last stage builds no cotensor, orbit or square of such a
+family.  Transfinite stages are replaced by a stage budget.
 """
 
 from __future__ import annotations
@@ -33,10 +37,16 @@ from .cat import (
     pushout_D,
     tensor_map,
 )
+from .glue import pushout
 from .orbits import OrbitMap, orbit_naturality, orbit_setup
 from .simplicial import (
+    Simplex,
     SimplicialMap,
+    SimplicialSet,
+    backtrack,
     boundary_inclusion,
+    compose_words,
+    degenerate_at,
     divide_word,
     enumerate_maps,
     horn_inclusion,
@@ -103,9 +113,13 @@ class Instrumentation:
             self.families[fam.name] = fam
         self.budget = budget
 
-    def assign(self, arrow: DiagramMap):
-        return tuple(sq for fam in self.families.values()
-                     for sq in fam.assign(arrow))
+    def assign(self, arrow: DiagramMap, assigned=None):
+        """The squares of every family; assigned maps the names of families
+        whose squares of this arrow are already built to those squares."""
+        assigned = assigned or {}
+        return tuple(sq for name, fam in self.families.items()
+                     for sq in (assigned[name] if name in assigned
+                                else fam.assign(arrow)))
 
     def transport(self, g: ArrowSquare, sq: Square):
         return self.families[sq.meta[0]].transport(g, sq)
@@ -180,6 +194,12 @@ class CornerMember(Record, frozen=True):
     corners: tuple
     span: tuple = ()
 
+    @functools.cached_property
+    def inclusion(self) -> SimplicialMap:
+        """j: K -> L, with K the union of the X-corners."""
+        legs = [leg for _, leg in self.corners]
+        return pushout([self.span]).mediate(legs) if self.span else legs[0]
+
 
 def _glue(po, maps):
     """The map out of T (x) K that is maps[i] on the i-th X-corner."""
@@ -230,6 +250,9 @@ class PullbackHomFamily:
         """The cap W of g is built at: 0 on a groupoid shape, else dim_cap."""
         return 0 if g.source.shape.is_groupoid() else self.dim_cap
 
+    def member_id(self, m: CornerMember) -> str:
+        return f"{self.name}@" + "_".join(map(str, m.meta))
+
     def _w(self, g: DiagramMap, m: CornerMember, cap: int):
         """W of the arrow g, with the cotensor of every factor."""
         ends = (g.source, g.target)
@@ -264,7 +287,7 @@ class PullbackHomFamily:
                                    for _, leg in m.corners]),
                     left=_glue(po, [adj[i] for i, _ in m.corners]),
                     right=adj[m.factors.index((1, L))], bottom=g,
-                    member_id=f"{self.name}@" + "_".join(map(str, m.meta)),
+                    member_id=self.member_id(m),
                     meta=(self.name,) + m.meta + (o.witness,), orbit=o)
         return sq, po
 
@@ -395,6 +418,232 @@ def rlp_check(i: DiagramMap, p: DiagramMap) -> RlpReport:
 
 
 # ---------------------------------------------------------------------------
+# fillers of simplicial sets and fixed points over groupoid shapes
+
+
+def _fillers(X: SimplicialSet, m, faces) -> tuple:
+    """The m-simplices of X with faces d_0 .. d_m (all vertices when m = 0),
+    in canonical order."""
+    return X._boundary_index(m).get(tuple(faces), ())
+
+
+def sphere_simplices(X: SimplicialSet, basepoint, n):
+    """n-simplices whose every face is the degenerate basepoint."""
+    return list(_fillers(X, n, [degenerate_at(X, basepoint, n - 1)] * (n + 1)))
+
+
+@functools.cache
+def _fill_plan(j: SimplicialMap):
+    """(k, plan) for extensions along the inclusion j: K -> L: plan lists the
+    cells of L as (dimension, faces as (position, word)), the k cells of K
+    first, each right after its faces, then the others by dimension."""
+    L = j.target
+    inside = {j(nondeg(c)).cell for c in j.source.all_cells()}
+    order, placed = [], set()
+    for top in reversed([c for c in L.all_cells() if c in inside]):
+        stack = [(top, False)]
+        while stack:
+            cell, ready = stack.pop()
+            if cell in placed:
+                continue
+            if ready:
+                placed.add(cell)
+                order.append(cell)
+            else:
+                stack.append((cell, True))
+                stack.extend((f.cell, False) for f in reversed(
+                    L.cell_faces(cell) if L.cell_dim(cell) else ()))
+    k = len(order)
+    order += [c for c in L.all_cells() if c not in inside]
+    pos = {c: i for i, c in enumerate(order)}
+    return k, [(L.cell_dim(c), tuple(
+        (pos[f.cell], f.word)
+        for f in (L.cell_faces(c) if L.cell_dim(c) else ()))) for c in order]
+
+
+def _some(n, candidates, check) -> bool:
+    """Whether some choice of n slots, slot i from candidates(i, chosen),
+    passes check(chosen)."""
+    if n == 0:
+        return check([])
+    return bool(backtrack(n, candidates, lambda chosen: True,
+                          accept=lambda i, chosen: i < n - 1 or check(chosen),
+                          limit=1))
+
+
+def lifts(p: SimplicialMap, j, k=None) -> bool:
+    """Whether p: X -> Y has the right lifting property against the
+    inclusion j: K -> L: every a: K -> X and b: L -> Y with p a = b j have a
+    filler l: L -> X, l j = a and p l = b.  An int j = n stands for the horn
+    Lambda^n_k -> Delta^n, or for the sphere bd n -> Delta^n when k is None.
+
+    Maps are searched cell by cell through the boundary indexes: a over the
+    cells of K, each right after its faces, then b and l over the other
+    cells of L by dimension.  The first (a, b) with no filler ends the
+    search, so a failing inclusion with many maps out of K is decided
+    without listing them."""
+    if isinstance(j, int):
+        j = boundary_inclusion(j) if k is None else horn_inclusion(j, k)
+    known, plan = _fill_plan(j)
+    X, Y = p.source, p.target
+    rest = len(plan) - known
+
+    def candidates(Z, i, inner, outer):
+        """Simplices of Z for cell i of the plan, with the cells of K
+        valued by inner and the others by outer."""
+        m, faces = plan[i]
+        return _fillers(Z, m, [
+            Simplex(compose_words(w, v.word), v.cell) if w else v
+            for v, w in ((inner[s] if s < known else outer[s - known], w)
+                         for s, w in faces)])
+
+    def unfilled(a):
+        a = list(a)
+        pa = [p(x) for x in a]
+
+        def no_filler(b):
+            return not _some(rest, lambda i, l: (
+                x for x in candidates(X, known + i, a, l) if p(x) == b[i]),
+                lambda l: True)
+        return _some(rest, lambda i, b: candidates(Y, known + i, pa, b),
+                     no_filler)
+    return not _some(known, lambda i, a: candidates(X, i, a, None), unfilled)
+
+
+def _fixed(Z: Diagram, c, H, cap) -> SimplicialSet:
+    """The cap-skeleton of Z(c)^H: the cells of Z(c) up to the cap that
+    every arrow in H fixes, with their own face tuples."""
+    X = Z.at[c]
+    acts = [Z.act[g] for g in H]
+    levels = [[x for x in X.cells(n)
+               if all(a(nondeg(x)) == nondeg(x) for a in acts)]
+              for n in range(cap + 1)]
+    return SimplicialSet(levels, {x: X.cell_faces(x)
+                                  for cells in levels[1:] for x in cells})
+
+
+def _fixed_map(f: DiagramMap, c, H, cap) -> SimplicialMap:
+    """f at c restricted to the cap-skeleta of the fixed points of H, whose
+    fixed cells f sends to fixed simplices."""
+    source = _fixed(f.source, c, H, cap)
+    return SimplicialMap(source, _fixed(f.target, c, H, cap),
+                         images=tuple(f.components[c](nondeg(x))
+                                      for x in source.all_cells()))
+
+
+def _orbit_type(T: Diagram):
+    """(c, H): the first object c where the orbit T is non-empty, and the
+    stabilizer H in Aut(c) of T's first vertex t there."""
+    c = next(d for d in T.shape.objects if T.at[d].cells(0))
+    t = nondeg(T.at[c].cells(0)[0])
+    return c, [g for g in T.shape.hom(c, c) if T.act[g](t) == t]
+
+
+def fixed_points(Z: Diagram, T: Diagram, cap) -> SimplicialSet:
+    """hom(T, Z) up to the cap for an orbit T over a groupoid shape, read
+    off Z's action as the cap-skeleton of Z(c)^H, (c, H) = _orbit_type(T).
+
+    This is Elmendorf's (Systems of fixed point sets, 1983).  T is discrete
+    (PullbackHomFamily), and every vertex of T(d) is m.t for an arrow
+    m: c -> d, since over a groupoid the zigzags presenting colim T compose
+    to one arrow.  So a map T (x) Delta^n -> Z is fixed by the image z of
+    (t, iota_n), an n-simplex of Z(c) that H fixes, and each such z extends
+    by m.t |-> m.z, well defined as m.t = m'.t puts m'^-1 m in H.  An
+    automorphism sends s_w x to s_w (g.x) and commutes with faces, so a
+    simplex is fixed when its cell is, and the fixed cells with their own
+    faces are a subcomplex.
+    """
+    c, H = _orbit_type(T)
+    return _fixed(Z, c, H, cap)
+
+
+def fixed_points_post(T: Diagram, f: DiagramMap, cap) -> SimplicialMap:
+    """hom(T, f) for an orbit T over a groupoid shape: f at c restricted
+    to `fixed_points`."""
+    return _fixed_map(f, *_orbit_type(T), cap)
+
+
+def fixed_point_maps(g: DiagramMap, cap) -> tuple:
+    """The distinct cap-skeleta g(c)^H: X(c)^H -> Y(c)^H of g: X -> Y over a
+    groupoid shape, c over the objects and H over the intersections of the
+    stabilizers in Aut(c) of the cells of X(c) and of Y(c), Aut(c)
+    included."""
+    D = g.source.shape
+    maps = {}
+    for c in D.objects:
+        auts = frozenset(D.hom(c, c))
+        subgroups = {auts}
+        for Z in (g.source, g.target):
+            for x in Z.at[c].all_cells():
+                stab = frozenset(h for h in auts
+                                 if Z.act[h](nondeg(x)) == nondeg(x))
+                subgroups |= {stab & H for H in subgroups}
+        for H in sorted(subgroups, key=sorted):
+            maps.setdefault(_fixed_map(g, c, H, cap))
+    return tuple(maps)
+
+
+# ---------------------------------------------------------------------------
+# the fill test
+
+
+def first_unlifted(rho: DiagramMap, instr: Instrumentation,
+                   checked: Optional[dict] = None) -> Optional[str]:
+    """The member id of the first member of instr, in assign order, with a
+    square of rho that has no lift; None when every square lifts.
+
+    On a groupoid shape a pullback-hom family assigns no square.  Let
+    rho: X -> Y and let T (x) (j: K -> L) be a member.  W is built at cap 0
+    (PullbackHomFamily), so the family's squares are the orbits of the
+    vertices w = (a: K -> X(c), b: L -> Y(c)), rho a = b j, of W(c) over the
+    objects c.  By adjunction (Hovey, Model Categories, ch. 4) the square of
+    w has T = G/S, G = Aut(c) and S = Stab(w), and a lift T (x) L -> X is a
+    filler l: L -> X(c) of (a, b) that S fixes (`fixed_points`): a filler
+    of (a, b) against rho(c)^S: X(c)^S -> Y(c)^S.  An automorphism fixes
+    s_u x exactly when it fixes x, so S is the intersection of the
+    stabilizers of the cells that a and b reach.  Hence the member has a
+    square with no lift exactly when `lifts(rho(c)^H, j)` fails for some H
+    of `fixed_point_maps`: each S is such an H; and a square (a, b) of
+    rho(c)^H with no filler, for any subgroup H, lies in rho(c)^S' with
+    S' = Stab(a, b) containing H, where it has none either, as
+    X(c)^S' is a subcomplex of X(c)^H, so the square of the orbit of (a, b)
+    has no lift.  The fixed points are read up to the largest dim L, above
+    which no map out of L reaches.
+
+    j is the horn of J@n_k, the sphere of I@n and, for HorF@n, the
+    pushout-product corner C_n = Delta^n x A u bd n x B -> Delta^n x B of
+    f: A -> B (CornerMember.inclusion), which is bd n -> Delta^n for
+    f = empty -> point.  When Y is a point every Y(c)^H is a point.
+
+    Every other family assigns its squares and searches a lift of each.
+    checked, when given, receives the name of each such family with its
+    squares and the set of those without a lift, all of them searched, so
+    that a stage that attaches assigns and lifts none twice.
+    """
+    groupoid = rho.source.shape.is_groupoid()
+    for name, fam in instr.families.items():
+        if groupoid and isinstance(fam, PullbackHomFamily):
+            maps = fixed_point_maps(rho, max(
+                (m.inclusion.target.dim for m in fam.members.values()),
+                default=0))
+            for m in fam.members.values():
+                if not all(lifts(phi, m.inclusion) for phi in maps):
+                    return fam.member_id(m)
+            continue
+        squares = fam.assign(rho)
+        unlifted = (sq for sq in squares
+                    if find_lift(sq.top, rho, sq.left, sq.right) is None)
+        if checked is not None:
+            bad = set(unlifted)
+            checked[name] = (squares, bad)
+            unlifted = (sq for sq in squares if sq in bad)
+        first = next(unlifted, None)
+        if first is not None:
+            return first.member_id
+    return None
+
+
+# ---------------------------------------------------------------------------
 # the generalized small object argument
 
 
@@ -430,24 +679,33 @@ def small_object_argument(f: DiagramMap, instr: Instrumentation,
                           strict: bool = False) -> FactorizationResult:
     """Factor f as a cellular map followed by an injective one.
 
-    At each stage the assigned squares are tested for lifts; when all lift the
-    run stops with stabilization, otherwise the unsolved squares (all squares
-    in strict mode) are glued in by a single pushout.  delta . gamma = f holds
-    exactly for every run, including budget-stopped ones.
+    Each stage first asks `first_unlifted` whether some square lacks a lift;
+    when none does the run stops with stabilization, and no square is
+    assigned.  Otherwise the squares are assigned and tested for lifts, and
+    the unsolved squares (all squares in strict mode) are glued in by a
+    single pushout; a fill test that names a member while every square lifts
+    is a ValueError.  delta . gamma = f holds exactly for every run,
+    including budget-stopped ones.
     """
     max_stages = instr.budget.stages if stages is None else stages
     rho = f
     records = []
     stopped = "budget"
     for _ in range(max_stages):
-        squares = instr.assign(rho)
-        unsolved = []
-        for idx, sq in enumerate(squares):
-            if find_lift(sq.top, rho, sq.left, sq.right) is None:
-                unsolved.append(idx)
-        if not unsolved:
+        checked = {}
+        member = first_unlifted(rho, instr, checked)
+        if member is None:
             stopped = "stabilization"
             break
+        squares = instr.assign(rho, {name: sqs for name, (sqs, _)
+                                     in checked.items()})
+        unsolved = [idx for idx, sq in enumerate(squares)
+                    if (sq in checked[sq.meta[0]][1] if sq.meta[0] in checked
+                        else find_lift(sq.top, rho, sq.left, sq.right) is None)]
+        if not unsolved:
+            raise ValueError(f"stage {len(records) + 1}: the fill test finds "
+                             f"no lift for {member}, but every assigned "
+                             "square lifts")
         attach = tuple(range(len(squares))) if strict else tuple(unsolved)
         attached = [squares[i] for i in attach]
         po = pushout_D([(sq.left, sq.top) for sq in attached])

@@ -11,8 +11,10 @@ family, each building its own W, or by one function building W at a given
 cap whatever the shape; maps out of a coproduct by the summand cell names
 "<k>:<cell>"; each stage of the small object argument by coproducts of
 the tops, copairings and one pushout of a single span; and the locality
-probe and the fixed-point report by squares and mapping complexes on every
-shape.
+probe, the fill test and the fixed-point report by squares and mapping
+complexes on every shape, every stage of the argument, the last one too,
+by squares, and the fixed-pointwise probe also by naive extension of each
+map out of a horn or a corner into every fixed-point space.
 """
 
 import itertools
@@ -51,6 +53,7 @@ from eqloc.simplicial import (
     codegeneracy_map,
     compose_words,
     constant_map,
+    enumerate_maps,
     hom_set,
     horn_inclusion,
     identity_map,
@@ -798,20 +801,116 @@ class HorFFamilyOracle:
 # locality probes by squares and mapping complexes
 
 
+def first_unlifted_oracle(rho, instr):
+    """soa.first_unlifted by squares on every shape: the member id of the
+    first square, in instr.assign order, with no lift found by find_lift."""
+    for sq in instr.assign(rho):
+        if find_lift(sq.top, rho, sq.left, sq.right) is None:
+            return sq.member_id
+    return None
+
+
 def is_S_local_oracle(Z, spec):
     """is_S_local by squares on every shape: a lift of Z -> point searched
     for every square that class_K(spec, probe=True) assigns."""
     from eqloc.homotopy import NO, YES, Verdict
     from eqloc.localization import class_K
-    instr = class_K(spec, probe=True)
-    t = terminal_dmap(Z)
     caps = ("hor_n_cap", spec.caps.hor_n_cap,
             "probe_n_cap", spec.caps.probe_n_cap,
             "dim_cap", spec.caps.dim_cap)
-    for sq in instr.assign(t):
-        if find_lift(sq.top, t, sq.left, sq.right) is None:
-            return Verdict(NO, caps, f"no lift for {sq.member_id}")
-    return Verdict(YES, caps)
+    member = first_unlifted_oracle(terminal_dmap(Z), class_K(spec, probe=True))
+    if member is None:
+        return Verdict(YES, caps)
+    return Verdict(NO, caps, f"no lift for {member}")
+
+
+def _fixed_subcomplexes(Z):
+    """Z(c)^H for every object c and every subgroup H of Aut(c), found by
+    trying every subset of Aut(c) closed under composition."""
+    D = Z.shape
+    out = []
+    for c in D.objects:
+        auts = D.hom(c, c)
+        for r in range(1, len(auts) + 1):
+            for H in itertools.combinations(auts, r):
+                if any(D.compose(g, h) not in H for g in H for h in H):
+                    continue
+                X = Z.at[c]
+                fixed = [[x for x in X.cells(n) if all(
+                    Z.act[g](nondeg(x)) == nondeg(x) for g in H)]
+                    for n in range(X.dim + 1)]
+                out.append(SimplicialSet(fixed, {
+                    x: X.cell_faces(x) for cells in fixed[1:] for x in cells}))
+    return out
+
+
+def _maps_on_union(pieces, M, assigned):
+    """Every map from the union K of the images of the inclusions pieces,
+    all into one L, to M: dicts from the cells of K to simplices of M,
+    built piece by piece, each piece's maps by enumerate_maps pinned where
+    earlier pieces overlap it."""
+    if not pieces:
+        yield assigned
+        return
+    i = pieces[0]
+    image = {c: i(nondeg(c)).cell for c in i.source.all_cells()}
+    pins = {c: assigned[image[c]] for c in image if image[c] in assigned}
+    for x in enumerate_maps(i.source, M, pins=pins):
+        yield from _maps_on_union(pieces[1:], M, {
+            **assigned, **{image[c]: x(nondeg(c)) for c in image}})
+
+
+def fixed_point_fill_oracle(Z, spec):
+    """is_S_local of a fixed-pointwise spec over a groupoid shape by naive
+    extension: for each member in class_K order (J@n_k, then HorF@n), each
+    Z(c)^H and each map K -> Z(c)^H out of the horn or of the corner
+    Delta^n x A u bd n x B, a pinned enumerate_maps of the extensions over
+    Delta^n or Delta^n x B.  The maps out of the corner are those out of
+    bd n x B, each with those out of Delta^n x A that agree on bd n x A."""
+    from eqloc.homotopy import NO, YES, Verdict
+    caps = spec.caps
+    verdict_caps = ("hor_n_cap", caps.hor_n_cap,
+                    "probe_n_cap", caps.probe_n_cap, "dim_cap", caps.dim_cap)
+    members = [(f"J@{n}_{k}", [horn_inclusion(n, k)])
+               for n in range(1, caps.probe_n_cap + 1) for k in range(n + 1)]
+    for n in range(caps.hor_n_cap + 1):
+        _, maps = _corners_oracle(spec.f, n)
+        members.append((f"HorF@{n}", [maps["bB_dB"], maps["dA_dB"]]))
+    spaces = _fixed_subcomplexes(Z)
+    for member_id, pieces in members:
+        L = pieces[0].target
+        for M in spaces:
+            for a in _maps_on_union(pieces, M, {}):
+                if not enumerate_maps(L, M, pins=a):
+                    return Verdict(NO, verdict_caps, f"no lift for {member_id}")
+    return Verdict(YES, verdict_caps)
+
+
+def soa_square_oracle(f, instr, stages=None, strict=False):
+    """small_object_argument with every stage decided by squares: each
+    stage assigns and lifts every square, the last one too, and stops with
+    stabilization when all of them lift."""
+    from eqloc.soa import FactorizationResult, Stage
+    rho, records, stopped = f, [], "budget"
+    for _ in range(instr.budget.stages if stages is None else stages):
+        squares = instr.assign(rho)
+        unsolved = [idx for idx, sq in enumerate(squares)
+                    if find_lift(sq.top, rho, sq.left, sq.right) is None]
+        if not unsolved:
+            stopped = "stabilization"
+            break
+        attach = tuple(range(len(squares))) if strict else tuple(unsolved)
+        po = pushout_D([(squares[i].left, squares[i].top) for i in attach])
+        rho = po.mediate([rho, *(squares[i].right for i in attach)])
+        records.append(Stage(squares=squares, attached=attach,
+                             stage_map=po.legs[0], rho=rho, pushout=po))
+    gamma = identity_dmap(f.source)
+    for rec in records:
+        gamma = gamma.then(rec.stage_map)
+    return FactorizationResult(
+        arrow=f, gamma=gamma, delta=rho, stages=tuple(records),
+        stopped_by=stopped, strict=strict, instrumentation=instr.name,
+        budget=instr.budget)
 
 
 def fixed_point_locality_report_oracle(Z, f, orbits, caps):

@@ -740,6 +740,26 @@ class TestGroupoidRuns:
         assert out.returncode == 0, out.stderr
         assert "locality: yes" in out.stdout
 
+    def test_general_f_probe_is_decided(self, tmp_path, capsys):
+        """The swapped loops at f = bd 2 -> Delta^2: the locality probe
+        reads fixed points, so a one-stage run ends with a decisive verdict
+        (it did not return in minutes while it searched squares)."""
+        out_path = str(tmp_path / "loops.json")
+        code, out, err = run(capsys, "localize",
+                             "-w", str(DATA / "swapped_loops.json"),
+                             "-d", "loops", "--fixedpointwise-f", "bd2",
+                             "--n-cap", "1", "--j-n-cap", "1",
+                             "--probe-n-cap", "2", "--dim-cap", "1",
+                             "--hom-cap", "2", "--stages", "1",
+                             "--out", out_path)
+        assert code == 2, err  # stopped by the stage budget
+        doc = json.loads(pathlib.Path(out_path).read_text())
+        assert doc["trace"]["n_stages"] == 1
+        assert doc["trace"]["stopped_by"] == "budget"
+        assert doc["locality"] == {
+            "value": "no", "reason": "no lift for HorF@1",
+            "caps": ["hor_n_cap", "1", "probe_n_cap", "2", "dim_cap", "1"]}
+
 
 class TestBenchmarkReport:
     """The localize run of the benchmark's fixedpoint workload writes the

@@ -306,13 +306,13 @@ class TestOneMechanismPerConcept:
     """Normal forms of levelwise elements come from glue.normal_form_complex,
     components from glue.UnionFind, the worst verdict over a family of
     weak-equivalence probes from homotopy.weq_probe_all, every horn or
-    sphere lifting question of a simplicial map from homotopy.lifts, every
-    isomorphism of diagrams from orbits.isomorphisms, the commutative
+    sphere or corner lifting question of a simplicial map from soa.lifts,
+    every isomorphism of diagrams from orbits.isomorphisms, the commutative
     squares of a member from soa.extensions, the cap of an orbit setup
     from one groupoid test in each of its two builders, the reading of
     hom(T, -) as fixed points from one groupoid test in each of its three
-    callers (the locality probe, the fixed-point report and the
-    equivariant probes' hom(T, f)), and every list of
+    callers (the fill test soa.first_unlifted, the fixed-point report and
+    the equivariant probes' hom(T, f)), and every list of
     orbits up to isomorphism from one first-copy dedup in orbits, the
     cells of a stage from one n-ary pushout of its squares' spans, and every
     pushout and colimit from one glued space, glue.Glued."""
@@ -334,14 +334,15 @@ class TestOneMechanismPerConcept:
             ("localization", "is_S_equivalence")}
 
     def test_one_fill_test(self):
+        # lifts looks its candidates up through its helper `candidates`
         assert _callers("_fillers") == {
-            ("homotopy", "lifts"), ("homotopy", "sphere_simplices")}
+            ("soa", "candidates"), ("soa", "sphere_simplices")}
         assert _callers("lifts") == {
-            ("homotopy", "is_kan"), ("homotopy", "is_fibration_equivariant"),
-            ("localization", "is_S_local")}
+            ("soa", "first_unlifted"), ("homotopy", "is_kan"),
+            ("homotopy", "is_fibration_equivariant")}
         # outside the hom search, only the filler lookup reads the index
         assert {c for c in _callers("_boundary_index")
-                if c[0] != "simplicial"} == {("homotopy", "_fillers")}
+                if c[0] != "simplicial"} == {("soa", "_fillers")}
 
     def test_one_isomorphism_scan(self):
         assert _callers("isomorphisms") == {
@@ -354,7 +355,7 @@ class TestOneMechanismPerConcept:
     def test_one_groupoid_cap_choice(self):
         assert _callers("is_groupoid") == {
             ("soa", "_cap"), ("orbits", "_level_orbits"),
-            ("homotopy", "_orbit_hom_post"), ("localization", "is_S_local"),
+            ("homotopy", "_orbit_hom_post"), ("soa", "first_unlifted"),
             ("localization", "fixed_point_locality_report")}
         # in PullbackHomFamily only the cap choice reads self.dim_cap
         family = next(c for c in ast.walk(_tree("soa"))

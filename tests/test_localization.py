@@ -30,7 +30,6 @@ from eqloc.fixtures import (
     z2_two_orbits,
 )
 from eqloc.homotopy import (
-    fixed_points,
     is_fibration_equivariant,
     is_kan,
     is_weq_equivariant,
@@ -65,7 +64,7 @@ from eqloc.simplicial import (
     point,
     standard_simplex,
 )
-from eqloc.soa import Budget, verify_square
+from eqloc.soa import Budget, fixed_points, verify_square
 from oracles import (
     fixed_point_locality_report_oracle,
     is_S_local_oracle,
@@ -353,7 +352,7 @@ def _orbits_of_both_types(Z):
 
 class TestFixedPointReading:
     """On a groupoid shape the locality probe and the fixed-point report
-    read hom(T, Z) as homotopy.fixed_points and build no mapping complex; their
+    read hom(T, Z) as soa.fixed_points and build no mapping complex; their
     answers are those of the square probe and of the hom_complex report in
     tests/oracles.py."""
 
@@ -426,24 +425,38 @@ class TestFixedPointReading:
                                   ("pi_cap", 0, "hom_cap", hom_cap))
 
     def test_groupoid_runs_build_no_mapping_complex(self, monkeypatch):
+        """The probe and the report assign no pullback-hom square and build
+        no mapping complex; localize assigns J and HorF once at each stage
+        that attaches, and nothing at the last, which stabilizes."""
         import eqloc.cat
         import eqloc.localization
+        import eqloc.soa
+        assign = eqloc.soa.PullbackHomFamily.assign
+        assigned = []
+
+        def counted(family, g):
+            assigned.append(family.name)
+            return assign(family, g)
 
         def refuse(*args, **kwargs):
             raise AssertionError("mapping complex or square probe built")
         for module, name in ((eqloc.localization, "hom_complex"),
-                             (eqloc.localization, "class_K"),
                              (eqloc.cat, "hom_complex"),
                              (eqloc.cat, "hom_complex_post")):
             monkeypatch.setattr(module, name, refuse)
-        spec = LocalizationSpec(z2_category(),
-                                fixedpointwise=empty_to_point_map())
+        monkeypatch.setattr(eqloc.soa.PullbackHomFamily, "assign", counted)
         for Z in (z2_two_orbits(), swapped_loops(),
                   two_object_swapped_loops()):
-            is_S_local(Z, LocalizationSpec(
-                Z.shape, fixedpointwise=empty_to_point_map()))
+            spec = LocalizationSpec(Z.shape,
+                                    fixedpointwise=empty_to_point_map())
+            r = localize(Z, spec)
+            assert r.trace.stopped_by == "stabilization"
+            assert assigned == ["J", "HorF"] * r.trace.n_stages
+            assigned.clear()
+            is_S_local(Z, spec)
             fixed_point_locality_report(Z, spec.f, _orbits_of_both_types(Z),
                                         spec.caps)
+            assert assigned == []
 
     def test_arrow_shape_keeps_the_square_probe(self, monkeypatch):
         import eqloc.localization
