@@ -4,6 +4,7 @@ object argument, and equivariant localization functors at desk scale.
 The package is organized along the pipeline:
 
 - simplicial: normal forms, finite simplicial sets, maps, hom enumeration
+  and the fill test `lifts` on the hom search's slot plan
 - glue: coproducts, quotients, pushouts, products and pullbacks
 - cat: finite index categories, diagrams, (co)limits, tensor/cotensor,
   mapping complexes
@@ -28,6 +29,7 @@ from .simplicial import (
     horn,
     horn_inclusion,
     identity_map,
+    lifts,
     point,
     standard_simplex,
     validate,
@@ -78,7 +80,6 @@ from .homotopy import (
     is_kan,
     is_null_homotopic,
     is_weq_equivariant,
-    lifts,
     null_factorization,
     pi0,
     pi_n,

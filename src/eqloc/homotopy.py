@@ -1,8 +1,7 @@
 """Equivariant weak-equivalence and fibration probes, Kan machinery,
 combinatorial homotopy groups at a cap, cylinders, cones and null homotopies.
-The fill test `lifts` and the fixed points that present hom(T, Z) for an
-orbit T over a groupoid shape live in soa, which the small object argument
-reads them from.
+The fill test `lifts` lives in simplicial, beside the hom search whose slot
+plan it runs on; hom(T, f) for an orbit T is `soa.orbit_hom`.
 
 Weak-equivalence checking is a semi-decision: verdicts are three-valued and
 every report names the caps it was computed at.
@@ -18,7 +17,6 @@ from .cat import (
     Record,
     field,
     hom_D,
-    hom_complex_post,
     point_diagram,
     pullback_D,
     pushout_D,
@@ -37,18 +35,18 @@ from .simplicial import (
     constant_map,
     degenerate_at,
     is_injective,
+    lifts,
     nondeg,
     point,
+    sphere_simplices,
     standard_simplex,
 )
 from .soa import (
     Budget,
     extensions,
-    fixed_points_post,
-    lifts,
+    orbit_hom,
     setup_J,
     small_object_argument,
-    sphere_simplices,
 )
 
 
@@ -195,22 +193,13 @@ def sset_weq_probe(phi: SimplicialMap, pi_cap, budget: Budget) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# equivariant probes through orbit mapping complexes, read as fixed points
-# (soa.fixed_points_post) on groupoid shapes
-
-
-def _orbit_hom_post(T: Diagram, f: DiagramMap, hom_cap) -> SimplicialMap:
-    """hom(T, f) for an orbit T up to hom_cap: `fixed_points_post` on a
-    groupoid shape, else postcomposition on the mapping complexes."""
-    if f.source.shape.is_groupoid():
-        return fixed_points_post(T, f, hom_cap)
-    return hom_complex_post(T, f, hom_cap)
+# equivariant probes through hom(T, f), soa.orbit_hom
 
 
 def is_fibration_equivariant(f: DiagramMap, orbits, n_cap, hom_cap) -> bool:
     """Horn-RLP of hom(T, f) for every orbit T of orbits, at the caps."""
     return all(lifts(phi, n, k)
-               for phi in (_orbit_hom_post(T, f, hom_cap) for T in orbits)
+               for phi in (orbit_hom(T, f, hom_cap) for T in orbits)
                for n in range(1, n_cap + 1) for k in range(n + 1))
 
 
@@ -234,7 +223,7 @@ def is_weq_equivariant(f: DiagramMap, orbits, pi_cap, hom_cap,
                        budget: Optional[Budget] = None) -> Verdict:
     """Equivariant weak-equivalence probe through hom(T, f), T in orbits."""
     budget = budget or Budget(stages=3, n_cap=pi_cap + 1, dim_cap=0)
-    return weq_probe_all((_orbit_hom_post(T, f, hom_cap) for T in orbits),
+    return weq_probe_all((orbit_hom(T, f, hom_cap) for T in orbits),
                          "orbit", pi_cap, budget,
                          ("pi_cap", pi_cap, "hom_cap", hom_cap))
 

@@ -19,7 +19,6 @@ from .cat import (
     Record,
     SmallCategory,
     cotensor_restriction,
-    hom_complex,
     hom_complex_pre,
     identity_dmap,
     pushout_D,
@@ -59,7 +58,7 @@ from .soa import (
     extensions,
     find_lift,
     first_unlifted,
-    fixed_points,
+    orbit_hom,
     setup_J,
     setup_from_set,
     setup_union,
@@ -356,9 +355,8 @@ def fixed_point_locality_report(Z: Diagram, f: SimplicialMap, orbits,
                                 caps: LocalizationCaps):
     """Per-orbit f-locality of the fixed-point spaces hom(T, Z), T in orbits.
 
-    On a groupoid shape hom(T, Z) is read as soa.fixed_points(Z, T,
-    hom_cap), which is isomorphic to the hom_complex(T, Z, hom_cap) that
-    every other shape reads.
+    hom(T, Z) is the source of soa.orbit_hom(T, Z -> point, hom_cap): the
+    fixed points of Z on a groupoid shape, the mapping complex elsewhere.
 
     For f: empty -> point the criterion is executed exactly: fibrant and
     contractible at the caps.  For general f the mapping-space criterion is
@@ -369,14 +367,13 @@ def fixed_point_locality_report(Z: Diagram, f: SimplicialMap, orbits,
     probe_n_cap is inconclusive.
     """
     empty_to_point = is_empty_to_point(f)
-    groupoid = Z.shape.is_groupoid()
     at = ("probe_n_cap", caps.probe_n_cap, "pi_cap", caps.pi_cap)
     kan_cap = caps.pi_cap + 1
     fib_cap = min(caps.probe_n_cap, caps.hom_cap)
+    to_point = terminal_dmap(Z)
     reports = []
     for idx, T in enumerate(orbits):
-        M = (fixed_points(Z, T, caps.hom_cap) if groupoid
-             else hom_complex(T, Z, caps.hom_cap).space)
+        M = orbit_hom(T, to_point, caps.hom_cap).source
         fib = is_kan(M, fib_cap)
         comps = len(pi0(M))
         trivial = None

@@ -210,12 +210,27 @@ def _first_copies(found):
     return kept, witnesses
 
 
+def orbit_cap(D: SmallCategory, dim_cap) -> int:
+    """The cap at which the orbits of a diagram over D are read: 0 on a
+    groupoid shape, whose orbits are discrete, else dim_cap.
+
+    Let X be a diagram over a groupoid and x an n-simplex of X(d), n > 0,
+    whose class in colim X is degenerate, [x] = [s_i y].  Over a groupoid
+    the relation x ~ m.x that presents the colimit is already an
+    equivalence (inverses make it symmetric, composites transitive), so
+    one arrow m gives x = m.(s_i y) = s_i (m.y), and x is degenerate.  The
+    orbit over a vertex v of colim X holds the simplices whose class is a
+    degeneracy of v, hence no nondegenerate simplex above dimension 0, and
+    the cap cannot change it.  Over the arrow category, or a monoid with an
+    idempotent, an orbit can hold an edge.
+    """
+    return 0 if D.is_groupoid() else dim_cap
+
+
 def _level_orbits(X: Diagram, level_cap, dim_cap):
     """(orbit, (n, vertex)) over every vertex of colim X^{Delta^n}, n <=
-    level_cap, the levels truncated at dim_cap, or at 0 on a groupoid shape,
-    whose orbits are discrete (soa.PullbackHomFamily proves it), so that the
-    cap cannot change them."""
-    cap = 0 if X.shape.is_groupoid() else dim_cap
+    level_cap, the levels truncated at `orbit_cap`."""
+    cap = orbit_cap(X.shape, dim_cap)
     for n in range(level_cap + 1):
         for o in orbit_setup(cotensor(X, standard_simplex(n), cap).diagram):
             yield o.orbit, (n, o.witness)

@@ -1,4 +1,5 @@
-"""Finite simplicial sets: degeneracy words, normal forms, maps, hom enumeration.
+"""Finite simplicial sets: degeneracy words, normal forms, maps, hom
+enumeration, and the fill test `lifts` on the hom search's slot plan.
 
 Every simplex is kept in Eilenberg-Zilber normal form: a strictly decreasing
 degeneracy word applied to a nondegenerate cell.  All face/degeneracy algebra
@@ -660,18 +661,22 @@ def backtrack(n, candidates, emit, accept=None, limit=None, budget=None):
     return results
 
 
-def _map_search(X: SimplicialSet, Y: SimplicialSet):
+def _map_search(X: SimplicialSet, Y: SimplicialSet, first=()):
     """Slot order, boundary and emit functions of a search for maps X -> Y.
 
     Slots are cell positions faces-first: top cells from the highest level
-    down, each right after its faces not yet placed (d_0 first).
+    down, each right after its faces not yet placed (d_0 first), the cells
+    named in first, a set closed under faces, before all others.
     boundary(k, chosen) gives the cell of slot k, its dimension and the
     boundary its image must have.
     """
     index = X._index
     cells = list(index)
     order, placed = [], set()
-    for top in itertools.chain.from_iterable(reversed(X.levels)):
+    tops = itertools.chain.from_iterable(reversed(X.levels))
+    if first:
+        tops = sorted(tops, key=lambda c: c not in first)
+    for top in tops:
         stack = [(top, False)]
         while stack:
             cell, ready = stack.pop()
@@ -801,3 +806,59 @@ def isomorphic(X: SimplicialSet, Y: SimplicialSet) -> Optional[SimplicialMap]:
     if found and is_isomorphism(found[0]) is not None:
         return found[0]
     return None
+
+
+def _fillers(X: SimplicialSet, m, faces) -> tuple:
+    """The m-simplices of X with faces d_0 .. d_m (all vertices when m = 0),
+    in canonical order."""
+    return X._boundary_index(m).get(tuple(faces), ())
+
+
+def sphere_simplices(X: SimplicialSet, basepoint, n):
+    """n-simplices whose every face is the degenerate basepoint."""
+    return list(_fillers(X, n, [degenerate_at(X, basepoint, n - 1)] * (n + 1)))
+
+
+def lifts(p: SimplicialMap, j, k=None) -> bool:
+    """Whether p: X -> Y has the right lifting property against the
+    inclusion j: K -> L: every a: K -> X and b: L -> Y with p a = b j have a
+    filler l: L -> X, l j = a and p l = b.  An int j = n stands for the horn
+    Lambda^n_k -> Delta^n, or for the sphere bd n -> Delta^n when k is None;
+    a j that is not injective is a ValueError.
+
+    The search runs on the slots of `_map_search` with K's cells first: a
+    over K's slots, then b and l over the other slots with K's slots
+    pinned to p a and to a, each slot's candidates the fillers of its
+    boundary.  The first (a, b) with no filler ends the search, so a
+    failing inclusion with many maps out of K is decided without listing
+    them."""
+    if isinstance(j, int):
+        j = boundary_inclusion(j) if k is None else horn_inclusion(j, k)
+    if not is_injective(j):
+        raise ValueError(f"lifts needs an injective j, not {j!r}")
+    order, boundary, _ = _map_search(j.target, p.target, first={
+        img.cell for img in j.images})
+
+    def some(n, Z, pinned, check, keep=None) -> bool:
+        """Whether some values of the first n slots in Z pass check: pinned[k]
+        at a slot k < len(pinned), else a filler that keep accepts."""
+        def candidates(k, chosen):
+            if k < len(pinned):
+                return (pinned[k],)
+            _, m, bd = boundary(k, chosen)
+            pool = _fillers(Z, m, bd)
+            return pool if keep is None else (x for x in pool if keep(k, x))
+        if n == 0:
+            return check([])
+        return bool(backtrack(n, candidates, lambda chosen: True,
+                              accept=lambda k, chosen: k < n - 1
+                              or check(chosen), limit=1))
+
+    def unfilled(a):
+        a = a[:]
+
+        def no_filler(b):
+            return not some(len(order), p.source, a, lambda l: True,
+                            keep=lambda k, x: p(x) == b[k])
+        return some(len(order), p.target, [p(x) for x in a], no_filler)
+    return not some(len(j.images), p.source, (), unfilled)

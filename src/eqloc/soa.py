@@ -1,6 +1,6 @@
-"""Factorization setups, instrumented classes, lifting search, the fill
-test by adjunction, and the generalized small object argument with full
-traces and functorial action.
+"""Factorization setups, instrumented classes, lifting search, hom(T, -)
+for an orbit T (`orbit_hom`), the fill test by adjunction, and the
+generalized small object argument with full traces and functorial action.
 
 An instrumentation is a union of named families, each assigning to every
 arrow a finite set of attachment squares, functorially in the arrow; each
@@ -8,9 +8,10 @@ square names its family in meta[0].  The argument iterates: glue in the
 target of every attached square's top along its source, all in one pushout
 of the squares' spans, and stop when every assigned square already lifts.
 That stop is decided by `first_unlifted` before any square is assigned: on
-a groupoid shape a pullback-hom family is read off the fixed points of the
-arrow, so the last stage builds no cotensor, orbit or square of such a
-family.  Transfinite stages are replaced by a stage budget.
+a groupoid shape a pullback-hom family is decided by `simplicial.lifts` on
+the fixed points of the arrow, so the last stage builds no cotensor, orbit
+or square of such a family.  Transfinite stages are replaced by a stage
+budget.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .cat import (
     cotensor_restriction,
     field,
     hom_D,
+    hom_complex_post,
     identity_dmap,
     limit_D,
     pullback_D,
@@ -38,20 +40,17 @@ from .cat import (
     tensor_map,
 )
 from .glue import pushout
-from .orbits import OrbitMap, orbit_naturality, orbit_setup
+from .orbits import OrbitMap, orbit_cap, orbit_naturality, orbit_setup
 from .simplicial import (
-    Simplex,
     SimplicialMap,
     SimplicialSet,
-    backtrack,
     boundary_inclusion,
-    compose_words,
-    degenerate_at,
     divide_word,
     enumerate_maps,
     horn_inclusion,
     identity_map,
     is_isomorphism,
+    lifts,
     nondeg,
 )
 
@@ -226,29 +225,16 @@ class PullbackHomFamily:
     each square records in its meta.  The constraint order is fixed too, as
     part of tuple_complex's memo key, so equal Ws share one complex.
 
-    On a groupoid shape every orbit is discrete, so W is built at cap 0.
-    Let X be a diagram over a groupoid and x an n-simplex of X(d), n > 0,
-    whose class in colim X is degenerate, [x] = [s_i y].  Over a groupoid
-    the relation x ~ m.x that presents the colimit is already an
-    equivalence (inverses make it symmetric, composites transitive), so
-    one arrow m gives x = m.(s_i y) = s_i (m.y), and x is degenerate.  The
-    orbit over a vertex v of colim X holds the simplices whose class is a
-    degeneracy of v, hence no nondegenerate simplex above dimension 0.
-    W is a diagram over the same shape, so its orbits are discrete; an
-    orbit, its witness and the adjoint square read only level 0 of W and
-    of the cotensors, whose cells and names do not depend on the cap.  Any
-    other shape keeps dim_cap: over the arrow category, or a monoid with
-    an idempotent, an orbit can hold an edge.
+    W is built at `orbit_cap(shape, dim_cap)`: 0 on a groupoid shape, whose
+    orbits are discrete, else dim_cap.  An orbit, its witness and the
+    adjoint square read only level 0 of W and of the cotensors, whose
+    cells and names do not depend on the cap.
     """
 
     def __init__(self, name, members, dim_cap: int):
         self.name = name
         self.members = {m.meta: m for m in members}
         self.dim_cap = dim_cap
-
-    def _cap(self, g: DiagramMap) -> int:
-        """The cap W of g is built at: 0 on a groupoid shape, else dim_cap."""
-        return 0 if g.source.shape.is_groupoid() else self.dim_cap
 
     def member_id(self, m: CornerMember) -> str:
         return f"{self.name}@" + "_".join(map(str, m.meta))
@@ -293,7 +279,7 @@ class PullbackHomFamily:
 
     def assign(self, g: DiagramMap):
         squares = []
-        cap = self._cap(g)
+        cap = orbit_cap(g.source.shape, self.dim_cap)
         for m in self.members.values():
             lim, cots = self._w(g, m, cap)
             squares += [self._square(g, m, o, lim, cots)[0]
@@ -302,7 +288,7 @@ class PullbackHomFamily:
 
     def transport(self, gsq: ArrowSquare, sq: Square):
         m = self.members[sq.meta[1:-1]]
-        cap = self._cap(gsq.source)
+        cap = orbit_cap(gsq.source.source.shape, self.dim_cap)
         lim1, _ = self._w(gsq.source, m, cap)
         lim2, cots2 = self._w(gsq.target, m, cap)
         # the induced natural map W_1 -> W_2, factor by factor
@@ -418,96 +404,7 @@ def rlp_check(i: DiagramMap, p: DiagramMap) -> RlpReport:
 
 
 # ---------------------------------------------------------------------------
-# fillers of simplicial sets and fixed points over groupoid shapes
-
-
-def _fillers(X: SimplicialSet, m, faces) -> tuple:
-    """The m-simplices of X with faces d_0 .. d_m (all vertices when m = 0),
-    in canonical order."""
-    return X._boundary_index(m).get(tuple(faces), ())
-
-
-def sphere_simplices(X: SimplicialSet, basepoint, n):
-    """n-simplices whose every face is the degenerate basepoint."""
-    return list(_fillers(X, n, [degenerate_at(X, basepoint, n - 1)] * (n + 1)))
-
-
-@functools.cache
-def _fill_plan(j: SimplicialMap):
-    """(k, plan) for extensions along the inclusion j: K -> L: plan lists the
-    cells of L as (dimension, faces as (position, word)), the k cells of K
-    first, each right after its faces, then the others by dimension."""
-    L = j.target
-    inside = {j(nondeg(c)).cell for c in j.source.all_cells()}
-    order, placed = [], set()
-    for top in reversed([c for c in L.all_cells() if c in inside]):
-        stack = [(top, False)]
-        while stack:
-            cell, ready = stack.pop()
-            if cell in placed:
-                continue
-            if ready:
-                placed.add(cell)
-                order.append(cell)
-            else:
-                stack.append((cell, True))
-                stack.extend((f.cell, False) for f in reversed(
-                    L.cell_faces(cell) if L.cell_dim(cell) else ()))
-    k = len(order)
-    order += [c for c in L.all_cells() if c not in inside]
-    pos = {c: i for i, c in enumerate(order)}
-    return k, [(L.cell_dim(c), tuple(
-        (pos[f.cell], f.word)
-        for f in (L.cell_faces(c) if L.cell_dim(c) else ()))) for c in order]
-
-
-def _some(n, candidates, check) -> bool:
-    """Whether some choice of n slots, slot i from candidates(i, chosen),
-    passes check(chosen)."""
-    if n == 0:
-        return check([])
-    return bool(backtrack(n, candidates, lambda chosen: True,
-                          accept=lambda i, chosen: i < n - 1 or check(chosen),
-                          limit=1))
-
-
-def lifts(p: SimplicialMap, j, k=None) -> bool:
-    """Whether p: X -> Y has the right lifting property against the
-    inclusion j: K -> L: every a: K -> X and b: L -> Y with p a = b j have a
-    filler l: L -> X, l j = a and p l = b.  An int j = n stands for the horn
-    Lambda^n_k -> Delta^n, or for the sphere bd n -> Delta^n when k is None.
-
-    Maps are searched cell by cell through the boundary indexes: a over the
-    cells of K, each right after its faces, then b and l over the other
-    cells of L by dimension.  The first (a, b) with no filler ends the
-    search, so a failing inclusion with many maps out of K is decided
-    without listing them."""
-    if isinstance(j, int):
-        j = boundary_inclusion(j) if k is None else horn_inclusion(j, k)
-    known, plan = _fill_plan(j)
-    X, Y = p.source, p.target
-    rest = len(plan) - known
-
-    def candidates(Z, i, inner, outer):
-        """Simplices of Z for cell i of the plan, with the cells of K
-        valued by inner and the others by outer."""
-        m, faces = plan[i]
-        return _fillers(Z, m, [
-            Simplex(compose_words(w, v.word), v.cell) if w else v
-            for v, w in ((inner[s] if s < known else outer[s - known], w)
-                         for s, w in faces)])
-
-    def unfilled(a):
-        a = list(a)
-        pa = [p(x) for x in a]
-
-        def no_filler(b):
-            return not _some(rest, lambda i, l: (
-                x for x in candidates(X, known + i, a, l) if p(x) == b[i]),
-                lambda l: True)
-        return _some(rest, lambda i, b: candidates(Y, known + i, pa, b),
-                     no_filler)
-    return not _some(known, lambda i, a: candidates(X, i, a, None), unfilled)
+# hom(T, -) for an orbit T, read as fixed points over groupoid shapes
 
 
 def _fixed(Z: Diagram, c, H, cap) -> SimplicialSet:
@@ -539,12 +436,15 @@ def _orbit_type(T: Diagram):
     return c, [g for g in T.shape.hom(c, c) if T.act[g](t) == t]
 
 
-def fixed_points(Z: Diagram, T: Diagram, cap) -> SimplicialSet:
-    """hom(T, Z) up to the cap for an orbit T over a groupoid shape, read
-    off Z's action as the cap-skeleton of Z(c)^H, (c, H) = _orbit_type(T).
+def orbit_hom(T: Diagram, f: DiagramMap, cap) -> SimplicialMap:
+    """hom(T, f): hom(T, X) -> hom(T, Y) up to the cap for an orbit T and
+    f: X -> Y.  On a groupoid shape it is read off the actions as f at c
+    restricted to the cap-skeleta of X(c)^H and Y(c)^H, (c, H) =
+    _orbit_type(T), with no mapping complex built; on any other shape it
+    is postcomposition on the mapping complexes.
 
     This is Elmendorf's (Systems of fixed point sets, 1983).  T is discrete
-    (PullbackHomFamily), and every vertex of T(d) is m.t for an arrow
+    (`orbits.orbit_cap`), and every vertex of T(d) is m.t for an arrow
     m: c -> d, since over a groupoid the zigzags presenting colim T compose
     to one arrow.  So a map T (x) Delta^n -> Z is fixed by the image z of
     (t, iota_n), an n-simplex of Z(c) that H fixes, and each such z extends
@@ -553,14 +453,9 @@ def fixed_points(Z: Diagram, T: Diagram, cap) -> SimplicialSet:
     simplex is fixed when its cell is, and the fixed cells with their own
     faces are a subcomplex.
     """
-    c, H = _orbit_type(T)
-    return _fixed(Z, c, H, cap)
-
-
-def fixed_points_post(T: Diagram, f: DiagramMap, cap) -> SimplicialMap:
-    """hom(T, f) for an orbit T over a groupoid shape: f at c restricted
-    to `fixed_points`."""
-    return _fixed_map(f, *_orbit_type(T), cap)
+    if f.source.shape.is_groupoid():
+        return _fixed_map(f, *_orbit_type(T), cap)
+    return hom_complex_post(T, f, cap)
 
 
 def fixed_point_maps(g: DiagramMap, cap) -> tuple:
@@ -598,7 +493,7 @@ def first_unlifted(rho: DiagramMap, instr: Instrumentation,
     vertices w = (a: K -> X(c), b: L -> Y(c)), rho a = b j, of W(c) over the
     objects c.  By adjunction (Hovey, Model Categories, ch. 4) the square of
     w has T = G/S, G = Aut(c) and S = Stab(w), and a lift T (x) L -> X is a
-    filler l: L -> X(c) of (a, b) that S fixes (`fixed_points`): a filler
+    filler l: L -> X(c) of (a, b) that S fixes (`orbit_hom`): a filler
     of (a, b) against rho(c)^S: X(c)^S -> Y(c)^S.  An automorphism fixes
     s_u x exactly when it fixes x, so S is the intersection of the
     stabilizers of the cells that a and b reach.  Hence the member has a

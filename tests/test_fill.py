@@ -40,6 +40,8 @@ from eqloc.simplicial import (
     SimplicialSet,
     boundary,
     boundary_inclusion,
+    empty_simplicial_set,
+    identity_map,
     nondeg,
     point,
     standard_simplex,
@@ -178,11 +180,17 @@ class TestFirstUnliftedMatchesSquares:
 class TestCornerLifts:
     def test_lifts_matches_square_rlp(self):
         """lifts against a pushout-product corner equals rlp_check, which
-        searches every commutative square, on seeded collapse maps."""
+        searches every commutative square, on seeded collapse maps; so do
+        an identity, whose every slot is pinned, and inclusions of the
+        empty complex, which pin none."""
         corners = [m.inclusion for make_f, _, _ in MAPS
                    for m in hor_F_instrumentation(
                        make_f(), LocalizationCaps(hor_n_cap=1)
                    ).families["HorF"].members.values()]
+        corners += [identity_map(standard_simplex(1)),
+                    SimplicialMap(empty_simplicial_set(), standard_simplex(1),
+                                  {}),
+                    SimplicialMap(empty_simplicial_set(), boundary(2), {})]
         rng = random.Random(1729)
         seen = set()
         for _ in range(12):
@@ -193,6 +201,16 @@ class TestCornerLifts:
                 assert got == rlp_check(wrap_smap(j), wrap_smap(p)).holds
                 seen.add(got)
         assert seen == {True, False}
+
+    def test_non_injective_j_is_an_error(self):
+        """A collapse is no inclusion: rlp_check finds a square without a
+        lift, and lifts refuses to answer."""
+        collapse = SimplicialMap(SimplicialSet([["u", "v"]], {}), point(),
+                                 {"u": nondeg("0"), "v": nondeg("0")})
+        assert not rlp_check(wrap_smap(collapse), wrap_smap(collapse)).holds
+        with pytest.raises(ValueError, match=r"injective j, not SimplicialMap"
+                           r"\(SimplicialSet\[2\]->SimplicialSet\[1\]\)"):
+            lifts(collapse, collapse)
 
     def test_inclusion_of_one_corner_is_the_member(self):
         m = setup_J(Budget(n_cap=1)).families["J"].members[(1, 0)]
@@ -285,7 +303,7 @@ def test_general_f_probe_reads_fixed_points(monkeypatch):
             for module, name in ((eqloc.cat, "cotensor"),
                                  (eqloc.soa, "cotensor"),
                                  (eqloc.cat, "hom_complex"),
-                                 (eqloc.localization, "hom_complex")):
+                                 (eqloc.soa, "hom_complex_post")):
                 m.setattr(module, name, refuse)
             m.setattr(eqloc.soa.PullbackHomFamily, "assign", refuse)
             return probe(Z, spec)

@@ -306,13 +306,12 @@ class TestOneMechanismPerConcept:
     """Normal forms of levelwise elements come from glue.normal_form_complex,
     components from glue.UnionFind, the worst verdict over a family of
     weak-equivalence probes from homotopy.weq_probe_all, every horn or
-    sphere or corner lifting question of a simplicial map from soa.lifts,
-    every isomorphism of diagrams from orbits.isomorphisms, the commutative
-    squares of a member from soa.extensions, the cap of an orbit setup
-    from one groupoid test in each of its two builders, the reading of
-    hom(T, -) as fixed points from one groupoid test in each of its three
-    callers (the fill test soa.first_unlifted, the fixed-point report and
-    the equivariant probes' hom(T, f)), and every list of
+    sphere or corner lifting question of a simplicial map from
+    simplicial.lifts, every slot order of a search for maps from
+    simplicial._map_search, every isomorphism of diagrams from
+    orbits.isomorphisms, the commutative squares of a member from
+    soa.extensions, the cap of an orbit setup from orbits.orbit_cap,
+    hom(T, -) for an orbit T from soa.orbit_hom, and every list of
     orbits up to isomorphism from one first-copy dedup in orbits, the
     cells of a stage from one n-ary pushout of its squares' spans, and every
     pushout and colimit from one glued space, glue.Glued."""
@@ -336,13 +335,20 @@ class TestOneMechanismPerConcept:
     def test_one_fill_test(self):
         # lifts looks its candidates up through its helper `candidates`
         assert _callers("_fillers") == {
-            ("soa", "candidates"), ("soa", "sphere_simplices")}
+            ("simplicial", "candidates"), ("simplicial", "sphere_simplices")}
         assert _callers("lifts") == {
             ("soa", "first_unlifted"), ("homotopy", "is_kan"),
             ("homotopy", "is_fibration_equivariant")}
-        # outside the hom search, only the filler lookup reads the index
+        # the hom search and the filler lookup read the index, in simplicial
         assert {c for c in _callers("_boundary_index")
-                if c[0] != "simplicial"} == {("soa", "_fillers")}
+                if c[0] != "simplicial"} == set()
+
+    def test_one_slot_plan(self):
+        """The hom search, the isomorphism search and the fill test search
+        on one faces-first slot plan."""
+        assert _callers("_map_search") == {
+            ("simplicial", "enumerate_maps"), ("simplicial", "isomorphic"),
+            ("simplicial", "lifts")}
 
     def test_one_isomorphism_scan(self):
         assert _callers("isomorphisms") == {
@@ -354,20 +360,29 @@ class TestOneMechanismPerConcept:
 
     def test_one_groupoid_cap_choice(self):
         assert _callers("is_groupoid") == {
-            ("soa", "_cap"), ("orbits", "_level_orbits"),
-            ("homotopy", "_orbit_hom_post"), ("soa", "first_unlifted"),
-            ("localization", "fixed_point_locality_report")}
-        # in PullbackHomFamily only the cap choice reads self.dim_cap
+            ("orbits", "orbit_cap"), ("soa", "orbit_hom"),
+            ("soa", "first_unlifted")}
+        assert _callers("orbit_cap") == {
+            ("orbits", "_level_orbits"), ("soa", "assign"),
+            ("soa", "transport")}
+        # in PullbackHomFamily self.dim_cap is read only by the cap choice,
+        # as the argument of orbit_cap in assign and in transport
         family = next(c for c in ast.walk(_tree("soa"))
                       if isinstance(c, ast.ClassDef)
                       and c.name == "PullbackHomFamily")
+
+        def dim_cap_reads(tree):
+            return {id(n) for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and n.attr == "dim_cap"
+                    and isinstance(n.ctx, ast.Load)
+                    and getattr(n.value, "id", None) == "self"}
         readers = {fn.name for fn in family.body
-                   if isinstance(fn, ast.FunctionDef)
-                   for n in ast.walk(fn)
-                   if isinstance(n, ast.Attribute) and n.attr == "dim_cap"
-                   and isinstance(n.ctx, ast.Load)
-                   and getattr(n.value, "id", None) == "self"}
-        assert readers == {"_cap"}
+                   if isinstance(fn, ast.FunctionDef) and dim_cap_reads(fn)}
+        assert readers == {"assign", "transport"}
+        capped = {i for n in ast.walk(family) if isinstance(n, ast.Call)
+                  and getattr(n.func, "id", None) == "orbit_cap"
+                  for a in n.args for i in dim_cap_reads(a)}
+        assert capped == dim_cap_reads(family)
 
     def test_one_orbit_dedup(self):
         assert _callers("diagram_isomorphic") == {("orbits", "_first_copies")}
@@ -439,6 +454,23 @@ class TestModuleBoundaries:
                      n.level > 0 or (n.module or "").startswith("eqloc"))
                  for alias in n.names if alias.name.startswith("_")]
         assert found == [], f"private names imported: {found}"
+
+    def test_no_dead_imports(self):
+        """Every name a module imports (__future__ aside) is used in it;
+        the package's __init__ re-exports, so it is not checked."""
+        found = []
+        for module in MODULES:
+            if module == "__init__":
+                continue
+            tree = _tree(module)
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            found += [(module, name) for n in ast.walk(tree)
+                      if isinstance(n, (ast.Import, ast.ImportFrom))
+                      and getattr(n, "module", None) != "__future__"
+                      for name in ((a.asname or a.name).split(".")[0]
+                                   for a in n.names)
+                      if name not in used]
+        assert found == [], f"imported and never used: {found}"
 
     def test_coproduct_cell_names_only_in_glue(self):
         def pair(n):

@@ -64,7 +64,7 @@ from eqloc.simplicial import (
     point,
     standard_simplex,
 )
-from eqloc.soa import Budget, fixed_points, verify_square
+from eqloc.soa import Budget, orbit_hom, verify_square
 from oracles import (
     fixed_point_locality_report_oracle,
     is_S_local_oracle,
@@ -352,7 +352,7 @@ def _orbits_of_both_types(Z):
 
 class TestFixedPointReading:
     """On a groupoid shape the locality probe and the fixed-point report
-    read hom(T, Z) as soa.fixed_points and build no mapping complex; their
+    read hom(T, Z) off soa.orbit_hom and build no mapping complex; their
     answers are those of the square probe and of the hom_complex report in
     tests/oracles.py."""
 
@@ -405,12 +405,15 @@ class TestFixedPointReading:
         for Z in _fixed_point_cases():
             for T in _orbits_of_both_types(Z):
                 for cap in (0, 1, 2):
-                    assert isomorphic(fixed_points(Z, T, cap),
-                                      hom_complex(T, Z, cap).space) \
+                    M = orbit_hom(T, terminal_dmap(Z), cap).source
+                    assert isomorphic(M, hom_complex(T, Z, cap).space) \
                         is not None
 
     def test_equivariant_probes_match_hom_complex(self):
+        # the arrow shape is no groupoid: there orbit_hom is hom_complex_post
+        arrow = arrow_orbit(SimplicialSet([["u", "v"]], {}))
         maps = [z2_collapse(), identity_dmap(swapped_loops()),
+                terminal_dmap(arrow), identity_dmap(arrow),
                 *(terminal_dmap(Z) for Z in _fixed_point_cases()[:27])]
         budget = Budget(stages=3, n_cap=1, dim_cap=0)
         for f in maps:
@@ -440,7 +443,7 @@ class TestFixedPointReading:
 
         def refuse(*args, **kwargs):
             raise AssertionError("mapping complex or square probe built")
-        for module, name in ((eqloc.localization, "hom_complex"),
+        for module, name in ((eqloc.soa, "hom_complex_post"),
                              (eqloc.cat, "hom_complex"),
                              (eqloc.cat, "hom_complex_post")):
             monkeypatch.setattr(module, name, refuse)
@@ -459,7 +462,9 @@ class TestFixedPointReading:
             assert assigned == []
 
     def test_arrow_shape_keeps_the_square_probe(self, monkeypatch):
+        import eqloc.cat
         import eqloc.localization
+        import eqloc.soa
         calls = []
 
         def counted(fn):
@@ -467,9 +472,10 @@ class TestFixedPointReading:
                 calls.append(fn.__name__)
                 return fn(*args, **kwargs)
             return wrapper
-        for name in ("class_K", "hom_complex"):
-            monkeypatch.setattr(eqloc.localization, name,
-                                counted(getattr(eqloc.localization, name)))
+        for module, name in ((eqloc.localization, "class_K"),
+                             (eqloc.soa, "hom_complex_post"),
+                             (eqloc.cat, "hom_complex")):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
         Z = arrow_orbit(SimplicialSet([["u", "v"]], {}))
         spec = LocalizationSpec(arrow_category(),
                                 fixedpointwise=empty_to_point_map())
@@ -477,7 +483,9 @@ class TestFixedPointReading:
         Ts = orbits_of(Z)
         v = is_S_local(Z, spec)
         reports = fixed_point_locality_report(Z, spec.f, Ts, spec.caps)
-        assert calls == ["class_K"] + ["hom_complex"] * len(Ts)
+        # one hom(T, Z -> point) per orbit: the complexes of its two ends
+        assert calls == ["class_K"] + [
+            "hom_complex_post", "hom_complex", "hom_complex"] * len(Ts)
         assert v == is_S_local_oracle(Z, spec)
         assert reports == fixed_point_locality_report_oracle(
             Z, spec.f, Ts, spec.caps)
