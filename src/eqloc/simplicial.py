@@ -55,6 +55,13 @@ def compose_words(outer, inner) -> Word:
     return normalize_word(tuple(outer) + tuple(inner))
 
 
+def _degenerate(a, word) -> Word:
+    """compose_words((a,), word) without the rewriting: the indices of word
+    at or above a move up by one, and a goes in after them."""
+    k = sum(i >= a for i in word)
+    return tuple([i + 1 for i in word[:k]]) + (a,) + word[k:]
+
+
 def word_face(word, i):
     """Push d_i through a degeneracy word.
 
@@ -119,37 +126,43 @@ class SimplicialSet:
     of dimension n-1, listed d_0 .. d_n.  A face that is already a Simplex
     with a tuple word is kept as is, not copied.
 
-    Construction is hash-consed: equal complexes are one object.  The key is
-    (levels, the faces of each cell in `all_cells()` order, None for a
-    vertex); its hash is computed once, at construction, and is the
-    complex's hash.  While a complex with that key is alive, building the
-    same value again returns it, so its memos serve every builder.  The
-    table holds complexes weakly and keeps none alive.  A complex whose
-    `faces` has an entry for a name that is not a cell is not interned: it is
-    always a fresh object, so `validate` can report the stray entry.
+    The faces are kept once, in `_rows`: each cell's, in `all_cells()` order,
+    None for a vertex.  `_index` gives each cell its position there; maps out
+    of the complex store their images in that order.  Construction is
+    hash-consed: while a complex is alive, building an equal one returns it,
+    so its memos serve every builder.  The key, (levels, rows), is probed
+    before anything else is built; its hash is the complex's.  The table
+    holds complexes weakly.  A `faces` entry for a name that is not a cell
+    opts out: the complex is a fresh object that keeps such entries in
+    `_stray` for `validate`.  Complexes with equal keys are equal.  A complex
+    must not be mutated after construction.
 
-    `_index` gives each cell its position in `all_cells()` order; maps out of
-    the complex store their images in that order.  Two complexes are equal
-    when their keys are equal (entries of `faces` for names that are not
-    cells are ignored).  A complex must not be mutated after construction.
-
-    The class has `__slots__`, so an instance has no `__dict__`.  Its two
-    memos, `_simplices_cache` (n -> `simplices(n)`) and `_bd_index`
-    (m -> `_boundary_index(m)`), stay None until first used.  `levels` and
-    `cell_faces` return the complex's own immutable tuples.
+    The class has `__slots__`.  Its memos stay None until first used:
+    `_simplices_cache` (n -> `simplices(n)`), `_bd_index` (m ->
+    `_boundary_index(m)`) and `_simplex_table` (simplex -> the complex's one
+    object for it, shared by the images of every map into it).  `levels`
+    and `cell_faces` return the complex's own immutable tuples.
     """
 
-    __slots__ = ("_levels", "_faces", "_index", "_dims", "_hash",
-                 "_simplices_cache", "_bd_index", "__weakref__")
+    __slots__ = ("_levels", "_rows", "_stray", "_index", "_dims", "_hash",
+                 "_simplices_cache", "_bd_index", "_simplex_table",
+                 "__weakref__")
 
-    _interned = weakref.WeakValueDictionary()  # key -> the live complex
+    _interned = weakref.WeakValueDictionary()  # (levels, rows) -> complex
 
     def __new__(cls, levels, faces):
         lv = [tuple(l) for l in levels]
         while lv and not lv[-1]:
             lv.pop()
         levels = tuple(lv)
-        faces = {c: tuple(map(_as_simplex, fs)) for c, fs in faces.items()}
+        rows = tuple([tuple(map(_as_simplex, faces[c])) if c in faces else None
+                      for c in itertools.chain.from_iterable(levels)])
+        key = (levels, rows)
+        interned = len(faces) == len(rows) - rows.count(None)
+        if interned:
+            self = cls._interned.get(key)
+            if self is not None:
+                return self
         index = {}
         dims = []
         for n, cells in enumerate(levels):
@@ -158,20 +171,15 @@ class SimplicialSet:
                     raise ValueError(f"duplicate cell name {c!r}")
                 index[c] = len(dims)
                 dims.append(n)
-        key = (levels, tuple(map(faces.get, index)))
-        interned = faces.keys() <= index.keys()
-        if interned:
-            self = cls._interned.get(key)
-            if self is not None:
-                return self
         self = super().__new__(cls)
-        self._levels = levels
-        self._faces = faces
+        self._levels, self._rows = key
+        self._stray = None if interned else {
+            c: tuple(map(_as_simplex, fs)) for c, fs in faces.items()
+            if c not in index}
         self._index = index
         self._dims = tuple(dims)
         self._hash = hash(key)
-        self._simplices_cache = None
-        self._bd_index = None
+        self._simplices_cache = self._bd_index = self._simplex_table = None
         if interned:
             cls._interned[key] = self
         return self
@@ -203,7 +211,11 @@ class SimplicialSet:
         return self._dims[self._index[cell]]
 
     def cell_faces(self, cell) -> tuple:
-        return self._faces[cell]
+        """d_0 .. d_n of a cell; KeyError when it has no face data."""
+        fs = self._rows[self._index[cell]]
+        if fs is None:
+            raise KeyError(cell)
+        return fs
 
     def has_cell(self, cell) -> bool:
         return cell in self._index
@@ -220,13 +232,19 @@ class SimplicialSet:
             return True
         if not isinstance(other, SimplicialSet):
             return NotImplemented
-        if hash(self) != hash(other) or self._levels != other._levels:
-            return False
-        mine, theirs = self._faces.get, other._faces.get
-        return all(mine(c) == theirs(c) for c in self._index)
+        return (self._hash == other._hash and self._levels == other._levels
+                and self._rows == other._rows)
 
     def __hash__(self):
         return self._hash
+
+    def face_data(self) -> dict:
+        """The `faces` mapping: each cell's row that is not None, then any
+        stray entries."""
+        data = {c: fs for c, fs in zip(self._index, self._rows)
+                if fs is not None}
+        data.update(self._stray or ())
+        return data
 
     def __repr__(self):
         counts = ",".join(str(len(l)) for l in self._levels)
@@ -240,12 +258,12 @@ class SimplicialSet:
         if n < 1 or not 0 <= i <= n:
             raise IndexError(f"face index {i} out of range for dim {n}")
         if not s.word:
-            f = self._faces[s.cell][i]
+            f = self.cell_faces(s.cell)[i]
             return Simplex(normalize_word(f.word), f.cell) if f.word else f
         word, residual = word_face(s.word, i)
         if residual is None:
             return Simplex(word, s.cell)
-        f = self._faces[s.cell][residual]
+        f = self.cell_faces(s.cell)[residual]
         return Simplex(compose_words(word, f.word), f.cell)
 
     def degeneracy(self, s: Simplex, j) -> Simplex:
@@ -277,6 +295,9 @@ class SimplicialSet:
 
         The faces in a key are the members of `simplices(m - 1)`, and the
         m = 0 entry is `simplices(0)` itself, so the index copies no simplex.
+        A degenerate s = s_j t, j outermost, has d_j s = d_{j+1} s = t,
+        d_i s = s_{j-1} d_i t (i < j) and s_j d_{i-1} t (i > j + 1), with
+        the faces of t read off the index one level down.
         """
         cache = self._bd_index
         if cache is None:
@@ -288,9 +309,20 @@ class SimplicialSet:
             cache[0] = {(): vertices} if vertices else {}
             return cache[0]
         canonical = {s: s for s in self.simplices(m - 1)}
+        below = {t: bd for bd, ts in self._boundary_index(m - 1).items()
+                 for t in ts} if m > 1 else {}
         idx = {}
         for s in self.simplices(m):
-            bd = tuple([canonical[self.face(s, i)] for i in range(m + 1)])
+            if not s.word:
+                bd = tuple([canonical[self.face(s, i)] for i in range(m + 1)])
+            else:
+                j, t = s.word[0], canonical[Simplex(s.word[1:], s.cell)]
+                ft = below.get(t, ())
+                bd = tuple(
+                    [canonical[Simplex(_degenerate(j - 1, u.word), u.cell)]
+                     for u in ft[:j]] + [t, t]
+                    + [canonical[Simplex(_degenerate(j, u.word), u.cell)]
+                       for u in ft[j + 1:]])
             idx.setdefault(bd, []).append(s)
         cache[m] = {k: tuple(v) for k, v in idx.items()}
         return cache[m]
@@ -307,10 +339,9 @@ def validate(X: SimplicialSet):
     name that is not a cell as ("faces-for-unknown-cell", name).
     """
     problems = []
-    index, dims, faces = X._index, X._dims, X._faces
+    index, dims, rows = X._index, X._dims, X._rows
     valid = set()  # cells of dimension >= 1 whose face data passed
-    for cell, n in zip(index, dims):
-        fs = faces.get(cell)
+    for cell, n, fs in zip(index, dims, rows):
         if n == 0:
             if fs is not None:
                 problems.append(("faces-on-vertex", cell))
@@ -337,7 +368,7 @@ def validate(X: SimplicialSet):
         if n < 2:
             continue
         try:  # a degenerate face on a vertex v has every face s_{n-3..0} v
-            D = [faces[f.cell] if not f.word and f.cell in valid
+            D = [rows[index[f.cell]] if not f.word and f.cell in valid
                  else [Simplex(f.word[1:], f.cell)] * n
                  if not dims[index[f.cell]]
                  else [X.face(f, a) for a in range(n)] for f in fs]
@@ -347,9 +378,8 @@ def validate(X: SimplicialSet):
             for i in range(j):
                 if D[j][i] != D[i][j - 1]:
                     problems.append(("identity", cell, i, j))
-    for name in faces:
-        if name not in index:
-            problems.append(("faces-for-unknown-cell", name))
+    for name in X._stray or ():
+        problems.append(("faces-for-unknown-cell", name))
     return problems
 
 
@@ -481,9 +511,9 @@ class SimplicialMap:
     `images` is a tuple with the image of each source cell, in
     `source.all_cells()` order; an unassigned cell holds None, which
     `verify_map` reports.  Build a map from a {cell: image} dict, or pass
-    that tuple as `images=` (stored as given).  A dict that names a cell the
-    source lacks raises ValueError.  A dict image that is already a Simplex
-    with a tuple word is stored as is, so images may be shared between maps.
+    that sequence as `images=`.  A dict that names a cell the source lacks
+    raises ValueError.  Each image is stored as the target's one object for
+    its value (the first one given), so maps into a complex share images.
 
     `assignment` is a {cell: image} dict built on each access: changing it
     leaves the map as it was, and building it costs a pass over the cells,
@@ -507,7 +537,12 @@ class SimplicialMap:
                       for s in map(assignment.get, index)]
         elif len(images) != len(index):
             raise ValueError(f"{len(images)} images for {len(index)} cells")
-        self.images = tuple(images)
+        table = target._simplex_table
+        if table is None:
+            table = target._simplex_table = {}
+        own = table.setdefault
+        self.images = tuple([None if s is None else own(s, s)
+                             for s in images])
         self._hash = None
 
     @property

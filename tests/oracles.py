@@ -90,13 +90,14 @@ def validate_oracle(X):
     fit their dimension.
     """
     problems = []
+    faces = X.face_data()
     for cell in X.all_cells():
         n = X.cell_dim(cell)
         if n == 0:
-            if cell in X._faces:
+            if cell in faces:
                 problems.append(("faces-on-vertex", cell))
             continue
-        fs = X._faces.get(cell)
+        fs = faces.get(cell)
         if fs is None:
             problems.append(("missing-faces", cell))
             continue
@@ -125,7 +126,7 @@ def validate_oracle(X):
         except (KeyError, IndexError):
             continue
         problems.extend(found)
-    for name in X._faces:
+    for name in faces:
         if not X.has_cell(name):
             problems.append(("faces-for-unknown-cell", name))
     return problems

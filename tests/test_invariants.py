@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import eqloc
+from eqloc.simplicial import SimplicialSet, horn, standard_simplex
 
 # one call per explicit check, each breaking it: first the checks in
 # simplicial, glue and cat, then the checks on public inputs in orbits,
@@ -441,6 +442,28 @@ class TestOneMechanismPerConcept:
                     if isinstance(n, ast.ImportFrom) and n.module == "orbits"
                     for alias in n.names}
         assert imported == {("localization", "isomorphisms")}
+
+
+class TestOneFaceTable:
+    """A complex keeps its faces once: one tuple of rows, which is also the
+    second half of its intern key, and no per-cell face dict."""
+
+    def test_rows_are_the_only_face_table(self):
+        slots = set(SimplicialSet.__slots__)
+        assert "_faces" not in slots and "_rows" in slots
+        for X in (standard_simplex(3), horn(3, 1)):
+            X._boundary_index(2)
+            dicts = {name for name in slots - {"__weakref__"}
+                     if isinstance(getattr(X, name), dict)}
+            assert dicts <= {"_index", "_simplices_cache", "_bd_index",
+                             "_simplex_table"}
+            assert X._stray is None
+            key = next(k for k, v in SimplicialSet._interned.items()
+                       if v is X)
+            assert key[0] is X.levels and key[1] is X._rows
+            for c, row in zip(X.all_cells(), X._rows):
+                assert row is None if X.cell_dim(c) == 0 \
+                    else X.cell_faces(c) is row
 
 
 class TestModuleBoundaries:

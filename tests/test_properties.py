@@ -44,6 +44,7 @@ from eqloc.fixtures import (
     z2_two_orbits,
 )
 from eqloc.documents import (
+    Workspace,
     assignment_from_doc,
     canonical_json,
     sset_doc,
@@ -815,6 +816,44 @@ class TestIdentityContract:
             g = SimplicialMap(f.source, f.target, f.assignment)
             for c in f.assignment:
                 assert g.assignment[c] is f.assignment[c]
+
+    def test_one_image_object_per_target_and_value(self):
+        """Maps into one complex share its image objects, whether built from
+        a dict or from `images=`, from fresh copies of every image."""
+        rng = random.Random(223606)
+        for f in self._random_maps(rng):
+            def fresh(s):
+                return Simplex(tuple(list(s.word)), s.cell)
+            by_dict = SimplicialMap(f.source, f.target, {
+                c: fresh(s) for c, s in f.assignment.items()})
+            by_images = SimplicialMap(f.source, f.target, images=[
+                None if s is None else fresh(s) for s in f.images])
+            for g in (by_dict, by_images):
+                assert g == f
+                assert all(a is b for a, b in zip(g.images, f.images))
+            table = f.target._simplex_table
+            assert all(table[s] is s for s in f.images if s is not None)
+
+    def test_a_document_parsed_twice_shares_its_images(self):
+        doc = {"schema": "eqloc/1", "simplicial_sets": {
+            "e": {"cells": [["a", "b"], ["x"]],
+                  "faces": {"x": [[[], "b"], [[], "a"]]}},
+            "tri": {"cells": [["0", "1", "2"], ["01", "02", "12"], ["t"]],
+                    "faces": {"01": [[[], "1"], [[], "0"]],
+                              "02": [[[], "2"], [[], "0"]],
+                              "12": [[[], "2"], [[], "1"]],
+                              "t": [[[], "12"], [[], "02"], [[], "01"]]}}},
+            "maps": {"f": {"source": "tri", "target": "e", "assignment": {
+                "0": [[], "a"], "1": [[], "a"], "2": [[], "b"],
+                "01": [[0], "a"], "02": [[], "x"], "12": [[], "x"],
+                "t": [[0], "x"]}}}}
+        one, two = Workspace(), Workspace()
+        one.load_doc(json.loads(json.dumps(doc)))
+        two.load_doc(json.loads(json.dumps(doc)))
+        f, g = one.maps["f"], two.maps["f"]
+        assert f.target is g.target and f == g
+        assert all(a is b for a, b in zip(f.images, g.images))
+        assert f.images[0] is f.images[1]
 
     def test_sset_equality_matches_the_old_key(self):
         """Equality by parts is the relation of the old materialized key

@@ -62,6 +62,15 @@ class TestWords:
         # d_3 s_1 = s_1 d_2
         assert word_face((1,), 3) == ((1,), 2)
 
+    def test_one_degeneracy_on_a_normal_form(self):
+        """The boundary index's s_a equals the word algebra's."""
+        for q in range(3):
+            for k in range(4):
+                for w in admissible_words(k, q):
+                    for a in range(q + k + 1):
+                        assert simplicial._degenerate(a, w) == \
+                            simplicial.compose_words((a,), w)
+
     def test_admissible_word_count(self):
         # C(q + k, k) admissible words of length k on a q-simplex
         for q in range(4):
